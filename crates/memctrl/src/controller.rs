@@ -1,6 +1,8 @@
 //! The memory controller: queues, scheduling, refresh orchestration,
 //! write-burst draining and per-request latency attribution.
 
+use std::cell::Cell;
+
 use serde::{Deserialize, Serialize};
 
 use dramstack_dram::{
@@ -12,7 +14,7 @@ use dramstack_obs::{NullProbe, Probe};
 use crate::mapping::{AddressMapping, MappingScheme};
 use crate::policy::{PagePolicy, SchedulerPolicy};
 use crate::request::{CompletedRead, LatencyBreakdown, QueueEntry, RequestId};
-use crate::stats::CtrlStats;
+use crate::stats::{CtrlStats, CtrlWork};
 
 /// Memory-controller configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -150,6 +152,8 @@ pub struct MemoryController {
     read_bank_index: Vec<Vec<u32>>,
     /// Same for `write_q`.
     write_bank_index: Vec<Vec<u32>>,
+    /// Host-side work counters (`Cell`: the query passes take `&self`).
+    work: Cell<CtrlWork>,
 }
 
 impl MemoryController {
@@ -183,6 +187,7 @@ impl MemoryController {
             busy_engine: true,
             read_bank_index: vec![Vec::new(); n_banks],
             write_bank_index: vec![Vec::new(); n_banks],
+            work: Cell::new(CtrlWork::default()),
         }
     }
 
@@ -280,6 +285,26 @@ impl MemoryController {
     /// Aggregate statistics.
     pub fn stats(&self) -> CtrlStats {
         self.stats
+    }
+
+    /// Host-side work counters since construction (see [`CtrlWork`]).
+    pub fn work(&self) -> CtrlWork {
+        self.work.get()
+    }
+
+    /// Adds to the timing-query and visited-entry work counters.
+    fn count(&self, queries: u64, visited: usize) {
+        let mut w = self.work.get();
+        w.timing_queries += queries;
+        w.queue_entries_visited += visited as u64;
+        self.work.set(w);
+    }
+
+    /// Runs a debug cross-check without letting it move the work counters.
+    fn uncounted(&self, check: impl FnOnce()) {
+        let saved = self.work.get();
+        check();
+        self.work.set(saved);
     }
 
     /// Whether the read queue has space.
@@ -455,6 +480,7 @@ impl MemoryController {
         }
         for (writes, q) in [(false, &self.read_q), (true, &self.write_q)] {
             for e in q {
+                self.count(1, 1);
                 if e.arrival > now {
                     return None; // arrival not yet patched by a tick
                 }
@@ -503,6 +529,7 @@ impl MemoryController {
         }
         let refreshing = self.refresh_draining || self.is_any_rank_refreshing(now);
         let drain = self.drain_mode;
+        self.count(0, self.read_q.len());
         let device = &self.device;
         for e in &mut self.read_q {
             debug_assert!(e.arrival <= now);
@@ -615,6 +642,9 @@ impl MemoryController {
     /// `view` with this cycle's classification inputs for the bandwidth
     /// stack.
     pub fn tick(&mut self, now: Cycle, view: &mut CycleView) {
+        let mut w = self.work.get();
+        w.ticks += 1;
+        self.work.set(w);
         self.device.advance(now);
         self.patch_arrivals(now);
         self.cas_this_cycle = None;
@@ -676,6 +706,7 @@ impl MemoryController {
         // clamped residual (audited by `conserve::check_read`).
         let refreshing = self.refresh_draining || self.is_any_rank_refreshing(now);
         let drain = self.drain_mode;
+        self.count(0, self.read_q.len());
         let device = &self.device;
         for e in &mut self.read_q {
             if e.arrival > now {
@@ -712,6 +743,7 @@ impl MemoryController {
     /// Entries pushed between ticks get their arrival stamped at the first
     /// tick that observes them.
     fn patch_arrivals(&mut self, now: Cycle) {
+        self.count(0, self.read_q.len() + self.write_q.len());
         for e in self.read_q.iter_mut().chain(self.write_q.iter_mut()) {
             if e.arrival == Cycle::MAX {
                 e.arrival = now;
@@ -729,6 +761,7 @@ impl MemoryController {
         // Close any open bank whose precharge window allows it.
         for addr in g.iter_banks() {
             if self.device.bank(addr).open_row().is_some() {
+                self.count(1, 0);
                 if self.device.earliest_precharge(addr, now).ready(now) {
                     self.device
                         .issue(Command::precharge(addr), now)
@@ -805,7 +838,7 @@ impl MemoryController {
     fn find_ready_cas(&self, now: Cycle, writes: bool, limit: usize) -> Option<usize> {
         if self.use_indexed() {
             let got = self.find_ready_cas_indexed(now, writes);
-            debug_assert_eq!(got, self.find_ready_cas_scan(now, writes, limit));
+            self.uncounted(|| debug_assert_eq!(got, self.find_ready_cas_scan(now, writes, limit)));
             return got;
         }
         self.find_ready_cas_scan(now, writes, limit)
@@ -814,12 +847,14 @@ impl MemoryController {
     fn find_ready_cas_scan(&self, now: Cycle, writes: bool, limit: usize) -> Option<usize> {
         let q = if writes { &self.write_q } else { &self.read_q };
         for (idx, e) in q.iter().take(limit).enumerate() {
+            self.count(0, 1);
             if e.arrival > now {
                 continue;
             }
             if self.device.bank(e.addr.bank).open_row() != Some(e.addr.row) {
                 continue;
             }
+            self.count(1, 0);
             let earliest = if writes {
                 self.device.earliest_write(e.addr.bank, now)
             } else {
@@ -851,11 +886,13 @@ impl MemoryController {
                 continue; // every candidate here is younger than the winner
             }
             let bank = q[first as usize].addr.bank;
+            self.count(0, 1);
             let Some(open) = self.device.bank(bank).open_row() else {
                 continue;
             };
             let Some(&idx) = list
                 .iter()
+                .inspect(|_| self.count(0, 1))
                 .find(|&&i| q[i as usize].arrival <= now && q[i as usize].addr.row == open)
             else {
                 continue;
@@ -863,6 +900,7 @@ impl MemoryController {
             if best.is_some_and(|b| b < idx as usize) {
                 continue;
             }
+            self.count(1, 0);
             let earliest = if writes {
                 self.device.earliest_write(bank, now)
             } else {
@@ -955,11 +993,13 @@ impl MemoryController {
             let flat = self.device.geometry().flat_bank(bank);
             let got = self.read_bank_index[flat]
                 .iter()
+                .inspect(|_| self.count(0, 1))
                 .any(|&i| self.read_q[i as usize].addr.row == row)
                 || self.write_bank_index[flat]
                     .iter()
+                    .inspect(|_| self.count(0, 1))
                     .any(|&i| self.write_q[i as usize].addr.row == row);
-            debug_assert_eq!(got, self.any_pending_hit_scan(bank, row));
+            self.uncounted(|| debug_assert_eq!(got, self.any_pending_hit_scan(bank, row)));
             return got;
         }
         self.any_pending_hit_scan(bank, row)
@@ -969,6 +1009,7 @@ impl MemoryController {
         self.read_q
             .iter()
             .chain(self.write_q.iter())
+            .inspect(|_| self.count(0, 1))
             .any(|e| e.addr.bank == bank && e.addr.row == row)
     }
 
@@ -980,7 +1021,7 @@ impl MemoryController {
     ) -> Option<(Command, usize, Caused)> {
         if self.use_indexed() {
             let got = self.find_actpre_indexed(now, writes);
-            debug_assert_eq!(got, self.find_actpre_scan(now, writes, limit));
+            self.uncounted(|| debug_assert_eq!(got, self.find_actpre_scan(now, writes, limit)));
             return got;
         }
         self.find_actpre_scan(now, writes, limit)
@@ -995,6 +1036,7 @@ impl MemoryController {
         let q = if writes { &self.write_q } else { &self.read_q };
         let mut seen_banks = [false; 64];
         for (idx, e) in q.iter().take(limit).enumerate() {
+            self.count(0, 1);
             if e.arrival > now {
                 continue;
             }
@@ -1024,7 +1066,11 @@ impl MemoryController {
         let mut cands = [0u32; 64];
         let mut n = 0;
         for list in index {
-            if let Some(&i) = list.iter().find(|&&i| q[i as usize].arrival <= now) {
+            if let Some(&i) = list
+                .iter()
+                .inspect(|_| self.count(0, 1))
+                .find(|&&i| q[i as usize].arrival <= now)
+            {
                 cands[n] = i;
                 n += 1;
             }
@@ -1048,9 +1094,11 @@ impl MemoryController {
         idx: usize,
     ) -> Option<(Command, usize, Caused)> {
         let e = &q[idx];
+        self.count(0, 1);
         match self.device.bank(e.addr.bank).open_row() {
             None => {
                 // Skip banks still precharging and banks being refreshed.
+                self.count(1, 0);
                 if self.device.earliest_activate(e.addr.bank, now).ready(now) {
                     return Some((Command::activate(e.addr.bank, e.addr.row), idx, Caused::Act));
                 }
@@ -1062,6 +1110,9 @@ impl MemoryController {
                 // unconditionally — only the head request matters.
                 let hits_pending = self.cfg.scheduler == SchedulerPolicy::FrFcfs
                     && self.same_queue_hit(writes, e.addr.bank, open);
+                if !hits_pending {
+                    self.count(1, 0);
+                }
                 if !hits_pending && self.device.earliest_precharge(e.addr.bank, now).ready(now) {
                     return Some((Command::precharge(e.addr.bank), idx, Caused::Pre));
                 }
@@ -1081,14 +1132,19 @@ impl MemoryController {
         };
         if self.use_indexed() {
             let flat = self.device.geometry().flat_bank(bank);
-            let got = index[flat].iter().any(|&i| q[i as usize].addr.row == row);
+            let got = index[flat]
+                .iter()
+                .inspect(|_| self.count(0, 1))
+                .any(|&i| q[i as usize].addr.row == row);
             debug_assert_eq!(
                 got,
                 q.iter().any(|o| o.addr.bank == bank && o.addr.row == row)
             );
             return got;
         }
-        q.iter().any(|o| o.addr.bank == bank && o.addr.row == row)
+        q.iter()
+            .inspect(|_| self.count(0, 1))
+            .any(|o| o.addr.bank == bank && o.addr.row == row)
     }
 
     fn collect_completions(&mut self, now: Cycle) {
@@ -1198,6 +1254,7 @@ impl MemoryController {
         let q = if writes { &self.write_q } else { &self.read_q };
         let g = self.device.geometry();
         for e in q {
+            self.count(1, 1);
             if e.arrival > now {
                 continue;
             }

@@ -44,4 +44,4 @@ pub use controller::{CtrlConfig, CtrlSnapshot, MemoryController};
 pub use mapping::{AddressMapping, MappingScheme};
 pub use policy::{PagePolicy, SchedulerPolicy};
 pub use request::{CompletedRead, LatencyBreakdown, RequestId};
-pub use stats::CtrlStats;
+pub use stats::{CtrlStats, CtrlWork};

@@ -27,6 +27,20 @@ pub struct CtrlStats {
     pub refreshes: u64,
 }
 
+/// Host-side work the controller did, for `SimReport::perf`: deterministic
+/// counts, not simulation state — never snapshotted, never compared by
+/// the bit-identity oracles.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CtrlWork {
+    /// Calls to [`MemoryController::tick`](crate::MemoryController::tick).
+    pub ticks: u64,
+    /// `earliest_*` queries asked of the device by the scheduling, view
+    /// and stall-horizon passes.
+    pub timing_queries: u64,
+    /// Queue entries those passes looked at.
+    pub queue_entries_visited: u64,
+}
+
 impl CtrlStats {
     /// Row-buffer hit rate over all CAS commands, in `[0, 1]`.
     pub fn page_hit_rate(&self) -> f64 {

@@ -12,7 +12,7 @@
 
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
+use serde::{get_field, Deserialize, Serialize, Value};
 
 /// A phase of the simulator's per-cycle drive loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -190,6 +190,9 @@ impl PhaseTimers {
                 .iter()
                 .map(|p| (p.name().to_string(), self.seconds(*p)))
                 .collect(),
+            ctrl_ticks: 0,
+            timing_queries: 0,
+            queue_entries_visited: 0,
         }
     }
 }
@@ -199,7 +202,12 @@ impl PhaseTimers {
 /// Carried in `SimReport::perf`. All-zero (with `enabled == false`) when
 /// profiling was off; excluded from determinism comparisons because wall
 /// clocks differ between runs even when simulation results do not.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Serialization is hand-written: the three controller work counters are
+/// written only when nonzero and read as zero when absent, so a stripped
+/// report keeps the byte-exact JSON it had before the counters existed
+/// and reports dumped by older builds still load.
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerfReport {
     /// Whether profiling was enabled for the run.
     pub enabled: bool,
@@ -217,6 +225,60 @@ pub struct PerfReport {
     pub busy_forwarded_cycles: u64,
     /// `(phase name, seconds)` per drive-loop phase, in loop order.
     pub phases: Vec<(String, f64)>,
+    /// Controller ticks executed, summed over channels (deterministic,
+    /// recorded even when wall profiling is off, like the two below).
+    pub ctrl_ticks: u64,
+    /// `earliest_*` timing queries the controllers asked of their devices.
+    pub timing_queries: u64,
+    /// Queue entries the controllers' per-tick passes looked at.
+    pub queue_entries_visited: u64,
+}
+
+impl Serialize for PerfReport {
+    fn to_value(&self) -> Value {
+        let mut m = vec![
+            ("enabled".to_string(), self.enabled.to_value()),
+            ("wall_seconds".to_string(), self.wall_seconds.to_value()),
+            ("sim_cycles".to_string(), self.sim_cycles.to_value()),
+            (
+                "sim_cycles_per_second".to_string(),
+                self.sim_cycles_per_second.to_value(),
+            ),
+            (
+                "fast_forwarded_cycles".to_string(),
+                self.fast_forwarded_cycles.to_value(),
+            ),
+            (
+                "busy_forwarded_cycles".to_string(),
+                self.busy_forwarded_cycles.to_value(),
+            ),
+            ("phases".to_string(), self.phases.to_value()),
+        ];
+        for (key, count) in self.work_counters() {
+            if count != 0 {
+                m.push((key.to_string(), count.to_value()));
+            }
+        }
+        Value::Map(m)
+    }
+}
+
+impl Deserialize for PerfReport {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let counter = |key| v.get(key).map_or(Ok(0), u64::from_value);
+        Ok(PerfReport {
+            enabled: bool::from_value(get_field(v, "enabled")?)?,
+            wall_seconds: f64::from_value(get_field(v, "wall_seconds")?)?,
+            sim_cycles: u64::from_value(get_field(v, "sim_cycles")?)?,
+            sim_cycles_per_second: f64::from_value(get_field(v, "sim_cycles_per_second")?)?,
+            fast_forwarded_cycles: u64::from_value(get_field(v, "fast_forwarded_cycles")?)?,
+            busy_forwarded_cycles: u64::from_value(get_field(v, "busy_forwarded_cycles")?)?,
+            phases: Deserialize::from_value(get_field(v, "phases")?)?,
+            ctrl_ticks: counter("ctrl_ticks")?,
+            timing_queries: counter("timing_queries")?,
+            queue_entries_visited: counter("queue_entries_visited")?,
+        })
+    }
 }
 
 impl PerfReport {
@@ -230,7 +292,18 @@ impl PerfReport {
             fast_forwarded_cycles: 0,
             busy_forwarded_cycles: 0,
             phases: Vec::new(),
+            ctrl_ticks: 0,
+            timing_queries: 0,
+            queue_entries_visited: 0,
         }
+    }
+
+    fn work_counters(&self) -> [(&'static str, u64); 3] {
+        [
+            ("ctrl_ticks", self.ctrl_ticks),
+            ("timing_queries", self.timing_queries),
+            ("queue_entries_visited", self.queue_entries_visited),
+        ]
     }
 
     /// Seconds spent in the named phase (0 if absent).
@@ -387,6 +460,19 @@ mod tests {
         let json = serde_json::to_string(&r).unwrap();
         let back: PerfReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, r);
+    }
+
+    #[test]
+    fn work_counters_roundtrip_and_vanish_when_zero() {
+        let mut r = PhaseTimers::new().report(10);
+        let bare = serde_json::to_string(&r).unwrap();
+        assert!(!bare.contains("ctrl_ticks"), "{bare}");
+        assert_eq!(serde_json::from_str::<PerfReport>(&bare).unwrap(), r);
+        r.ctrl_ticks = 7;
+        r.timing_queries = 21;
+        r.queue_entries_visited = 99;
+        let json = serde_json::to_string(&r).unwrap();
+        assert_eq!(serde_json::from_str::<PerfReport>(&json).unwrap(), r);
     }
 
     #[test]

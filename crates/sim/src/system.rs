@@ -1261,6 +1261,13 @@ impl Simulator {
             }
             total
         };
+        let mut perf = self.timers.report(self.dram_cycle);
+        for c in &self.ctrls {
+            let w = c.work();
+            perf.ctrl_ticks += w.ticks;
+            perf.timing_queries += w.timing_queries;
+            perf.queue_entries_visited += w.queue_entries_visited;
+        }
         SimReport {
             bandwidth_stack,
             latency_stack,
@@ -1275,7 +1282,7 @@ impl Simulator {
             latency_histogram: self.histogram.clone(),
             channel_stacks,
             samples,
-            perf: self.timers.report(self.dram_cycle),
+            perf,
             audit,
             diagnoses,
         }
