@@ -239,6 +239,9 @@ pub struct DramDevice {
     /// Flat indices of banks with a pending auto-precharge, so `advance`
     /// visits only them instead of sweeping every bank.
     auto_pre_pending: Vec<usize>,
+    /// Flat indices of the banks the latest `advance` auto-precharged —
+    /// transient within a tick, so not part of the snapshot.
+    auto_precharged: Vec<usize>,
     /// Dirty-bank list: flat indices whose state may read `Precharging` or
     /// `Activating` — the only states the per-cycle `CycleView` sweep needs
     /// to visit. Banks are pushed on the command that starts the transition
@@ -281,6 +284,7 @@ impl DramDevice {
             read_legal: vec![Cell::new(NextLegal::STALE); n_banks],
             write_legal: vec![Cell::new(NextLegal::STALE); n_banks],
             auto_pre_pending: Vec::new(),
+            auto_precharged: Vec::new(),
             transitioning: Vec::new(),
             in_transition: vec![false; n_banks],
             config,
@@ -384,6 +388,18 @@ impl DramDevice {
         &self.banks[self.config.geometry.flat_bank(addr)]
     }
 
+    /// The open row of the bank with flat index `flat`, if any.
+    pub fn open_row(&self, flat: usize) -> Option<u32> {
+        self.banks[flat].open_row()
+    }
+
+    /// Flat indices of the banks whose pending auto-precharge the latest
+    /// [`advance`](Self::advance) applied — the one open-row change no
+    /// issued command announces.
+    pub fn auto_precharged(&self) -> &[usize] {
+        &self.auto_precharged
+    }
+
     /// Housekeeping at the start of cycle `now`: applies due auto-precharges
     /// and retires finished bursts. Call once per cycle before queries.
     ///
@@ -391,11 +407,13 @@ impl DramDevice {
     /// list is maintained at CAS issue), so the sweep is O(pending), not
     /// O(banks).
     pub fn advance(&mut self, now: Cycle) {
+        self.auto_precharged.clear();
         let mut i = 0;
         while i < self.auto_pre_pending.len() {
             let flat = self.auto_pre_pending[i];
             if self.banks[flat].apply_auto_precharge(now, &self.enforced) {
                 self.auto_pre_pending.swap_remove(i);
+                self.auto_precharged.push(flat);
                 self.touch_bank(flat);
             } else if !self.banks[flat].has_auto_pre() {
                 // Cleared behind our back by a refresh's force-precharge.
@@ -801,19 +819,15 @@ impl DramDevice {
 
     fn issue_refresh(&mut self, rank: u32, now: Cycle) -> Result<Cycle, CommandError> {
         let g = self.config.geometry;
-        for addr in g.iter_banks().filter(|b| b.rank == rank) {
-            let bank = self.bank(addr);
-            if !bank.is_quiet(now) {
-                return Err(CommandError::RefreshWhileBusy(addr));
-            }
+        if let Some(flat) = g.rank_banks(rank).find(|&f| !self.banks[f].is_quiet(now)) {
+            return Err(CommandError::RefreshWhileBusy(g.bank_addr(flat)));
         }
         if self.bus.busy_at_or_after(now) {
             return Err(CommandError::RefreshWhileBusy(BankAddr::new(rank, 0, 0)));
         }
         self.ranks[rank as usize].start_refresh(now, &self.enforced);
         let end = self.ranks[rank as usize].refresh_end();
-        for addr in g.iter_banks().filter(|b| b.rank == rank) {
-            let flat = g.flat_bank(addr);
+        for flat in g.rank_banks(rank) {
             self.banks[flat].force_precharged(end);
             self.touch_bank(flat);
         }
@@ -853,9 +867,8 @@ impl DramDevice {
     pub fn rank_quiet(&self, rank: u32, now: Cycle) -> bool {
         self.config
             .geometry
-            .iter_banks()
-            .filter(|b| b.rank == rank)
-            .all(|b| self.bank(b).is_quiet(now))
+            .rank_banks(rank)
+            .all(|flat| self.banks[flat].is_quiet(now))
             && !self.bus.busy_at_or_after(now)
     }
 
@@ -994,6 +1007,7 @@ impl DramDevice {
         self.rank_epochs = snap.rank_epochs.clone();
         self.bus_epoch = snap.bus_epoch;
         self.auto_pre_pending = snap.auto_pre_pending.clone();
+        self.auto_precharged.clear();
         self.transitioning = snap.transitioning.clone();
         self.in_transition = snap.in_transition.clone();
         for slot in self

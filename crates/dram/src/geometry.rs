@@ -114,6 +114,19 @@ impl DramGeometry {
         }
     }
 
+    /// Flat indices of the banks of `rank` — contiguous in flat order.
+    pub fn rank_banks(&self, rank: u32) -> std::ops::Range<usize> {
+        let start = (rank * self.banks_per_rank()) as usize;
+        start..start + self.banks_per_rank() as usize
+    }
+
+    /// Flat indices of the banks of one bank group — contiguous in flat
+    /// order, which makes bank-group marking a range instead of a filter.
+    pub fn bank_group_banks(&self, rank: u32, bank_group: u32) -> std::ops::Range<usize> {
+        let start = ((rank * self.bank_groups + bank_group) * self.banks_per_group) as usize;
+        start..start + self.banks_per_group as usize
+    }
+
     /// Iterator over every bank address in the channel, in flat order.
     pub fn iter_banks(&self) -> impl Iterator<Item = BankAddr> + '_ {
         (0..self.total_banks() as usize).map(|i| self.bank_addr(i))
@@ -213,6 +226,33 @@ mod tests {
         dedup.sort();
         dedup.dedup();
         assert_eq!(dedup.len(), 16);
+    }
+
+    #[test]
+    fn flat_ranges_equal_the_filtered_iteration() {
+        for g in [
+            DramGeometry::ddr4_single_rank(),
+            DramGeometry::ddr4_dual_rank(),
+        ] {
+            let flats = |keep: &dyn Fn(&BankAddr) -> bool| -> Vec<usize> {
+                g.iter_banks()
+                    .filter(keep)
+                    .map(|b| g.flat_bank(b))
+                    .collect()
+            };
+            for rank in 0..g.ranks {
+                assert_eq!(
+                    g.rank_banks(rank).collect::<Vec<_>>(),
+                    flats(&|b| b.rank == rank)
+                );
+                for bg in 0..g.bank_groups {
+                    assert_eq!(
+                        g.bank_group_banks(rank, bg).collect::<Vec<_>>(),
+                        flats(&|b| b.rank == rank && b.bank_group == bg)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,15 +6,17 @@ use std::cell::Cell;
 use serde::{Deserialize, Serialize};
 
 use dramstack_dram::{
-    BankActivity, BankState, BlockLevel, BlockReason, Command, Cycle, CycleView, DeviceConfig,
-    DramDevice, Earliest, SeededFault, TimedCommand,
+    BankActivity, BankAddr, BankState, BlockLevel, BlockReason, Command, CommandKind, Cycle,
+    CycleView, DeviceConfig, DramDevice, Earliest, SeededFault, TimedCommand,
 };
 use dramstack_obs::{NullProbe, Probe};
 
 use crate::mapping::{AddressMapping, MappingScheme};
 use crate::policy::{PagePolicy, SchedulerPolicy};
+use crate::queue::{bits, BankedQueue, MAX_BANKS, NONE};
 use crate::request::{CompletedRead, LatencyBreakdown, QueueEntry, RequestId};
 use crate::stats::{CtrlStats, CtrlWork};
+use crate::timing::{Class, TimingTable};
 
 /// Memory-controller configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -90,7 +92,7 @@ struct InFlightRead {
 /// Serializable image of one controller's full simulation state, as
 /// captured by [`MemoryController::snapshot_state`]. Attachments (probes,
 /// the command trace) and tuning knobs (`busy_engine`) are not part of it;
-/// the per-bank queue indices and the address decoder are derived state,
+/// the per-bank queue summaries and the address decoder are derived state,
 /// rebuilt on restore.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CtrlSnapshot {
@@ -113,8 +115,8 @@ pub struct MemoryController {
     cfg: CtrlConfig,
     device: DramDevice,
     map: AddressMapping,
-    read_q: Vec<QueueEntry>,
-    write_q: Vec<QueueEntry>,
+    read_q: BankedQueue,
+    write_q: BankedQueue,
     in_flight: Vec<InFlightRead>,
     completions: Vec<CompletedRead>,
     /// True while draining the write queue (a "write burst").
@@ -141,17 +143,14 @@ pub struct MemoryController {
     /// skip past that cycle.
     issued_this_cycle: bool,
     /// Busy-path event engine master switch: timing memoization in the
-    /// device, the indexed FR-FCFS scan, the dirty-bank view sweep and the
-    /// stall-horizon bulk skip. Results are bit-identical either way; off
-    /// exists for A/B benchmarking and the bit-identity test matrix.
+    /// device, the per-bank summary passes (off: the full-queue `*_scan`
+    /// oracles), the dirty-bank view sweep and the stall-horizon bulk
+    /// skip. Results are bit-identical either way; off exists for A/B
+    /// benchmarking and the bit-identity test matrix. The queue summaries
+    /// are maintained regardless, so the toggle can flip mid-run.
     busy_engine: bool,
-    /// Per-flat-bank ascending lists of `read_q` indices — the indexed
-    /// FR-FCFS scan consults banks-with-work instead of the whole queue.
-    /// Maintained on enqueue/remove regardless of `busy_engine` (so the
-    /// toggle can flip mid-run), consulted only when it is on.
-    read_bank_index: Vec<Vec<u32>>,
-    /// Same for `write_q`.
-    write_bank_index: Vec<Vec<u32>>,
+    /// Tick-local table of the device's `earliest_*` answers.
+    timing: TimingTable,
     /// Host-side work counters (`Cell`: the query passes take `&self`).
     work: Cell<CtrlWork>,
 }
@@ -165,13 +164,16 @@ impl MemoryController {
     pub fn new(cfg: CtrlConfig) -> Self {
         let device = DramDevice::new(cfg.device);
         let map = AddressMapping::new(cfg.device.geometry, cfg.mapping);
-        let n_banks = device.geometry().total_banks() as usize;
+        assert!(
+            device.geometry().total_banks() as usize <= MAX_BANKS,
+            "at most {MAX_BANKS} banks per controller"
+        );
         MemoryController {
             cfg,
             device,
             map,
-            read_q: Vec::new(),
-            write_q: Vec::new(),
+            read_q: BankedQueue::new(),
+            write_q: BankedQueue::new(),
             in_flight: Vec::new(),
             completions: Vec::new(),
             drain_mode: false,
@@ -185,8 +187,7 @@ impl MemoryController {
             cas_this_cycle: None,
             issued_this_cycle: false,
             busy_engine: true,
-            read_bank_index: vec![Vec::new(); n_banks],
-            write_bank_index: vec![Vec::new(); n_banks],
+            timing: TimingTable::new(),
             work: Cell::new(CtrlWork::default()),
         }
     }
@@ -203,12 +204,6 @@ impl MemoryController {
     /// Whether the busy-path event engine is on.
     pub fn busy_engine(&self) -> bool {
         self.busy_engine
-    }
-
-    /// Whether the indexed per-bank scan replaces the full-queue scans
-    /// this cycle (FR-FCFS only: FCFS inspects exactly one entry anyway).
-    fn use_indexed(&self) -> bool {
-        self.busy_engine && self.cfg.scheduler == SchedulerPolicy::FrFcfs
     }
 
     /// Attaches an observation probe; it receives every controller event
@@ -242,17 +237,6 @@ impl MemoryController {
         std::mem::take(&mut self.trace)
     }
 
-    fn record(&mut self, now: Cycle, cmd: Command) {
-        self.issued_this_cycle = true;
-        if self.trace_enabled {
-            self.trace.push(TimedCommand::new(now, cmd));
-        }
-        if self.probe_active {
-            let flat = self.device.geometry().flat_bank(cmd.bank);
-            self.probe.command_issued(now, cmd, flat);
-        }
-    }
-
     /// The controller configuration.
     pub fn config(&self) -> &CtrlConfig {
         &self.cfg
@@ -280,6 +264,7 @@ impl MemoryController {
     /// Chaos/audit harness only.
     pub fn inject_fault(&mut self, fault: SeededFault) {
         self.device.inject_fault(fault);
+        self.timing.clear();
     }
 
     /// Aggregate statistics.
@@ -298,13 +283,6 @@ impl MemoryController {
         w.timing_queries += queries;
         w.queue_entries_visited += visited as u64;
         self.work.set(w);
-    }
-
-    /// Runs a debug cross-check without letting it move the work counters.
-    fn uncounted(&self, check: impl FnOnce()) {
-        let saved = self.work.get();
-        check();
-        self.work.set(saved);
     }
 
     /// Whether the read queue has space.
@@ -344,15 +322,12 @@ impl MemoryController {
         let id = RequestId(self.next_id);
         self.next_id += 1;
         let addr = self.map.decode(phys);
-        // Arrival time is recorded lazily at the next tick; use the entry's
-        // arrival field set here with the last known time via queue push —
-        // the sim enqueues before ticking the same cycle, so `arrival` is
-        // patched in tick() when first observed. We store 0 sentinel here
-        // and fix it on the first tick the entry is seen.
+        // The sim enqueues between ticks, so the arrival cycle is not
+        // known here: `Cycle::MAX` marks the entry unstamped until the
+        // next tick observes it.
         let flat = self.device.geometry().flat_bank(addr.bank);
-        self.read_bank_index[flat].push(self.read_q.len() as u32);
-        self.read_q
-            .push(QueueEntry::new(id, meta, phys, addr, Cycle::MAX));
+        let e = QueueEntry::new(id, meta, phys, addr, Cycle::MAX);
+        self.read_q.push(e, flat, self.device.open_row(flat));
         self.stats.reads_accepted += 1;
         if self.probe_active {
             self.probe.request_accepted(id.0, phys, false);
@@ -372,9 +347,8 @@ impl MemoryController {
         self.next_id += 1;
         let addr = self.map.decode(phys);
         let flat = self.device.geometry().flat_bank(addr.bank);
-        self.write_bank_index[flat].push(self.write_q.len() as u32);
-        self.write_q
-            .push(QueueEntry::new(id, 0, phys, addr, Cycle::MAX));
+        let e = QueueEntry::new(id, 0, phys, addr, Cycle::MAX);
+        self.write_q.push(e, flat, self.device.open_row(flat));
         self.stats.writes_accepted += 1;
         if self.probe_active {
             self.probe.request_accepted(id.0, phys, true);
@@ -445,7 +419,7 @@ impl MemoryController {
         // A span needs at least one skippable cycle between `now` and the
         // wake tick at `h`, so each cap is followed by an early bail once
         // `h` drops below `now + 2` — the cheap O(1) caps usually decide
-        // before the queue scan is paid.
+        // before the walk over banks with work is paid.
         let floor = now.saturating_add(2);
         let mut h = self.device.next_bus_boundary(now);
         h = h.min(self.device.next_bank_transition(now));
@@ -478,32 +452,20 @@ impl MemoryController {
         if h < floor {
             return None;
         }
-        for (writes, q) in [(false, &self.read_q), (true, &self.write_q)] {
-            for e in q {
-                self.count(1, 1);
-                if e.arrival > now {
-                    return None; // arrival not yet patched by a tick
-                }
-                let at = match self.device.bank(e.addr.bank).open_row() {
-                    Some(open) if open == e.addr.row => {
-                        if writes {
-                            self.device.earliest_write(e.addr.bank, now).at
-                        } else {
-                            self.device.earliest_read(e.addr.bank, now).at
-                        }
-                    }
-                    Some(_) => self.device.earliest_precharge(e.addr.bank, now).at,
-                    None => self.device.earliest_activate(e.addr.bank, now).at,
-                };
-                if at > now {
-                    h = h.min(at);
-                    if h < floor {
-                        return None;
-                    }
-                }
-            }
+        if !self.read_q.all_stamped() || !self.write_q.all_stamped() {
+            return None; // the pump enqueued since the tick at `now`
         }
-        Some(h)
+        // The tick at `now` issued nothing, so the answers its passes left
+        // in the timing table still hold and most lookups are free.
+        let in_time = [false, true].into_iter().all(|writes| {
+            self.visit_waiting(writes, now, |_, _, earliest| {
+                if earliest.at > now {
+                    h = h.min(earliest.at);
+                }
+                h >= floor
+            })
+        });
+        in_time.then_some(h)
     }
 
     /// Cheap O(1) disqualifiers of a busy span at the current tick. When
@@ -528,24 +490,31 @@ impl MemoryController {
             self.stats.drain_cycles += n;
         }
         let refreshing = self.refresh_draining || self.is_any_rank_refreshing(now);
-        let drain = self.drain_mode;
+        let (pre, act) = self.transitioning_banks(now);
+        self.attribute_waits(n, refreshing, pre | act);
+    }
+
+    /// Latency attribution for reads still waiting in the queue, for `n`
+    /// identical cycles. Every waiting cycle is charged to exactly one
+    /// component — write drain, refresh, a PRE/ACT this entry caused (its
+    /// bank is in `transitioning`), or plain queueing — so the final
+    /// breakdown sums to the measured service time with no clamped
+    /// residual (audited by `conserve::check_read`). The one per-entry
+    /// pass of a tick: the counters live in the serialized entries.
+    fn attribute_waits(&mut self, n: u64, refreshing: bool, transitioning: u64) {
         self.count(0, self.read_q.len());
-        let device = &self.device;
-        for e in &mut self.read_q {
-            debug_assert!(e.arrival <= now);
-            if drain {
-                e.writeburst_wait += n;
-            } else if refreshing {
-                e.refresh_wait += n;
-            } else if (e.caused_pre || e.caused_act)
-                && matches!(
-                    device.bank(e.addr.bank).state(now),
-                    BankState::Precharging | BankState::Activating
-                )
-            {
-                e.preact_wait += n;
-            } else {
-                e.queue_wait += n;
+        let entries = self.read_q.iter_mut_with_bank();
+        if self.drain_mode {
+            entries.for_each(|(e, _)| e.writeburst_wait += n);
+        } else if refreshing {
+            entries.for_each(|(e, _)| e.refresh_wait += n);
+        } else {
+            for (e, flat) in entries {
+                if (e.caused_pre || e.caused_act) && transitioning >> flat & 1 == 1 {
+                    e.preact_wait += n;
+                } else {
+                    e.queue_wait += n;
+                }
             }
         }
     }
@@ -583,8 +552,8 @@ impl MemoryController {
     pub fn snapshot_state(&self) -> CtrlSnapshot {
         CtrlSnapshot {
             device: self.device.snapshot_state(),
-            read_q: self.read_q.clone(),
-            write_q: self.write_q.clone(),
+            read_q: self.read_q.entries().to_vec(),
+            write_q: self.write_q.entries().to_vec(),
             in_flight: self.in_flight.clone(),
             completions: self.completions.clone(),
             drain_mode: self.drain_mode,
@@ -598,11 +567,11 @@ impl MemoryController {
 
     /// Restores state captured by [`snapshot_state`](Self::snapshot_state)
     /// into a controller built from the same configuration. The per-bank
-    /// queue indices are rebuilt from the restored queues and the device's
-    /// timing memo tables are invalidated, so subsequent scheduling is
-    /// bit-identical to an uninterrupted run. Controller time is monotonic:
-    /// the first `tick` after a restore must be at or past the cycle the
-    /// snapshot was taken.
+    /// queue summaries are rebuilt from the restored queues and the timing
+    /// tables (the device's and the tick-local one) are invalidated, so
+    /// subsequent scheduling is bit-identical to an uninterrupted run.
+    /// Controller time is monotonic: the first `tick` after a restore must
+    /// be at or past the cycle the snapshot was taken.
     ///
     /// # Panics
     ///
@@ -610,8 +579,17 @@ impl MemoryController {
     /// configuration.
     pub fn restore_state(&mut self, snap: &CtrlSnapshot) {
         self.device.restore_state(&snap.device);
-        self.read_q = snap.read_q.clone();
-        self.write_q = snap.write_q.clone();
+        self.timing.clear();
+        let (g, device) = (*self.device.geometry(), &self.device);
+        let rebuild = |entries| {
+            BankedQueue::rebuild(
+                entries,
+                |e| g.flat_bank(e.addr.bank),
+                |flat| device.open_row(flat),
+            )
+        };
+        self.read_q = rebuild(&snap.read_q);
+        self.write_q = rebuild(&snap.write_q);
         self.in_flight = snap.in_flight.clone();
         self.completions = snap.completions.clone();
         self.drain_mode = snap.drain_mode;
@@ -620,21 +598,6 @@ impl MemoryController {
         self.stats = snap.stats;
         self.cas_this_cycle = snap.cas_this_cycle;
         self.issued_this_cycle = snap.issued_this_cycle;
-        for list in self
-            .read_bank_index
-            .iter_mut()
-            .chain(self.write_bank_index.iter_mut())
-        {
-            list.clear();
-        }
-        for (i, e) in self.read_q.iter().enumerate() {
-            let flat = self.device.geometry().flat_bank(e.addr.bank);
-            self.read_bank_index[flat].push(i as u32);
-        }
-        for (i, e) in self.write_q.iter().enumerate() {
-            let flat = self.device.geometry().flat_bank(e.addr.bank);
-            self.write_bank_index[flat].push(i as u32);
-        }
     }
 
     /// Advances the controller by one DRAM cycle: issues at most one
@@ -646,7 +609,12 @@ impl MemoryController {
         w.ticks += 1;
         self.work.set(w);
         self.device.advance(now);
-        self.patch_arrivals(now);
+        self.timing.clear();
+        for &flat in self.device.auto_precharged() {
+            self.read_q.reclassify(flat, None);
+            self.write_q.reclassify(flat, None);
+        }
+        self.stamp_arrivals(now);
         self.cas_this_cycle = None;
         self.issued_this_cycle = false;
         // Start-of-cycle queue occupancy, exported through the view for
@@ -699,37 +667,16 @@ impl MemoryController {
             self.schedule(now);
         }
 
-        // Latency attribution for reads still waiting in the queue. Every
-        // waiting cycle is charged to exactly one component — write drain,
-        // refresh, a PRE/ACT this entry caused, or plain queueing — so the
-        // final breakdown sums to the measured service time with no
-        // clamped residual (audited by `conserve::check_read`).
-        let refreshing = self.refresh_draining || self.is_any_rank_refreshing(now);
-        let drain = self.drain_mode;
-        self.count(0, self.read_q.len());
-        let device = &self.device;
-        for e in &mut self.read_q {
-            if e.arrival > now {
-                continue;
-            }
-            if drain {
-                e.writeburst_wait += 1;
-            } else if refreshing {
-                e.refresh_wait += 1;
-            } else if (e.caused_pre || e.caused_act)
-                && matches!(
-                    device.bank(e.addr.bank).state(now),
-                    BankState::Precharging | BankState::Activating
-                )
-            {
-                e.preact_wait += 1;
-            } else {
-                e.queue_wait += 1;
-            }
-        }
+        // Bank and rank state is final for this cycle: read it once for
+        // both the latency attribution and the view.
+        let refreshing = self.is_any_rank_refreshing(now);
+        let (pre, act) = self.transitioning_banks(now);
+        self.attribute_waits(1, self.refresh_draining || refreshing, pre | act);
 
         self.collect_completions(now);
-        self.build_view(now, view);
+        self.build_view(now, view, refreshing, pre, act);
+        #[cfg(debug_assertions)]
+        self.check_summaries();
         view.read_q_depth = read_q_depth;
         view.write_q_depth = write_q_depth;
         view.drain = self.drain_mode;
@@ -741,45 +688,90 @@ impl MemoryController {
     }
 
     /// Entries pushed between ticks get their arrival stamped at the first
-    /// tick that observes them.
-    fn patch_arrivals(&mut self, now: Cycle) {
-        self.count(0, self.read_q.len() + self.write_q.len());
-        for e in self.read_q.iter_mut().chain(self.write_q.iter_mut()) {
-            if e.arrival == Cycle::MAX {
-                e.arrival = now;
-                if self.probe_active {
+    /// tick that observes them — they are each queue's unstamped suffix,
+    /// so after this no entry has `arrival > now`.
+    fn stamp_arrivals(&mut self, now: Cycle) {
+        for q in [&mut self.read_q, &mut self.write_q] {
+            let fresh = q.stamp_arrivals(now);
+            let mut w = self.work.get();
+            w.queue_entries_visited += fresh.len() as u64;
+            self.work.set(w);
+            if self.probe_active {
+                for e in fresh {
                     self.probe.request_arrival(e.id.0, now);
                 }
             }
         }
     }
 
+    /// Recounts both queue summaries against the queues and the device's
+    /// open rows (debug oracle, armed on every tick).
+    #[cfg(debug_assertions)]
+    fn check_summaries(&self) {
+        let g = self.device.geometry();
+        for q in [&self.read_q, &self.write_q] {
+            q.check(
+                |e| g.flat_bank(e.addr.bank),
+                |flat| self.device.open_row(flat),
+            );
+        }
+    }
+
+    /// Issues `cmd` on the device and keeps every piece of derived state
+    /// in step: the command trace and probe, the tick-local timing table
+    /// and, when the command changes a bank's open row, both queue
+    /// summaries.
+    fn issue(&mut self, cmd: Command, now: Cycle) -> Cycle {
+        let done_at = self
+            .device
+            .issue(cmd, now)
+            .expect("scheduler validated the command");
+        let g = self.device.geometry();
+        let flat = g.flat_bank(cmd.bank);
+        self.timing
+            .command_issued(cmd.kind, flat, g.rank_banks(cmd.bank.rank));
+        match cmd.kind {
+            CommandKind::Activate | CommandKind::Precharge => {
+                let open = self.device.open_row(flat);
+                self.read_q.reclassify(flat, open);
+                self.write_q.reclassify(flat, open);
+            }
+            // A refresh needs its rank quiet, so no row is open to close.
+            CommandKind::Refresh => debug_assert!(g
+                .rank_banks(cmd.bank.rank)
+                .all(|f| !self.read_q.has_hit(f) && !self.write_q.has_hit(f))),
+            // A CAS leaves the row open; an auto-precharge closes it at a
+            // later `advance`, which reports it.
+            _ => {}
+        }
+        self.issued_this_cycle = true;
+        if self.trace_enabled {
+            self.trace.push(TimedCommand::new(now, cmd));
+        }
+        if self.probe_active {
+            self.probe.command_issued(now, cmd, flat);
+        }
+        done_at
+    }
+
     // ---- refresh ---------------------------------------------------------------
 
     fn schedule_refresh(&mut self, now: Cycle) {
         let g = *self.device.geometry();
-        // Close any open bank whose precharge window allows it.
-        for addr in g.iter_banks() {
-            if self.device.bank(addr).open_row().is_some() {
-                self.count(1, 0);
-                if self.device.earliest_precharge(addr, now).ready(now) {
-                    self.device
-                        .issue(Command::precharge(addr), now)
-                        .expect("validated precharge");
-                    self.record(now, Command::precharge(addr));
-                    return; // one command per cycle
-                }
-                // An open bank exists but cannot precharge yet.
-                return;
+        // Close the first open bank once its precharge window allows it.
+        let n = g.total_banks() as usize;
+        if let Some(flat) = (0..n).find(|&f| self.device.open_row(f).is_some()) {
+            let addr = g.bank_addr(flat);
+            self.count(1, 0);
+            if self.device.earliest_precharge(addr, now).ready(now) {
+                self.issue(Command::precharge(addr), now); // one command per cycle
             }
+            return;
         }
         // All banks closed: refresh each due rank once quiet.
         for r in 0..g.ranks {
             if self.device.refresh_due(r, now) && self.device.rank_quiet(r, now) {
-                self.device
-                    .issue(Command::refresh(r), now)
-                    .expect("validated refresh");
-                self.record(now, Command::refresh(r));
+                self.issue(Command::refresh(r), now);
                 self.stats.refreshes += 1;
                 self.refresh_draining = false;
                 if self.probe_active {
@@ -798,165 +790,166 @@ impl MemoryController {
         self.drain_mode || (self.read_q.is_empty() && !self.write_q.is_empty())
     }
 
-    fn schedule(&mut self, now: Cycle) {
-        let use_writes = self.use_writes();
-        self.try_issue_from(now, use_writes);
+    fn queue(&self, writes: bool) -> &BankedQueue {
+        if writes {
+            &self.write_q
+        } else {
+            &self.read_q
+        }
     }
 
-    /// Attempts to issue one command for the given queue. Returns true if a
-    /// command was issued.
-    fn try_issue_from(&mut self, now: Cycle, writes: bool) -> bool {
-        let limit = match self.cfg.scheduler {
+    fn queue_mut(&mut self, writes: bool) -> &mut BankedQueue {
+        if writes {
+            &mut self.write_q
+        } else {
+            &mut self.read_q
+        }
+    }
+
+    /// How many head-of-queue positions the scheduler may consider.
+    fn limit(&self) -> usize {
+        match self.cfg.scheduler {
             SchedulerPolicy::FrFcfs => usize::MAX,
             SchedulerPolicy::Fcfs => 1,
-        };
-
-        // Pass 1 (first-ready): oldest CAS-ready row hit.
-        if let Some(idx) = self.find_ready_cas(now, writes, limit) {
-            self.issue_cas_for(now, writes, idx);
-            return true;
         }
-        // Pass 2: oldest-per-bank ACT/PRE that can issue.
-        if let Some(cmd) = self.find_actpre(now, writes, limit) {
-            let (cmd, entry_idx, caused) = cmd;
-            self.device.issue(cmd, now).expect("validated act/pre");
-            self.record(now, cmd);
-            let q = if writes {
-                &mut self.write_q
-            } else {
-                &mut self.read_q
-            };
-            match caused {
-                Caused::Act => q[entry_idx].caused_act = true,
-                Caused::Pre => q[entry_idx].caused_pre = true,
-            }
-            return true;
-        }
-        false
     }
 
-    fn find_ready_cas(&self, now: Cycle, writes: bool, limit: usize) -> Option<usize> {
-        if self.use_indexed() {
-            let got = self.find_ready_cas_indexed(now, writes);
-            self.uncounted(|| debug_assert_eq!(got, self.find_ready_cas_scan(now, writes, limit)));
-            return got;
+    fn schedule(&mut self, now: Cycle) {
+        let writes = self.use_writes();
+        // Pass 1 (first-ready): oldest CAS-ready row hit.
+        if let Some(idx) = self.find_ready_cas(now, writes) {
+            self.issue_cas_for(now, writes, idx);
+        // Pass 2: oldest-per-bank ACT/PRE that can issue.
+        } else if let Some((cmd, idx, caused)) = self.find_actpre(now, writes) {
+            self.issue(cmd, now);
+            let e = self.queue_mut(writes).entry_mut(idx);
+            match caused {
+                Caused::Act => e.caused_act = true,
+                Caused::Pre => e.caused_pre = true,
+            }
         }
-        self.find_ready_cas_scan(now, writes, limit)
+    }
+
+    /// Visits what the entries of a queue wait on, once per (bank, class):
+    /// a bank's row hits wait on their CAS, its other entries on the PRE
+    /// of an open bank or the ACT of a closed one, and every entry of a
+    /// pair shares the pair's answer. `visit` gets the queue position of
+    /// the pair's oldest entry, its bank and the answer; returning false
+    /// stops the walk (and is returned).
+    fn visit_waiting(
+        &self,
+        writes: bool,
+        now: Cycle,
+        mut visit: impl FnMut(u32, BankAddr, Earliest) -> bool,
+    ) -> bool {
+        let q = self.queue(writes);
+        for flat in bits(q.work()) {
+            let (cas, miss) = (Class::cas(writes), Class::miss(&self.device, flat));
+            for (class, pos) in [(cas, q.oldest_hit(flat)), (miss, q.oldest_miss(flat))] {
+                if pos == NONE {
+                    continue;
+                }
+                self.count(0, 1);
+                let bank = q.entries()[pos as usize].addr.bank;
+                if !visit(pos, bank, self.earliest(class, flat, bank, now)) {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// The device's answer for a command of `class` on `bank`, asked at
+    /// most once per tick (see [`TimingTable`]).
+    fn earliest(&self, class: Class, flat: usize, bank: BankAddr, now: Cycle) -> Earliest {
+        if let Some(e) = self.timing.get(class, flat) {
+            // A stall horizon may look the answer up at a later cycle of
+            // the same frozen span; only `at` is compared there.
+            debug_assert_eq!(e.at.max(now), class.ask(&self.device, bank, now).at);
+            return e;
+        }
+        self.count(1, 0);
+        let e = class.ask(&self.device, bank, now);
+        self.timing.put(class, flat, bank, e, now);
+        e
+    }
+
+    /// Whether that command can issue at `now` — all a scheduling pass
+    /// needs, so a bank of a rank known to be blocked is not asked.
+    fn ready(&self, class: Class, flat: usize, bank: BankAddr, now: Cycle) -> bool {
+        if self.timing.get(class, flat).is_none() && self.timing.rank_blocked(class, bank.rank) {
+            debug_assert!(!class.ask(&self.device, bank, now).ready(now));
+            return false;
+        }
+        self.earliest(class, flat, bank, now).ready(now)
+    }
+
+    /// Runs a debug cross-check without letting it move the work counters.
+    #[cfg(debug_assertions)]
+    fn uncounted(&self, check: impl FnOnce()) {
+        let saved = self.work.get();
+        check();
+        self.work.set(saved);
+    }
+
+    /// FR-FCFS pass 1. CAS readiness is uniform across same-bank row hits
+    /// (the answer depends only on the bank), so the oldest hit of each
+    /// bank is that bank's only candidate and the queue-order winner is
+    /// the minimum position over banks.
+    fn find_ready_cas(&self, now: Cycle, writes: bool) -> Option<usize> {
+        let limit = self.limit();
+        if !self.busy_engine {
+            return self.find_ready_cas_scan(now, writes, limit);
+        }
+        let q = self.queue(writes);
+        let mut best = limit;
+        for flat in bits(q.work()) {
+            let pos = q.oldest_hit(flat) as usize;
+            if pos == NONE as usize || pos >= best {
+                continue; // no hit, or younger than the winner so far
+            }
+            self.count(0, 1);
+            let bank = q.entries()[pos].addr.bank;
+            if self.ready(Class::cas(writes), flat, bank, now) {
+                best = pos;
+            }
+        }
+        let got = (best != limit).then_some(best);
+        #[cfg(debug_assertions)]
+        self.uncounted(|| assert_eq!(got, self.find_ready_cas_scan(now, writes, limit)));
+        got
     }
 
     fn find_ready_cas_scan(&self, now: Cycle, writes: bool, limit: usize) -> Option<usize> {
-        let q = if writes { &self.write_q } else { &self.read_q };
-        for (idx, e) in q.iter().take(limit).enumerate() {
+        for (idx, e) in self.queue(writes).entries().iter().take(limit).enumerate() {
             self.count(0, 1);
-            if e.arrival > now {
-                continue;
-            }
             if self.device.bank(e.addr.bank).open_row() != Some(e.addr.row) {
                 continue;
             }
             self.count(1, 0);
-            let earliest = if writes {
-                self.device.earliest_write(e.addr.bank, now)
-            } else {
-                self.device.earliest_read(e.addr.bank, now)
-            };
-            if earliest.ready(now) {
+            let cas = Class::cas(writes);
+            if cas.ask(&self.device, e.addr.bank, now).ready(now) {
                 return Some(idx);
             }
         }
         None
     }
 
-    /// O(banks-with-work) equivalent of the full-queue FR-FCFS pass 1.
-    ///
-    /// CAS readiness is uniform across same-bank row hits (the earliest
-    /// query depends only on the bank), so the oldest hit of each bank is
-    /// that bank's only candidate, and the queue-order winner is the
-    /// minimum queue index over banks.
-    fn find_ready_cas_indexed(&self, now: Cycle, writes: bool) -> Option<usize> {
-        let (q, index) = if writes {
-            (&self.write_q, &self.write_bank_index)
-        } else {
-            (&self.read_q, &self.read_bank_index)
-        };
-        let mut best: Option<usize> = None;
-        for list in index {
-            let Some(&first) = list.first() else { continue };
-            if best.is_some_and(|b| b < first as usize) {
-                continue; // every candidate here is younger than the winner
-            }
-            let bank = q[first as usize].addr.bank;
-            self.count(0, 1);
-            let Some(open) = self.device.bank(bank).open_row() else {
-                continue;
-            };
-            let Some(&idx) = list
-                .iter()
-                .inspect(|_| self.count(0, 1))
-                .find(|&&i| q[i as usize].arrival <= now && q[i as usize].addr.row == open)
-            else {
-                continue;
-            };
-            if best.is_some_and(|b| b < idx as usize) {
-                continue;
-            }
-            self.count(1, 0);
-            let earliest = if writes {
-                self.device.earliest_write(bank, now)
-            } else {
-                self.device.earliest_read(bank, now)
-            };
-            if earliest.ready(now) {
-                best = Some(idx as usize);
-            }
-        }
-        best
-    }
-
-    /// Removes queue position `removed` from the per-bank index of `flat`
-    /// and shifts the remaining stored positions down — mirrors
-    /// `Vec::remove` on the queue itself, preserving ascending order.
-    fn index_remove(index: &mut [Vec<u32>], flat: usize, removed: usize) {
-        let pos = index[flat]
-            .iter()
-            .position(|&i| i as usize == removed)
-            .expect("queue entry present in its bank index");
-        index[flat].remove(pos);
-        for list in index.iter_mut() {
-            for i in list.iter_mut() {
-                if *i as usize > removed {
-                    *i -= 1;
-                }
-            }
-        }
-    }
-
     fn issue_cas_for(&mut self, now: Cycle, writes: bool, idx: usize) {
-        let e = if writes {
-            let e = self.write_q.remove(idx);
-            let flat = self.device.geometry().flat_bank(e.addr.bank);
-            Self::index_remove(&mut self.write_bank_index, flat, idx);
-            e
-        } else {
-            let e = self.read_q.remove(idx);
-            let flat = self.device.geometry().flat_bank(e.addr.bank);
-            Self::index_remove(&mut self.read_bank_index, flat, idx);
-            e
-        };
+        let e = self.queue_mut(writes).remove_for_cas(idx);
+        let flat = self.device.geometry().flat_bank(e.addr.bank);
         let auto_pre = self.cfg.page_policy == PagePolicy::Closed
-            && !self.any_pending_hit(e.addr.bank, e.addr.row);
+            && !self.any_pending_hit(flat, e.addr.bank, e.addr.row);
         let cmd = match (writes, auto_pre) {
             (false, false) => Command::read(e.addr.bank, e.addr.column),
             (false, true) => Command::read_ap(e.addr.bank, e.addr.column),
             (true, false) => Command::write(e.addr.bank, e.addr.column),
             (true, true) => Command::write_ap(e.addr.bank, e.addr.column),
         };
-        let done_at = self.device.issue(cmd, now).expect("validated CAS");
-        self.record(now, cmd);
+        let done_at = self.issue(cmd, now);
         let hit = !e.caused_act && !e.caused_pre;
         self.cas_this_cycle = Some(hit);
         if self.probe_active {
-            let flat = self.device.geometry().flat_bank(e.addr.bank);
             self.probe.cas_issued(e.id.0, now, writes, hit, flat);
         }
         if writes {
@@ -984,47 +977,49 @@ impl MemoryController {
     }
 
     /// Whether any queued request (either queue) targets the open `row` of
-    /// `bank` — used by the closed page policy and by FR-FCFS's
-    /// don't-close-a-useful-row rule.
-    fn any_pending_hit(&self, bank: dramstack_dram::BankAddr, row: u32) -> bool {
-        if self.use_indexed() {
-            // Entries in a bank's index list share that bank by
-            // construction, so only the row needs checking.
-            let flat = self.device.geometry().flat_bank(bank);
-            let got = self.read_bank_index[flat]
-                .iter()
-                .inspect(|_| self.count(0, 1))
-                .any(|&i| self.read_q[i as usize].addr.row == row)
-                || self.write_bank_index[flat]
-                    .iter()
-                    .inspect(|_| self.count(0, 1))
-                    .any(|&i| self.write_q[i as usize].addr.row == row);
-            self.uncounted(|| debug_assert_eq!(got, self.any_pending_hit_scan(bank, row)));
-            return got;
+    /// `bank` — the closed page policy keeps a row open while it does.
+    fn any_pending_hit(&self, flat: usize, bank: BankAddr, row: u32) -> bool {
+        if !self.busy_engine {
+            return self.any_pending_hit_scan(bank, row);
         }
-        self.any_pending_hit_scan(bank, row)
+        debug_assert_eq!(self.device.open_row(flat), Some(row));
+        let got = self.read_q.has_hit(flat) || self.write_q.has_hit(flat);
+        #[cfg(debug_assertions)]
+        self.uncounted(|| assert_eq!(got, self.any_pending_hit_scan(bank, row)));
+        got
     }
 
-    fn any_pending_hit_scan(&self, bank: dramstack_dram::BankAddr, row: u32) -> bool {
+    fn any_pending_hit_scan(&self, bank: BankAddr, row: u32) -> bool {
         self.read_q
+            .entries()
             .iter()
-            .chain(self.write_q.iter())
+            .chain(self.write_q.entries())
             .inspect(|_| self.count(0, 1))
             .any(|e| e.addr.bank == bank && e.addr.row == row)
     }
 
-    fn find_actpre(
-        &self,
-        now: Cycle,
-        writes: bool,
-        limit: usize,
-    ) -> Option<(Command, usize, Caused)> {
-        if self.use_indexed() {
-            let got = self.find_actpre_indexed(now, writes);
-            self.uncounted(|| debug_assert_eq!(got, self.find_actpre_scan(now, writes, limit)));
-            return got;
+    /// Pass 2. Each bank's oldest entry is its only driver; when that is a
+    /// non-hit it asks for an ACT (closed bank) or a PRE (row conflict),
+    /// and the queue-order winner is the minimum position over banks.
+    fn find_actpre(&self, now: Cycle, writes: bool) -> Option<(Command, usize, Caused)> {
+        let limit = self.limit();
+        if !self.busy_engine {
+            return self.find_actpre_scan(now, writes, limit);
         }
-        self.find_actpre_scan(now, writes, limit)
+        let q = self.queue(writes);
+        let (mut best, mut got) = (limit, None);
+        for flat in bits(q.work()) {
+            let pos = q.oldest_miss(flat);
+            if pos > q.oldest_hit(flat) || pos as usize >= best {
+                continue; // a row hit drives the bank: pass 1 handles it
+            }
+            if let Some(found) = self.actpre_for_entry(now, writes, flat, pos as usize) {
+                (best, got) = (pos as usize, Some(found));
+            }
+        }
+        #[cfg(debug_assertions)]
+        self.uncounted(|| assert_eq!(got, self.find_actpre_scan(now, writes, limit)));
+        got
     }
 
     fn find_actpre_scan(
@@ -1033,75 +1028,47 @@ impl MemoryController {
         writes: bool,
         limit: usize,
     ) -> Option<(Command, usize, Caused)> {
-        let q = if writes { &self.write_q } else { &self.read_q };
-        let mut seen_banks = [false; 64];
-        for (idx, e) in q.iter().take(limit).enumerate() {
+        let mut seen_banks = [false; MAX_BANKS];
+        for (idx, e) in self.queue(writes).entries().iter().take(limit).enumerate() {
             self.count(0, 1);
-            if e.arrival > now {
-                continue;
-            }
             let flat = self.device.geometry().flat_bank(e.addr.bank);
             if seen_banks[flat] {
                 continue; // only the oldest request per bank drives the bank
             }
             seen_banks[flat] = true;
-            if let Some(found) = self.actpre_for_entry(now, writes, q, idx) {
+            if let Some(found) = self.actpre_for_entry(now, writes, flat, idx) {
                 return Some(found);
             }
         }
         None
     }
 
-    /// O(banks-with-work) equivalent of the full-queue pass 2: each bank's
-    /// oldest arrived entry is its only driver (exactly the entries the
-    /// `seen_banks` scan would evaluate), visited in queue order.
-    fn find_actpre_indexed(&self, now: Cycle, writes: bool) -> Option<(Command, usize, Caused)> {
-        let (q, index) = if writes {
-            (&self.write_q, &self.write_bank_index)
-        } else {
-            (&self.read_q, &self.read_bank_index)
-        };
-        // Stack-allocated candidate list: at most one per bank, and the
-        // geometry is capped at 64 banks (same bound as `seen_banks`).
-        let mut cands = [0u32; 64];
-        let mut n = 0;
-        for list in index {
-            if let Some(&i) = list
-                .iter()
-                .inspect(|_| self.count(0, 1))
-                .find(|&&i| q[i as usize].arrival <= now)
-            {
-                cands[n] = i;
-                n += 1;
-            }
-        }
-        let cands = &mut cands[..n];
-        cands.sort_unstable();
-        for &idx in cands.iter() {
-            if let Some(found) = self.actpre_for_entry(now, writes, q, idx as usize) {
-                return Some(found);
-            }
-        }
-        None
-    }
-
-    /// The per-candidate ACT/PRE decision shared by both scan shapes.
+    /// The ACT/PRE decision for the entry at `idx` driving bank `flat`,
+    /// shared by both shapes of pass 2 (the engine answers the timing and
+    /// pending-hit questions from its tables, the oracle from the device
+    /// and the queue).
     fn actpre_for_entry(
         &self,
         now: Cycle,
         writes: bool,
-        q: &[QueueEntry],
+        flat: usize,
         idx: usize,
     ) -> Option<(Command, usize, Caused)> {
-        let e = &q[idx];
+        let q = self.queue(writes);
+        let e = &q.entries()[idx];
         self.count(0, 1);
-        match self.device.bank(e.addr.bank).open_row() {
+        let bank = e.addr.bank;
+        let ready = |class| {
+            if self.busy_engine {
+                return self.ready(class, flat, bank, now);
+            }
+            self.count(1, 0);
+            class.ask(&self.device, bank, now).ready(now)
+        };
+        match self.device.open_row(flat) {
+            // Skip banks still precharging and banks being refreshed.
             None => {
-                // Skip banks still precharging and banks being refreshed.
-                self.count(1, 0);
-                if self.device.earliest_activate(e.addr.bank, now).ready(now) {
-                    return Some((Command::activate(e.addr.bank, e.addr.row), idx, Caused::Act));
-                }
+                ready(Class::Act).then(|| (Command::activate(bank, e.addr.row), idx, Caused::Act))
             }
             Some(open) if open != e.addr.row => {
                 // Conflict: close the row, but under FR-FCFS never
@@ -1109,42 +1076,19 @@ impl MemoryController {
                 // (hits are served first). Strict FCFS closes
                 // unconditionally — only the head request matters.
                 let hits_pending = self.cfg.scheduler == SchedulerPolicy::FrFcfs
-                    && self.same_queue_hit(writes, e.addr.bank, open);
-                if !hits_pending {
-                    self.count(1, 0);
-                }
-                if !hits_pending && self.device.earliest_precharge(e.addr.bank, now).ready(now) {
-                    return Some((Command::precharge(e.addr.bank), idx, Caused::Pre));
-                }
+                    && if self.busy_engine {
+                        q.has_hit(flat)
+                    } else {
+                        q.entries()
+                            .iter()
+                            .inspect(|_| self.count(0, 1))
+                            .any(|o| o.addr.bank == bank && o.addr.row == open)
+                    };
+                (!hits_pending && ready(Class::Pre))
+                    .then(|| (Command::precharge(bank), idx, Caused::Pre))
             }
-            Some(_) => {} // row hit whose CAS is constrained: pass 1 handles it
+            Some(_) => None, // row hit whose CAS is constrained: pass 1 handles it
         }
-        None
-    }
-
-    /// Whether the given queue holds a request hitting `row` of `bank`
-    /// (any arrival time, matching the legacy full-queue scan).
-    fn same_queue_hit(&self, writes: bool, bank: dramstack_dram::BankAddr, row: u32) -> bool {
-        let (q, index) = if writes {
-            (&self.write_q, &self.write_bank_index)
-        } else {
-            (&self.read_q, &self.read_bank_index)
-        };
-        if self.use_indexed() {
-            let flat = self.device.geometry().flat_bank(bank);
-            let got = index[flat]
-                .iter()
-                .inspect(|_| self.count(0, 1))
-                .any(|&i| q[i as usize].addr.row == row);
-            debug_assert_eq!(
-                got,
-                q.iter().any(|o| o.addr.bank == bank && o.addr.row == row)
-            );
-            return got;
-        }
-        q.iter()
-            .inspect(|_| self.count(0, 1))
-            .any(|o| o.addr.bank == bank && o.addr.row == row)
     }
 
     fn collect_completions(&mut self, now: Cycle) {
@@ -1185,36 +1129,41 @@ impl MemoryController {
 
     // ---- cycle-view construction for the bandwidth stack ---------------------------
 
-    fn build_view(&mut self, now: Cycle, view: &mut CycleView) {
+    /// Masks of the banks that are `(Precharging, Activating)` at `now`.
+    /// The engine sweeps only the device's dirty-bank list; off, every
+    /// bank is asked (the oracle the sweep is checked against).
+    fn transitioning_banks(&mut self, now: Cycle) -> (u64, u64) {
+        if !self.busy_engine {
+            return self.transitioning_banks_scan(now);
+        }
+        let mut masks = (0, 0);
+        self.device
+            .visit_transitioning_banks(now, |flat, st| mark_transition(&mut masks, flat, st));
+        debug_assert_eq!(masks, self.transitioning_banks_scan(now));
+        masks
+    }
+
+    fn transitioning_banks_scan(&self, now: Cycle) -> (u64, u64) {
+        let mut masks = (0, 0);
+        for flat in 0..self.total_banks() {
+            mark_transition(&mut masks, flat, self.device.bank_state(flat, now));
+        }
+        masks
+    }
+
+    fn build_view(&self, now: Cycle, view: &mut CycleView, refreshing: bool, pre: u64, act: u64) {
         view.reset();
         view.bus = self.device.bus_activity(now);
-        view.refreshing = self.is_any_rank_refreshing(now);
+        view.refreshing = refreshing;
         view.has_pending = !self.is_idle();
-
-        let n = self.total_banks();
-        debug_assert_eq!(view.banks.len(), n);
-        if self.busy_engine {
-            // Dirty sweep: `reset` left every bank Idle, which is exactly
-            // the mapping for the settled states, so only banks still in a
-            // PRE/ACT transition need touching.
-            self.device.visit_transitioning_banks(now, |flat, st| {
-                view.banks[flat] = match st {
-                    BankState::Precharging => BankActivity::Precharging,
-                    BankState::Activating => BankActivity::Activating,
-                    _ => unreachable!("visit yields only transitioning banks"),
-                };
-            });
-            #[cfg(debug_assertions)]
-            for flat in 0..n {
-                debug_assert_eq!(
-                    view.banks[flat],
-                    Self::bank_activity(&self.device, flat, now)
-                );
-            }
-        } else {
-            for flat in 0..n {
-                view.banks[flat] = Self::bank_activity(&self.device, flat, now);
-            }
+        debug_assert_eq!(view.banks.len(), self.total_banks());
+        // `reset` left every bank Idle, which is exactly the mapping for
+        // the settled states.
+        for flat in bits(pre) {
+            view.banks[flat] = BankActivity::Precharging;
+        }
+        for flat in bits(act) {
+            view.banks[flat] = BankActivity::Activating;
         }
 
         // Cycles already classified as useful or refresh need no analysis.
@@ -1231,72 +1180,92 @@ impl MemoryController {
         // Explain why pending requests cannot move: mark constrained banks
         // and record a rank-level reason for the all-idle case.
         let writes_first = self.use_writes();
-        self.analyze_blocked(now, writes_first, view);
-        if view.rank_block == BlockReason::None {
-            self.analyze_blocked(now, !writes_first, view);
+        let explain = |view: &mut CycleView, by_bank: bool| {
+            for writes in [writes_first, !writes_first] {
+                if view.rank_block != BlockReason::None {
+                    break; // the scheduled queue already explains the cycle
+                } else if by_bank {
+                    self.analyze_blocked(now, writes, view);
+                } else {
+                    self.analyze_blocked_scan(now, writes, view);
+                }
+            }
+        };
+        #[cfg(debug_assertions)]
+        let mut oracle = view.clone();
+        explain(view, self.busy_engine);
+        #[cfg(debug_assertions)]
+        if self.busy_engine {
+            self.uncounted(|| explain(&mut oracle, false));
+            assert_eq!(*view, oracle);
         }
     }
 
-    /// The per-cycle view classification of one bank's state.
-    ///
-    /// A CAS in its CL/CWL window occupies no resource another request
-    /// could use this cycle, so it maps to Idle; blocked-request analysis
-    /// decides whether anything is truly constrained.
-    fn bank_activity(device: &DramDevice, flat: usize, now: Cycle) -> BankActivity {
-        match device.bank_state(flat, now) {
-            BankState::Precharging => BankActivity::Precharging,
-            BankState::Activating => BankActivity::Activating,
-            BankState::CasInFlight | BankState::Open | BankState::Precharged => BankActivity::Idle,
-        }
-    }
-
-    fn analyze_blocked(&self, now: Cycle, writes: bool, view: &mut CycleView) {
-        let q = if writes { &self.write_q } else { &self.read_q };
+    /// Marks what a blocked command occupies: its whole bank group, or its
+    /// bank for a rank-level constraint (returning true for those — the
+    /// caller records the reason of the oldest one).
+    fn mark_blocked(&self, bank: BankAddr, earliest: Earliest, view: &mut CycleView) -> bool {
         let g = self.device.geometry();
-        for e in q {
-            self.count(1, 1);
-            if e.arrival > now {
-                continue;
+        let banks = match earliest.reason.level() {
+            BlockLevel::BankGroup => g.bank_group_banks(bank.rank, bank.bank_group),
+            BlockLevel::Rank => {
+                let flat = g.flat_bank(bank);
+                flat..flat + 1
             }
-            let bank = e.addr.bank;
-            let earliest: Earliest = match self.device.bank(bank).open_row() {
-                Some(open) if open == e.addr.row => {
-                    if writes {
-                        self.device.earliest_write(bank, now)
-                    } else {
-                        self.device.earliest_read(bank, now)
-                    }
-                }
-                Some(_) => self.device.earliest_precharge(bank, now),
-                None => self.device.earliest_activate(bank, now),
-            };
-            if earliest.ready(now) {
-                continue; // will issue on a later pass this or next cycle
-            }
-            match earliest.reason.level() {
-                BlockLevel::BankGroup => {
-                    // The whole bank group is the occupied resource.
-                    for b in g.iter_banks() {
-                        if b.rank == bank.rank && b.bank_group == bank.bank_group {
-                            let flat = g.flat_bank(b);
-                            if view.banks[flat] == BankActivity::Idle {
-                                view.banks[flat] = BankActivity::Constrained;
-                            }
-                        }
-                    }
-                }
-                BlockLevel::Rank => {
-                    let flat = g.flat_bank(bank);
-                    if view.banks[flat] == BankActivity::Idle {
-                        view.banks[flat] = BankActivity::Constrained;
-                    }
-                    if view.rank_block == BlockReason::None {
-                        view.rank_block = earliest.reason;
-                    }
-                }
-                BlockLevel::Bank | BlockLevel::None => {}
+            BlockLevel::Bank | BlockLevel::None => return false,
+        };
+        for flat in banks {
+            if view.banks[flat] == BankActivity::Idle {
+                view.banks[flat] = BankActivity::Constrained;
             }
         }
+        earliest.reason.level() == BlockLevel::Rank
+    }
+
+    /// The view needs each (bank, class) pair once; the rank-level reason
+    /// is that of the oldest blocked entry, i.e. of the pair with the
+    /// lowest queue position.
+    fn analyze_blocked(&self, now: Cycle, writes: bool, view: &mut CycleView) {
+        let mut oldest = NONE;
+        self.visit_waiting(writes, now, |pos, bank, earliest| {
+            // Ready ones will issue on a later pass this or next cycle.
+            if !earliest.ready(now) && self.mark_blocked(bank, earliest, view) && pos < oldest {
+                oldest = pos;
+                view.rank_block = earliest.reason;
+            }
+            true
+        });
+    }
+
+    fn analyze_blocked_scan(&self, now: Cycle, writes: bool, view: &mut CycleView) {
+        for e in self.queue(writes).entries() {
+            self.count(1, 1);
+            let bank = e.addr.bank;
+            let class = match self.device.bank(bank).open_row() {
+                Some(open) if open == e.addr.row => Class::cas(writes),
+                Some(_) => Class::Pre,
+                None => Class::Act,
+            };
+            let earliest = class.ask(&self.device, bank, now);
+            if !earliest.ready(now)
+                && self.mark_blocked(bank, earliest, view)
+                && view.rank_block == BlockReason::None
+            {
+                view.rank_block = earliest.reason;
+            }
+        }
+    }
+}
+
+/// Sets bank `flat` in the `(precharging, activating)` masks if `st` is one
+/// of the two. A CAS in its CL/CWL window occupies no resource another
+/// request could use this cycle, so it reads as settled like the open and
+/// precharged states; blocked-request analysis decides what is constrained.
+fn mark_transition(masks: &mut (u64, u64), flat: usize, st: BankState) {
+    match st {
+        BankState::Precharging => masks.0 |= 1 << flat,
+        BankState::Activating => masks.1 |= 1 << flat,
+        BankState::CasInFlight | BankState::Open | BankState::Precharged => {}
     }
 }
 

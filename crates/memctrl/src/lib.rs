@@ -37,8 +37,10 @@
 mod controller;
 mod mapping;
 mod policy;
+mod queue;
 mod request;
 mod stats;
+mod timing;
 
 pub use controller::{CtrlConfig, CtrlSnapshot, MemoryController};
 pub use mapping::{AddressMapping, MappingScheme};

@@ -254,7 +254,11 @@ impl Serialize for PerfReport {
             ),
             ("phases".to_string(), self.phases.to_value()),
         ];
-        for (key, count) in self.work_counters() {
+        for (key, count) in [
+            ("ctrl_ticks", self.ctrl_ticks),
+            ("timing_queries", self.timing_queries),
+            ("queue_entries_visited", self.queue_entries_visited),
+        ] {
             if count != 0 {
                 m.push((key.to_string(), count.to_value()));
             }
@@ -296,14 +300,6 @@ impl PerfReport {
             timing_queries: 0,
             queue_entries_visited: 0,
         }
-    }
-
-    fn work_counters(&self) -> [(&'static str, u64); 3] {
-        [
-            ("ctrl_ticks", self.ctrl_ticks),
-            ("timing_queries", self.timing_queries),
-            ("queue_entries_visited", self.queue_entries_visited),
-        ]
     }
 
     /// Seconds spent in the named phase (0 if absent).
