@@ -205,6 +205,10 @@ pub struct Hierarchy {
     prefetch_buf: Vec<u64>,
     line_mask: u64,
     stats: HierarchyStats,
+    /// Calls to [`access`](Self::access) since construction: host-side
+    /// work for `SimReport::perf`, not simulation state (never
+    /// snapshotted or restored).
+    accesses: u64,
 }
 
 impl Hierarchy {
@@ -231,7 +235,13 @@ impl Hierarchy {
             prefetch_buf: Vec::new(),
             line_mask: !(u64::from(cfg.l1.line_bytes) - 1),
             stats: HierarchyStats::default(),
+            accesses: 0,
         }
+    }
+
+    /// Calls to [`access`](Self::access) since construction.
+    pub fn accesses(&self) -> u64 {
+        self.accesses
     }
 
     /// Number of cores.
@@ -261,6 +271,7 @@ impl Hierarchy {
 
     /// A demand access from `core`. `now` is the current core cycle.
     pub fn access(&mut self, core: usize, addr: u64, is_write: bool, now: u64) -> AccessResult {
+        self.accesses += 1;
         let line = addr & self.line_mask;
         // L1 (lookup only: allocation happens when the fill arrives).
         if self.l1[core].lookup(line, is_write) {

@@ -193,6 +193,9 @@ impl PhaseTimers {
             ctrl_ticks: 0,
             timing_queries: 0,
             queue_entries_visited: 0,
+            core_ticks: 0,
+            core_polls: 0,
+            hier_accesses: 0,
         }
     }
 }
@@ -203,7 +206,7 @@ impl PhaseTimers {
 /// profiling was off; excluded from determinism comparisons because wall
 /// clocks differ between runs even when simulation results do not.
 ///
-/// Serialization is hand-written: the three controller work counters are
+/// Serialization is hand-written: the work counters are
 /// written only when nonzero and read as zero when absent, so a stripped
 /// report keeps the byte-exact JSON it had before the counters existed
 /// and reports dumped by older builds still load.
@@ -232,6 +235,12 @@ pub struct PerfReport {
     pub timing_queries: u64,
     /// Queue entries the controllers' per-tick passes looked at.
     pub queue_entries_visited: u64,
+    /// Calls to `CoreModel::tick` made by the drive loop.
+    pub core_ticks: u64,
+    /// `CoreModel::stall_horizon` evaluations made by the drive loop.
+    pub core_polls: u64,
+    /// Calls to `Hierarchy::access`.
+    pub hier_accesses: u64,
 }
 
 impl Serialize for PerfReport {
@@ -258,6 +267,9 @@ impl Serialize for PerfReport {
             ("ctrl_ticks", self.ctrl_ticks),
             ("timing_queries", self.timing_queries),
             ("queue_entries_visited", self.queue_entries_visited),
+            ("core_ticks", self.core_ticks),
+            ("core_polls", self.core_polls),
+            ("hier_accesses", self.hier_accesses),
         ] {
             if count != 0 {
                 m.push((key.to_string(), count.to_value()));
@@ -281,6 +293,9 @@ impl Deserialize for PerfReport {
             ctrl_ticks: counter("ctrl_ticks")?,
             timing_queries: counter("timing_queries")?,
             queue_entries_visited: counter("queue_entries_visited")?,
+            core_ticks: counter("core_ticks")?,
+            core_polls: counter("core_polls")?,
+            hier_accesses: counter("hier_accesses")?,
         })
     }
 }
@@ -299,6 +314,9 @@ impl PerfReport {
             ctrl_ticks: 0,
             timing_queries: 0,
             queue_entries_visited: 0,
+            core_ticks: 0,
+            core_polls: 0,
+            hier_accesses: 0,
         }
     }
 
@@ -467,6 +485,9 @@ mod tests {
         r.ctrl_ticks = 7;
         r.timing_queries = 21;
         r.queue_entries_visited = 99;
+        r.core_ticks = 5;
+        r.core_polls = 3;
+        r.hier_accesses = 2;
         let json = serde_json::to_string(&r).unwrap();
         assert_eq!(serde_json::from_str::<PerfReport>(&json).unwrap(), r);
     }

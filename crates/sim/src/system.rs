@@ -74,6 +74,10 @@ pub struct Simulator {
     /// Scratch buffer for draining controller completions without a
     /// per-cycle allocation.
     completion_buf: Vec<CompletedRead>,
+    /// `CoreModel::tick` calls and `CoreModel::stall_horizon` evaluations
+    /// made by the drive loop (host-side work for `SimReport::perf`).
+    core_ticks: u64,
+    core_polls: u64,
     /// Per-channel shadow-auditor handles; `Some` while the auditor is
     /// armed (default in debug/test builds, off in release).
     audits: Vec<Option<AuditHandle>>,
@@ -184,6 +188,8 @@ impl Simulator {
             busy_attempt_after: 0,
             busy_backoff: 0,
             completion_buf: Vec::new(),
+            core_ticks: 0,
+            core_polls: 0,
             audits: vec![None; cfg.channels],
             ckpt_marks: None,
             streams,
@@ -471,6 +477,7 @@ impl Simulator {
         if self.busy_engine && mult > 1 {
             let mut skips = std::mem::take(&mut self.core_skips);
             skips.clear();
+            self.core_polls += self.cores.len() as u64;
             for core in &mut self.cores {
                 skips.push(match core.stall_horizon(c0) {
                     Some((h, kind)) if h >= c0 + mult => {
@@ -486,6 +493,7 @@ impl Simulator {
                 for ((core, stream), skip) in cores {
                     if !skip {
                         core.tick(stream.as_mut(), &mut self.hier, core_now);
+                        self.core_ticks += 1;
                     }
                 }
             }
@@ -497,6 +505,7 @@ impl Simulator {
                     core.tick(stream.as_mut(), &mut self.hier, core_now);
                 }
             }
+            self.core_ticks += mult * self.cores.len() as u64;
         }
 
         // 4. Barrier release: when every unfinished core is parked.
@@ -735,6 +744,7 @@ impl Simulator {
         let mut kinds = std::mem::take(&mut self.stall_kinds);
         kinds.clear();
         for core in &self.cores {
+            self.core_polls += 1;
             match core.stall_horizon(c0) {
                 Some((h_core, kind)) => {
                     // The core is stalled for core cycles [c0, h_core);
@@ -1268,6 +1278,9 @@ impl Simulator {
             perf.timing_queries += w.timing_queries;
             perf.queue_entries_visited += w.queue_entries_visited;
         }
+        perf.core_ticks = self.core_ticks;
+        perf.core_polls = self.core_polls;
+        perf.hier_accesses = self.hier.accesses();
         SimReport {
             bandwidth_stack,
             latency_stack,

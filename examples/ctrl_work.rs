@@ -1,8 +1,10 @@
-//! Controller work per tick on the six refbench configurations.
+//! Controller and cpu-layer work per tick on the six refbench
+//! configurations.
 //!
 //! Prints `SimReport::perf`'s deterministic work counters — `ctrl_ticks`,
-//! `timing_queries`, `queue_entries_visited` — as the per-tick table
-//! EXPERIMENTS.md records before and after a controller change. The
+//! `timing_queries`, `queue_entries_visited`, then `core_ticks`,
+//! `core_polls`, `hier_accesses` — as the per-controller-tick tables
+//! EXPERIMENTS.md records before and after a change to either layer. The
 //! inputs are rebuilt here the way `refbench/src/workloads.rs` generates
 //! them (same configurations, same seed use); counts do not depend on
 //! slicing, checkpointing or the HTTP path, so those are left out.
@@ -56,6 +58,9 @@ fn main() {
         a.ctrl_ticks += b.ctrl_ticks;
         a.timing_queries += b.timing_queries;
         a.queue_entries_visited += b.queue_entries_visited;
+        a.core_ticks += b.core_ticks;
+        a.core_polls += b.core_polls;
+        a.hier_accesses += b.hier_accesses;
         a
     };
     let rows = [
@@ -77,13 +82,28 @@ fn main() {
     ];
     println!("| config | ctrl_ticks | timing_queries/tick | queue_entries_visited/tick |");
     println!("|---|---|---|---|");
-    for (name, p) in rows {
+    for (name, p) in &rows {
         let ticks = p.ctrl_ticks.max(1) as f64;
         println!(
             "| `{name}` | {} | {:.2} | {:.2} |",
             p.ctrl_ticks,
             p.timing_queries as f64 / ticks,
             p.queue_entries_visited as f64 / ticks,
+        );
+    }
+    println!();
+    println!("| config | core_ticks | core_polls | hier_accesses | per ctrl tick |");
+    println!("|---|---|---|---|---|");
+    for (name, p) in &rows {
+        let ticks = p.ctrl_ticks.max(1) as f64;
+        println!(
+            "| `{name}` | {} | {} | {} | {:.2} / {:.2} / {:.2} |",
+            p.core_ticks,
+            p.core_polls,
+            p.hier_accesses,
+            p.core_ticks as f64 / ticks,
+            p.core_polls as f64 / ticks,
+            p.hier_accesses as f64 / ticks,
         );
     }
 }
