@@ -71,14 +71,6 @@ pub enum CacheOutcome {
     },
 }
 
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-struct Way {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    lru: u64,
-}
-
 /// Per-cache hit/miss counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
@@ -116,7 +108,13 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    ways: Vec<Way>,
+    /// Tags and LRU stamps, set-major: way `w` of set `s` at `s * ways + w`.
+    tags: Vec<u64>,
+    lru: Vec<u64>,
+    /// Valid and dirty bits, one word per set, way `w` in bit `w`.
+    valid: Vec<u64>,
+    dirty: Vec<u64>,
+    ways: usize,
     set_shift: u32,
     set_mask: u64,
     clock: u64,
@@ -134,7 +132,10 @@ pub struct Cache {
 impl PartialEq for Cache {
     fn eq(&self, other: &Self) -> bool {
         self.cfg == other.cfg
-            && self.ways == other.ways
+            && self.tags == other.tags
+            && self.lru == other.lru
+            && self.valid == other.valid
+            && self.dirty == other.dirty
             && self.set_shift == other.set_shift
             && self.set_mask == other.set_mask
             && self.clock == other.clock
@@ -142,39 +143,32 @@ impl PartialEq for Cache {
     }
 }
 
-/// Columnar serialization: instead of one map per [`Way`] (hundreds of
-/// thousands of tiny maps in a full-size snapshot), the way array is
-/// emitted as four flat columns — `tags`/`lru` as integer sequences and
-/// `valid`/`dirty` as u64 bitset words over a flattened index.
+/// Columnar serialization: four flat columns — `tags`/`lru` as integer
+/// sequences and `valid`/`dirty` as u64 bitset words over a flattened
+/// index.
 ///
-/// The columns are *way-major* (`column[w * sets + s]`), not set-major:
-/// under streaming traffic, neighbouring sets hold the same tag in the
-/// same way (the tag excludes the set-index bits), so way-major order
-/// produces long constant runs that the binary codec's run-length
-/// encoding collapses to a few bytes. Set-major order interleaves the
-/// ways and destroys those runs.
+/// The columns are *way-major* (`column[w * sets + s]`), not set-major
+/// like the arrays in memory: under streaming traffic, neighbouring sets
+/// hold the same tag in the same way (the tag excludes the set-index
+/// bits), so way-major order produces long constant runs that the binary
+/// codec's run-length encoding collapses to a few bytes. Set-major order
+/// interleaves the ways and destroys those runs.
 impl Serialize for Cache {
     fn to_value(&self) -> Value {
-        let n = self.ways.len();
-        let per_set = self.cfg.ways as usize;
-        let sets = n / per_set;
+        let n = self.tags.len();
+        let sets = self.valid.len();
         let mut tags = Vec::with_capacity(n);
         let mut lru = Vec::with_capacity(n);
         let words = n.div_ceil(64);
         let mut valid = vec![0u64; words];
         let mut dirty = vec![0u64; words];
-        for w in 0..per_set {
+        for w in 0..self.ways {
             for s in 0..sets {
-                let way = &self.ways[s * per_set + w];
                 let j = tags.len();
-                tags.push(Value::Int(i128::from(way.tag)));
-                lru.push(Value::Int(i128::from(way.lru)));
-                if way.valid {
-                    valid[j / 64] |= 1 << (j % 64);
-                }
-                if way.dirty {
-                    dirty[j / 64] |= 1 << (j % 64);
-                }
+                tags.push(Value::Int(i128::from(self.tags[s * self.ways + w])));
+                lru.push(Value::Int(i128::from(self.lru[s * self.ways + w])));
+                valid[j / 64] |= (self.valid[s] >> w & 1) << (j % 64);
+                dirty[j / 64] |= (self.dirty[s] >> w & 1) << (j % 64);
             }
         }
         let bits =
@@ -200,56 +194,60 @@ impl Deserialize for Cache {
         let set_mask = u64::from_value(serde::get_field(v, "set_mask")?)?;
         let clock = u64::from_value(serde::get_field(v, "clock")?)?;
         let stats = CacheStats::from_value(serde::get_field(v, "stats")?)?;
-        let tags = Vec::<u64>::from_value(serde::get_field(v, "tags")?)?;
-        let lru = Vec::<u64>::from_value(serde::get_field(v, "lru")?)?;
-        let valid = Vec::<u64>::from_value(serde::get_field(v, "valid")?)?;
-        let dirty = Vec::<u64>::from_value(serde::get_field(v, "dirty")?)?;
-        let n = tags.len();
-        if lru.len() != n {
+        let col_tags = Vec::<u64>::from_value(serde::get_field(v, "tags")?)?;
+        let col_lru = Vec::<u64>::from_value(serde::get_field(v, "lru")?)?;
+        let col_valid = Vec::<u64>::from_value(serde::get_field(v, "valid")?)?;
+        let col_dirty = Vec::<u64>::from_value(serde::get_field(v, "dirty")?)?;
+        let n = col_tags.len();
+        if col_lru.len() != n {
             return Err(serde::Error::custom(format!(
                 "cache columns disagree: {n} tags vs {} lru stamps",
-                lru.len()
+                col_lru.len()
             )));
         }
         let words = n.div_ceil(64);
-        if valid.len() != words || dirty.len() != words {
+        if col_valid.len() != words || col_dirty.len() != words {
             return Err(serde::Error::custom(format!(
                 "cache bitsets need {words} words for {n} ways, got {}/{}",
-                valid.len(),
-                dirty.len()
+                col_valid.len(),
+                col_dirty.len()
             )));
         }
-        if cfg.ways == 0 || n % cfg.ways as usize != 0 {
+        let ways = cfg.ways as usize;
+        if ways == 0 || ways > 64 || n % ways != 0 {
             return Err(serde::Error::custom(format!(
-                "{n} ways do not tile {}-way sets",
-                cfg.ways
+                "{n} ways do not tile {ways}-way sets (1 to 64 ways supported)"
             )));
         }
         // Undo the way-major column order: column index `w * sets + s`
-        // lands back at in-memory slot `s * per_set + w`.
-        let per_set = cfg.ways as usize;
-        let sets = n / per_set;
-        let mut ways = vec![Way::default(); n];
-        for w in 0..per_set {
+        // lands back at in-memory slot `s * ways + w`.
+        let sets = n / ways;
+        let mut tags = vec![0; n];
+        let mut lru = vec![0; n];
+        let mut valid = vec![0u64; sets];
+        let mut dirty = vec![0u64; sets];
+        for w in 0..ways {
             for s in 0..sets {
                 let j = w * sets + s;
-                ways[s * per_set + w] = Way {
-                    tag: tags[j],
-                    valid: valid[j / 64] >> (j % 64) & 1 == 1,
-                    dirty: dirty[j / 64] >> (j % 64) & 1 == 1,
-                    lru: lru[j],
-                };
+                tags[s * ways + w] = col_tags[j];
+                lru[s * ways + w] = col_lru[j];
+                valid[s] |= (col_valid[j / 64] >> (j % 64) & 1) << w;
+                dirty[s] |= (col_dirty[j / 64] >> (j % 64) & 1) << w;
             }
         }
         Ok(Cache {
             cfg,
+            tags,
+            lru,
+            valid,
+            dirty,
             ways,
             set_shift,
             set_mask,
             clock,
             stats,
             gen: 1,
-            set_gen: vec![0; n / cfg.ways as usize],
+            set_gen: vec![0; sets],
         })
     }
 }
@@ -379,31 +377,39 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is not a power-of-two set count or has zero
-    /// ways.
+    /// Panics if the geometry is not a power-of-two set count or has
+    /// zero or more than 64 ways (a set's valid/dirty bits are one word).
     pub fn new(cfg: CacheConfig) -> Self {
+        assert!(
+            (1..=64).contains(&cfg.ways),
+            "cache needs 1 to 64 ways: {}",
+            cfg.ways
+        );
         let sets = cfg.sets();
-        assert!(cfg.ways > 0, "cache needs at least one way");
         assert!(
             sets > 0 && sets.is_power_of_two(),
             "set count must be a power of two: {sets}"
         );
+        let ways = cfg.ways as usize;
+        let sets = sets as usize;
         Cache {
             cfg,
-            ways: vec![Way::default(); (sets * u64::from(cfg.ways)) as usize],
+            tags: vec![0; sets * ways],
+            lru: vec![0; sets * ways],
+            valid: vec![0; sets],
+            dirty: vec![0; sets],
+            ways,
             set_shift: cfg.line_bytes.trailing_zeros(),
-            set_mask: sets - 1,
+            set_mask: sets as u64 - 1,
             clock: 0,
             stats: CacheStats::default(),
             gen: 1,
-            set_gen: vec![0; sets as usize],
+            set_gen: vec![0; sets],
         }
     }
 
-    /// Stamps the set holding flattened way index `base` as dirtied in
-    /// the current checkpoint generation.
-    fn touch(&mut self, base: usize) {
-        let set = base / self.cfg.ways as usize;
+    /// Stamps `set` as dirtied in the current checkpoint generation.
+    fn touch(&mut self, set: usize) {
         self.set_gen[set] = self.gen;
     }
 
@@ -416,40 +422,20 @@ impl Cache {
     /// Captures the contents of every set dirtied since the last
     /// [`mark_clean`](Self::mark_clean) / `take_delta`, then marks the
     /// cache clean.
-    ///
-    /// # Panics
-    ///
-    /// Panics on more than 64 ways (the patch valid/dirty bitmasks are
-    /// single u64 words; every configured geometry is ≤ 16-way).
     pub fn take_delta(&mut self) -> CacheDelta {
-        let ways = self.cfg.ways as usize;
-        assert!(ways <= 64, "set patches support at most 64 ways");
+        let ways = self.ways;
         let mut sets = Vec::new();
         for set in 0..self.set_gen.len() {
             if self.set_gen[set] != self.gen {
                 continue;
             }
             let base = set * ways;
-            let mut tags = Vec::with_capacity(ways);
-            let mut lru = Vec::with_capacity(ways);
-            let mut valid = 0u64;
-            let mut dirty = 0u64;
-            for (i, w) in self.ways[base..base + ways].iter().enumerate() {
-                tags.push(w.tag);
-                lru.push(w.lru);
-                if w.valid {
-                    valid |= 1 << i;
-                }
-                if w.dirty {
-                    dirty |= 1 << i;
-                }
-            }
             sets.push(SetPatch {
                 set: set as u64,
-                tags,
-                lru,
-                valid,
-                dirty,
+                tags: self.tags[base..base + ways].to_vec(),
+                lru: self.lru[base..base + ways].to_vec(),
+                valid: self.valid[set],
+                dirty: self.dirty[set],
             });
         }
         self.gen += 1;
@@ -467,8 +453,9 @@ impl Cache {
     ///
     /// Returns a message when a patch does not fit this geometry.
     pub fn apply_delta(&mut self, delta: &CacheDelta) -> Result<(), String> {
-        let ways = self.cfg.ways as usize;
-        let sets = self.ways.len() / ways;
+        let ways = self.ways;
+        let sets = self.valid.len();
+        let way_bits = u64::MAX >> (64 - ways);
         for p in &delta.sets {
             let set = p.set as usize;
             if set >= sets {
@@ -482,14 +469,10 @@ impl Cache {
                 ));
             }
             let base = set * ways;
-            for i in 0..ways {
-                self.ways[base + i] = Way {
-                    tag: p.tags[i],
-                    valid: p.valid >> i & 1 == 1,
-                    dirty: p.dirty >> i & 1 == 1,
-                    lru: p.lru[i],
-                };
-            }
+            self.tags[base..base + ways].copy_from_slice(&p.tags);
+            self.lru[base..base + ways].copy_from_slice(&p.lru);
+            self.valid[set] = p.valid & way_bits;
+            self.dirty[set] = p.dirty & way_bits;
         }
         self.clock = delta.clock;
         self.stats = delta.stats;
@@ -511,18 +494,35 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
-    fn set_range(&self, addr: u64) -> (usize, u64) {
-        let set = (addr >> self.set_shift) & self.set_mask;
-        let base = (set * u64::from(self.cfg.ways)) as usize;
-        (base, addr >> self.set_shift >> self.set_mask.count_ones())
+    /// `(set, tag)` of `addr`.
+    fn locate(&self, addr: u64) -> (usize, u64) {
+        let line = addr >> self.set_shift;
+        (
+            (line & self.set_mask) as usize,
+            line >> self.set_mask.count_ones(),
+        )
+    }
+
+    /// The way of `set` holding `tag`, if any.
+    fn find(&self, set: usize, tag: u64) -> Option<usize> {
+        let valid = self.valid[set];
+        let tags = &self.tags[set * self.ways..][..self.ways];
+        (0..self.ways).find(|&w| tags[w] == tag && valid >> w & 1 == 1)
+    }
+
+    /// Stamps a hit on way `w` of `set`.
+    fn hit(&mut self, set: usize, w: usize, is_write: bool) {
+        self.lru[set * self.ways + w] = self.clock;
+        if is_write {
+            self.dirty[set] |= 1 << w;
+        }
+        self.touch(set);
     }
 
     /// Looks up `addr` without allocating or touching LRU state.
     pub fn probe(&self, addr: u64) -> bool {
-        let (base, tag) = self.set_range(addr);
-        self.ways[base..base + self.cfg.ways as usize]
-            .iter()
-            .any(|w| w.valid && w.tag == tag)
+        let (set, tag) = self.locate(addr);
+        self.find(set, tag).is_some()
     }
 
     /// Looks up `addr` *without* allocating: updates LRU and dirtiness and
@@ -531,15 +531,10 @@ impl Cache {
     /// the data actually arrives.
     pub fn lookup(&mut self, addr: u64, is_write: bool) -> bool {
         self.clock += 1;
-        let (base, tag) = self.set_range(addr);
-        let set = &mut self.ways[base..base + self.cfg.ways as usize];
-        if let Some(w) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
-            w.lru = self.clock;
-            if is_write {
-                w.dirty = true;
-            }
+        let (set, tag) = self.locate(addr);
+        if let Some(w) = self.find(set, tag) {
+            self.hit(set, w, is_write);
             self.stats.hits += 1;
-            self.touch(base);
             true
         } else {
             self.stats.misses += 1;
@@ -551,87 +546,65 @@ impl Cache {
     /// dirty on hit or after allocation.
     pub fn access(&mut self, addr: u64, is_write: bool) -> CacheOutcome {
         self.clock += 1;
-        let (base, tag) = self.set_range(addr);
-        let set = &mut self.ways[base..base + self.cfg.ways as usize];
-        if let Some(w) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
-            w.lru = self.clock;
-            if is_write {
-                w.dirty = true;
-            }
+        let (set, tag) = self.locate(addr);
+        if let Some(w) = self.find(set, tag) {
+            self.hit(set, w, is_write);
             self.stats.hits += 1;
-            self.touch(base);
             return CacheOutcome::Hit;
         }
         self.stats.misses += 1;
-        let writeback = self.replace(base, tag, is_write);
+        let writeback = self.replace(set, tag, is_write);
         CacheOutcome::Miss { writeback }
     }
 
-    /// Picks a victim in the set at `base` (invalid first, else LRU),
+    /// Picks a victim in `set` (lowest invalid way first, else LRU),
     /// installs `tag`, and returns the dirty victim's address, if any.
-    fn replace(&mut self, base: usize, tag: u64, is_write: bool) -> Option<u64> {
-        self.touch(base);
-        let ways = self.cfg.ways as usize;
-        let clock = self.clock;
-        let set = &mut self.ways[base..base + ways];
-        let victim_idx = set
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, w)| if w.valid { w.lru + 1 } else { 0 })
-            .map(|(i, _)| i)
-            .expect("nonzero ways");
-        let (victim_tag, victim_dirty) = (
-            set[victim_idx].tag,
-            set[victim_idx].valid && set[victim_idx].dirty,
-        );
-        set[victim_idx] = Way {
-            tag,
-            valid: true,
-            dirty: is_write,
-            lru: clock,
-        };
-        if victim_dirty {
-            self.stats.writebacks += 1;
-            Some(self.rebuild_addr(victim_tag, base))
+    fn replace(&mut self, set: usize, tag: u64, is_write: bool) -> Option<u64> {
+        self.touch(set);
+        let base = set * self.ways;
+        let invalid = !self.valid[set] & (u64::MAX >> (64 - self.ways));
+        let w = if invalid != 0 {
+            invalid.trailing_zeros() as usize
         } else {
-            None
+            // First way with the oldest stamp.
+            let stamps = &self.lru[base..base + self.ways];
+            (1..self.ways).fold(0, |old, w| if stamps[w] < stamps[old] { w } else { old })
+        };
+        let bit = 1u64 << w;
+        let victim = (self.valid[set] & self.dirty[set] & bit != 0).then(|| {
+            self.stats.writebacks += 1;
+            ((self.tags[base + w] << self.set_mask.count_ones()) | set as u64) << self.set_shift
+        });
+        self.tags[base + w] = tag;
+        self.lru[base + w] = self.clock;
+        self.valid[set] |= bit;
+        if is_write {
+            self.dirty[set] |= bit;
+        } else {
+            self.dirty[set] &= !bit;
         }
+        victim
     }
 
     /// Fills `addr` without counting a demand access (prefetch fill); marks
     /// dirty if `is_write`. Returns the dirty victim, if any.
     pub fn fill(&mut self, addr: u64, is_write: bool) -> Option<u64> {
         self.clock += 1;
-        let (base, tag) = self.set_range(addr);
-        let set = &mut self.ways[base..base + self.cfg.ways as usize];
-        if let Some(w) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
-            w.lru = self.clock;
-            if is_write {
-                w.dirty = true;
-            }
-            self.touch(base);
+        let (set, tag) = self.locate(addr);
+        if let Some(w) = self.find(set, tag) {
+            self.hit(set, w, is_write);
             return None;
         }
-        self.replace(base, tag, is_write)
+        self.replace(set, tag, is_write)
     }
 
     /// Invalidates `addr` if present, returning whether it was dirty.
     pub fn invalidate(&mut self, addr: u64) -> Option<bool> {
-        let (base, tag) = self.set_range(addr);
-        let set = &mut self.ways[base..base + self.cfg.ways as usize];
-        let hit = set.iter_mut().find(|w| w.valid && w.tag == tag).map(|w| {
-            w.valid = false;
-            w.dirty
-        });
-        if hit.is_some() {
-            self.touch(base);
-        }
-        hit
-    }
-
-    fn rebuild_addr(&self, tag: u64, way_base: usize) -> u64 {
-        let set = way_base as u64 / u64::from(self.cfg.ways);
-        ((tag << self.set_mask.count_ones()) | set) << self.set_shift
+        let (set, tag) = self.locate(addr);
+        let w = self.find(set, tag)?;
+        self.valid[set] &= !(1 << w);
+        self.touch(set);
+        Some(self.dirty[set] >> w & 1 == 1)
     }
 }
 

@@ -8,8 +8,6 @@
 //! renaming, functional units or speculation beyond that — the paper's
 //! stacks depend on request-rate dynamics, not core internals.
 
-use std::collections::{HashMap, VecDeque};
-
 use serde::{Deserialize, Serialize};
 
 use crate::cycle_stack::{CycleComponent, CycleStack};
@@ -75,9 +73,8 @@ struct RobSlot {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CoreState {
     rob: Vec<RobSlot>,
-    /// `by_line` as a key-sorted association list (the vendored serde
-    /// subset has no `HashMap` support; sorting also makes the encoding
-    /// canonical).
+    /// The lines loads wait on, ascending, each with the sequence numbers
+    /// of the waiting ROB slots in dispatch order.
     by_line: Vec<(u64, Vec<u64>)>,
     front_seq: u64,
     next_seq: u64,
@@ -91,6 +88,170 @@ pub struct CoreState {
     retired: u64,
     chain_inflight: Vec<u32>,
     mshr_blocked: bool,
+}
+
+impl CoreState {
+    /// Adds the stall cycles `[start, start + n)` of `kind` that a core
+    /// taken off the step loop has not accrued yet (see
+    /// [`CoreModel::add_stall_cycles`]), for a snapshot of such a core.
+    pub fn add_stall_cycles(&mut self, cfg: &CoreConfig, start: u64, n: u64, kind: StallKind) {
+        accrue_stall(&mut self.stack, cfg, start, n, kind);
+    }
+}
+
+/// The loads of one core waiting on one DRAM line.
+#[derive(Debug, Default)]
+struct LineWait {
+    line: u64,
+    /// ROB entry numbers (see [`Rob`]), in dispatch order.
+    entries: Vec<u64>,
+}
+
+/// One ring entry: a packed [`SlotState`] and the dispatch cycle.
+///
+/// `word & 3` is the tag. `READY`: a run of `word >> 2` retirable
+/// instructions dispatched in the same cycle (compute, stores and branches
+/// come four to a cycle, so a run stands for up to `width` slots).
+/// `UNTIL`: ready at core cycle `word >> 2`. `LINE`/`CHAIN_LINE`: waiting
+/// for the line `word & !63`, the latter holding dependence chain
+/// `word >> 2 & 15`.
+#[derive(Debug, Clone, Copy, Default)]
+struct RobEntry {
+    word: u64,
+    issued_at: u64,
+}
+
+const READY: u64 = 0;
+const UNTIL: u64 = 1;
+const LINE: u64 = 2;
+const CHAIN_LINE: u64 = 3;
+/// A `READY` run of one.
+const ONE_READY: u64 = 1 << 2 | READY;
+
+impl RobEntry {
+    fn tag(self) -> u64 {
+        self.word & 3
+    }
+
+    /// Whether the head instruction of this entry can retire at `now`.
+    fn retirable(self, now: u64) -> bool {
+        match self.tag() {
+            READY => true,
+            UNTIL => self.word >> 2 <= now,
+            _ => false,
+        }
+    }
+
+    /// The instructions this entry stands for, as snapshots carry them.
+    fn slots(self) -> impl Iterator<Item = RobSlot> {
+        let (state, chain, n) = match self.tag() {
+            READY => (SlotState::Ready, None, self.word >> 2),
+            UNTIL => (SlotState::WaitUntil(self.word >> 2), None, 1),
+            LINE => (SlotState::WaitLine(self.word & !63), None, 1),
+            _ => (
+                SlotState::WaitLine(self.word & !63),
+                Some((self.word >> 2 & 15) as u8),
+                1,
+            ),
+        };
+        let slot = RobSlot {
+            state,
+            issued_at: self.issued_at,
+            chain,
+        };
+        (0..n).map(move |_| slot)
+    }
+}
+
+/// The reorder buffer: a power-of-two ring of [`RobEntry`]s. Entries are
+/// numbered from 0 in push order (`head..tail` are live); an entry's
+/// number is what [`LineWait`] remembers, since a run makes instruction
+/// sequence numbers and ring positions differ.
+#[derive(Debug)]
+struct Rob {
+    ring: Box<[RobEntry]>,
+    mask: u64,
+    head: u64,
+    tail: u64,
+    /// Instructions held (runs counted in full).
+    instrs: usize,
+}
+
+impl Rob {
+    fn new(rob_entries: usize) -> Self {
+        let len = rob_entries.next_power_of_two();
+        Rob {
+            ring: vec![RobEntry::default(); len].into_boxed_slice(),
+            mask: len as u64 - 1,
+            head: 0,
+            tail: 0,
+            instrs: 0,
+        }
+    }
+
+    fn at(&mut self, entry: u64) -> &mut RobEntry {
+        &mut self.ring[(entry & self.mask) as usize]
+    }
+
+    fn front(&self) -> Option<RobEntry> {
+        (self.head != self.tail).then(|| self.ring[(self.head & self.mask) as usize])
+    }
+
+    /// Appends `n` retirable instructions dispatched at `now`: one more
+    /// entry, or `n` more in the run at the back if it is of the same cycle.
+    fn push_ready(&mut self, n: u32, now: u64) {
+        self.instrs += n as usize;
+        if self.head != self.tail {
+            let back = self.at(self.tail - 1);
+            if back.tag() == READY && back.issued_at == now {
+                back.word += u64::from(n) << 2;
+                return;
+            }
+        }
+        self.push_entry(u64::from(n) << 2 | READY, now);
+    }
+
+    /// Appends one instruction in state `word` and returns its entry
+    /// number.
+    fn push_waiting(&mut self, word: u64, now: u64) -> u64 {
+        self.instrs += 1;
+        self.push_entry(word, now)
+    }
+
+    fn push_entry(&mut self, word: u64, now: u64) -> u64 {
+        let entry = self.tail;
+        *self.at(entry) = RobEntry {
+            word,
+            issued_at: now,
+        };
+        self.tail += 1;
+        entry
+    }
+
+    /// Retires up to `width` instructions retirable at `now`, in order.
+    fn retire(&mut self, width: u32, now: u64) -> u32 {
+        let mut retired = 0;
+        while retired < width && self.head != self.tail {
+            let head = self.head;
+            let e = self.at(head);
+            if !e.retirable(now) {
+                break;
+            }
+            if e.tag() == READY {
+                let n = (e.word >> 2).min(u64::from(width - retired));
+                e.word -= n << 2;
+                retired += n as u32;
+                if e.word >> 2 > 0 {
+                    break;
+                }
+            } else {
+                retired += 1;
+            }
+            self.head += 1;
+        }
+        self.instrs -= retired as usize;
+        retired
+    }
 }
 
 /// The single stack class a stalled core accrues over a skipped span.
@@ -120,9 +281,13 @@ pub enum StallKind {
 pub struct CoreModel {
     id: usize,
     cfg: CoreConfig,
-    rob: VecDeque<RobSlot>,
-    /// Line → ROB sequence numbers waiting on it.
-    by_line: HashMap<u64, Vec<u64>>,
+    rob: Rob,
+    /// Lines this core has loads waiting on, each with the ROB entries to
+    /// wake: the first `live_waits` are in use, the rest keep their
+    /// buffers for reuse. The hierarchy's `l1_mshrs` bounds the live ones,
+    /// so finding a line is a short scan.
+    waits: Vec<LineWait>,
+    live_waits: usize,
     front_seq: u64,
     next_seq: u64,
     fetch_stall_until: u64,
@@ -147,8 +312,9 @@ impl CoreModel {
         CoreModel {
             id,
             cfg,
-            rob: VecDeque::with_capacity(cfg.rob_entries),
-            by_line: HashMap::new(),
+            rob: Rob::new(cfg.rob_entries),
+            waits: Vec::new(),
+            live_waits: 0,
             front_seq: 0,
             next_seq: 0,
             fetch_stall_until: 0,
@@ -176,7 +342,7 @@ impl CoreModel {
 
     /// Current ROB occupancy.
     pub fn rob_occupancy(&self) -> usize {
-        self.rob.len()
+        self.rob.instrs
     }
 
     /// The cycle stack accumulated so far.
@@ -211,27 +377,11 @@ impl CoreModel {
     /// Whether the program ended and every in-flight instruction retired.
     pub fn is_finished(&self) -> bool {
         self.stream_done
-            && self.rob.is_empty()
+            && self.rob.instrs == 0
             && self.deferred.is_none()
             && self.pending_compute == 0
             && self.pending_barrier.is_none()
             && self.at_barrier.is_none()
-    }
-
-    /// Whether ticking this core at core-cycle `now` (and every later
-    /// cycle, absent external events) is exactly one idle-stack cycle with
-    /// no other state change. Used as the per-core gate of the event-skip
-    /// fast-forward; [`add_idle_cycles`](Self::add_idle_cycles) replicates
-    /// the skipped ticks.
-    pub fn is_quiet(&self, now: u64) -> bool {
-        self.is_finished() && now >= self.fetch_stall_until
-    }
-
-    /// Bulk equivalent of `n` ticks of a [quiet](Self::is_quiet) core:
-    /// every skipped cycle is classified as idle.
-    pub fn add_idle_cycles(&mut self, n: u64) {
-        debug_assert!(self.is_finished());
-        self.stack.add_n(CycleComponent::Idle, n);
     }
 
     /// Busy-path stall horizon: the first core cycle `h > now` at which
@@ -240,10 +390,9 @@ impl CoreModel {
     /// (line completion, barrier release) lands in `[now, h)`.
     ///
     /// `None` means the very next tick may retire, dispatch or otherwise
-    /// mutate state, so the span cannot be skipped. The contract mirrors
-    /// [`is_quiet`](Self::is_quiet)/[`add_idle_cycles`](Self::add_idle_cycles)
-    /// but extends to *stalled-but-busy* cores: a full ROB parked on a DRAM
-    /// load, a d-cache latency wait, a mispredict bubble.
+    /// mutate state, so the span cannot be skipped. A horizon of
+    /// `u64::MAX` means only an external event ends the stall: a finished
+    /// core, a barrier, a full ROB or MSHR file behind a DRAM load.
     pub fn stall_horizon(&self, now: u64) -> Option<(u64, StallKind)> {
         if self.at_barrier.is_some() {
             // Barrier ticks only add idle; release is an external event.
@@ -273,7 +422,7 @@ impl CoreModel {
                     }
                     Some(_) => self.mshr_blocked,
                 };
-                let dispatch_noop = self.rob.len() == self.cfg.rob_entries
+                let dispatch_noop = self.rob.instrs == self.cfg.rob_entries
                     || self.pending_barrier.is_some()
                     || (self.pending_compute == 0
                         && ((self.deferred.is_none() && self.stream_done) || blocked_deferred));
@@ -285,18 +434,16 @@ impl CoreModel {
                 } else {
                     self.fetch_stall_until
                 };
-                match head.state {
-                    SlotState::WaitLine(_) => Some((
+                match head.tag() {
+                    // Head retirable: the next tick retires it.
+                    _ if head.retirable(now) => None,
+                    UNTIL => Some(((head.word >> 2).min(dispatch_cap), StallKind::Dcache)),
+                    _ => Some((
                         dispatch_cap,
                         StallKind::Dram {
                             issued_at: head.issued_at,
                         },
                     )),
-                    SlotState::WaitUntil(t) if t > now => {
-                        Some((t.min(dispatch_cap), StallKind::Dcache))
-                    }
-                    // Head retirable: the next tick retires it.
-                    _ => None,
                 }
             }
             None => {
@@ -318,23 +465,7 @@ impl CoreModel {
     /// ticks is `n` stack cycles of `kind`, with the DRAM wait split at the
     /// base-window boundary exactly as per-cycle classification does.
     pub fn add_stall_cycles(&mut self, start: u64, n: u64, kind: StallKind) {
-        match kind {
-            StallKind::Idle => self.stack.add_n(CycleComponent::Idle, n),
-            StallKind::Branch => self.stack.add_n(CycleComponent::Branch, n),
-            StallKind::Dcache => self.stack.add_n(CycleComponent::Dcache, n),
-            StallKind::Dram { issued_at } => {
-                // Cycle c is DramBase while c - issued_at <= window, so the
-                // first DramQueue cycle is issued_at + window + 1.
-                let boundary = issued_at + self.cfg.dram_base_window + 1;
-                let base = boundary.saturating_sub(start).min(n);
-                if base > 0 {
-                    self.stack.add_n(CycleComponent::DramBase, base);
-                }
-                if n > base {
-                    self.stack.add_n(CycleComponent::DramQueue, n - base);
-                }
-            }
-        }
+        accrue_stall(&mut self.stack, &self.cfg, start, n, kind);
     }
 
     /// A DRAM line arrived: wake every load waiting on it.
@@ -342,63 +473,53 @@ impl CoreModel {
         // A completion for this core may have freed an MSHR: retry the
         // deferred access on the next tick.
         self.mshr_blocked = false;
-        if let Some(seqs) = self.by_line.remove(&line) {
-            for seq in seqs {
-                debug_assert!(seq >= self.front_seq);
-                let idx = (seq - self.front_seq) as usize;
-                if let Some(slot) = self.rob.get_mut(idx) {
-                    slot.state = SlotState::Ready;
-                    if let Some(c) = slot.chain.take() {
-                        self.chain_inflight[c as usize] -= 1;
-                    }
-                }
+        let live = &mut self.waits[..self.live_waits];
+        let Some(i) = live.iter().position(|w| w.line == line) else {
+            return;
+        };
+        live.swap(i, self.live_waits - 1);
+        self.live_waits -= 1;
+        let wait = &mut self.waits[self.live_waits];
+        for entry in wait.entries.drain(..) {
+            debug_assert!(entry >= self.rob.head, "a waiting load cannot retire");
+            let e = self.rob.at(entry);
+            debug_assert!(e.tag() >= LINE && e.word & !63 == line);
+            if e.tag() == CHAIN_LINE {
+                self.chain_inflight[(e.word >> 2 & 15) as usize] -= 1;
             }
+            e.word = ONE_READY;
         }
     }
 
     /// Advances the core by one cycle: retire, classify the cycle, dispatch.
-    pub fn tick(&mut self, stream: &mut dyn InstrStream, hier: &mut Hierarchy, now: u64) {
+    ///
+    /// Returns whether the core may be stalled from the next cycle on: the
+    /// head of the ROB cannot retire then and dispatch did not end with
+    /// width and room to spare. A cheap necessary condition for
+    /// [`stall_horizon`](Self::stall_horizon)`(now + 1)` to be `Some`,
+    /// so a drive loop knows when asking is worth it.
+    pub fn tick(&mut self, stream: &mut dyn InstrStream, hier: &mut Hierarchy, now: u64) -> bool {
         if self.at_barrier.is_some() {
             self.stack.add(CycleComponent::Idle);
-            return;
+            return true;
         }
 
-        // Retire.
-        let mut retired_now = 0;
-        while retired_now < self.cfg.width {
-            match self.rob.front() {
-                Some(slot) => {
-                    let ready = match slot.state {
-                        SlotState::Ready => true,
-                        SlotState::WaitUntil(t) => t <= now,
-                        SlotState::WaitLine(_) => false,
-                    };
-                    if !ready {
-                        break;
-                    }
-                    self.rob.pop_front();
-                    self.front_seq += 1;
-                    self.retired += 1;
-                    retired_now += 1;
-                }
-                None => break,
-            }
-        }
+        let retired_now = self.rob.retire(self.cfg.width, now);
+        self.front_seq += u64::from(retired_now);
+        self.retired += u64::from(retired_now);
 
         // Classify this cycle.
+        let head = self.rob.front();
         let component = if retired_now > 0 {
             CycleComponent::Base
-        } else if let Some(head) = self.rob.front() {
-            match head.state {
-                SlotState::WaitLine(_) => {
-                    if now.saturating_sub(head.issued_at) <= self.cfg.dram_base_window {
-                        CycleComponent::DramBase
-                    } else {
-                        CycleComponent::DramQueue
-                    }
+        } else if let Some(head) = head {
+            match head.tag() {
+                READY => CycleComponent::Base,
+                UNTIL => CycleComponent::Dcache,
+                _ if now.saturating_sub(head.issued_at) <= self.cfg.dram_base_window => {
+                    CycleComponent::DramBase
                 }
-                SlotState::WaitUntil(_) => CycleComponent::Dcache,
-                SlotState::Ready => CycleComponent::Base,
+                _ => CycleComponent::DramQueue,
             }
         } else if now < self.fetch_stall_until {
             CycleComponent::Branch
@@ -408,32 +529,43 @@ impl CoreModel {
             CycleComponent::Base
         };
         self.stack.add(component);
+        let head_blocked = !head.is_some_and(|h| h.retirable(now + 1));
 
         // Dispatch.
+        let mut dispatch_open = false;
         if now >= self.fetch_stall_until && self.pending_barrier.is_none() {
-            self.dispatch(stream, hier, now);
+            let dispatched = self.dispatch(stream, hier, now);
+            dispatch_open = dispatched == self.cfg.width && self.rob.instrs < self.cfg.rob_entries;
         }
 
         // Enter the barrier once the pipeline drained.
         if let Some(id) = self.pending_barrier {
-            if self.rob.is_empty() && self.pending_compute == 0 && self.deferred.is_none() {
+            if self.rob.instrs == 0 && self.pending_compute == 0 && self.deferred.is_none() {
                 self.pending_barrier = None;
                 self.at_barrier = Some(id);
             }
         }
+        head_blocked && !dispatch_open
     }
 
-    fn dispatch(&mut self, stream: &mut dyn InstrStream, hier: &mut Hierarchy, now: u64) {
+    /// Dispatches up to `width` instructions; returns how many entered the
+    /// ROB.
+    fn dispatch(&mut self, stream: &mut dyn InstrStream, hier: &mut Hierarchy, now: u64) -> u32 {
         if self.mshr_blocked {
             debug_assert!(self.deferred.is_some());
-            return;
+            return 0;
         }
         let mut dispatched = 0;
-        while dispatched < self.cfg.width && self.rob.len() < self.cfg.rob_entries {
+        while dispatched < self.cfg.width && self.rob.instrs < self.cfg.rob_entries {
             if self.pending_compute > 0 {
-                self.pending_compute -= 1;
-                self.push_slot(SlotState::Ready, now);
-                dispatched += 1;
+                let room = (self.cfg.rob_entries - self.rob.instrs) as u32;
+                let n = self
+                    .pending_compute
+                    .min(self.cfg.width - dispatched)
+                    .min(room);
+                self.pending_compute -= n;
+                self.push_ready(n, now);
+                dispatched += n;
                 continue;
             }
             let instr = match self.deferred.take() {
@@ -455,27 +587,12 @@ impl CoreModel {
                 Instr::Compute { count } => {
                     self.pending_compute = count;
                 }
-                Instr::Load { addr } => match hier.access(self.id, addr, false, now) {
-                    AccessResult::Hit { ready_at } => {
-                        self.push_slot(SlotState::WaitUntil(ready_at), now);
-                        dispatched += 1;
-                    }
-                    AccessResult::Miss => {
-                        let line = addr & !63;
-                        let seq = self.next_seq;
-                        self.by_line.entry(line).or_default().push(seq);
-                        self.push_slot(SlotState::WaitLine(line), now);
-                        dispatched += 1;
-                    }
-                    AccessResult::MshrFull => {
-                        self.deferred = Some(instr);
-                        self.mshr_blocked = true;
-                        break;
-                    }
-                },
-                Instr::ChainLoad { addr, chain } => {
-                    let chain = chain as usize % Instr::MAX_CHAINS;
-                    if self.chain_inflight[chain] > 0 {
+                Instr::Load { addr } | Instr::ChainLoad { addr, .. } => {
+                    let chain = match instr {
+                        Instr::ChainLoad { chain, .. } => Some(chain as usize % Instr::MAX_CHAINS),
+                        _ => None,
+                    };
+                    if chain.is_some_and(|c| self.chain_inflight[c] > 0) {
                         // The previous load of this chain still owns the
                         // address — dependence stalls dispatch.
                         self.deferred = Some(instr);
@@ -483,19 +600,19 @@ impl CoreModel {
                     }
                     match hier.access(self.id, addr, false, now) {
                         AccessResult::Hit { ready_at } => {
-                            self.push_slot(SlotState::WaitUntil(ready_at), now);
-                            dispatched += 1;
+                            self.push_waiting(ready_at << 2 | UNTIL, now);
                         }
                         AccessResult::Miss => {
                             let line = addr & !63;
-                            let seq = self.next_seq;
-                            self.by_line.entry(line).or_default().push(seq);
-                            self.chain_inflight[chain] += 1;
-                            self.push_slot(SlotState::WaitLine(line), now);
-                            if let Some(slot) = self.rob.back_mut() {
-                                slot.chain = Some(chain as u8);
-                            }
-                            dispatched += 1;
+                            let word = match chain {
+                                Some(c) => {
+                                    self.chain_inflight[c] += 1;
+                                    line | (c as u64) << 2 | CHAIN_LINE
+                                }
+                                None => line | LINE,
+                            };
+                            let entry = self.push_waiting(word, now);
+                            self.wait_on(line, entry);
                         }
                         AccessResult::MshrFull => {
                             self.deferred = Some(instr);
@@ -503,11 +620,12 @@ impl CoreModel {
                             break;
                         }
                     }
+                    dispatched += 1;
                 }
                 Instr::Store { addr } => match hier.access(self.id, addr, true, now) {
                     AccessResult::Hit { .. } | AccessResult::Miss => {
                         // Stores retire immediately (store buffer).
-                        self.push_slot(SlotState::Ready, now);
+                        self.push_ready(1, now);
                         dispatched += 1;
                     }
                     AccessResult::MshrFull => {
@@ -517,7 +635,7 @@ impl CoreModel {
                     }
                 },
                 Instr::Branch { mispredict } => {
-                    self.push_slot(SlotState::Ready, now);
+                    self.push_ready(1, now);
                     dispatched += 1;
                     if mispredict {
                         self.fetch_stall_until = now + self.cfg.mispredict_penalty;
@@ -530,18 +648,59 @@ impl CoreModel {
                 }
             }
         }
+        dispatched
+    }
+
+    fn push_ready(&mut self, n: u32, now: u64) {
+        self.next_seq += u64::from(n);
+        self.rob.push_ready(n, now);
+    }
+
+    fn push_waiting(&mut self, word: u64, now: u64) -> u64 {
+        self.next_seq += 1;
+        self.rob.push_waiting(word, now)
+    }
+
+    /// Records that ROB entry `entry` waits for `line`.
+    fn wait_on(&mut self, line: u64, entry: u64) {
+        let live = &mut self.waits[..self.live_waits];
+        let i = match live.iter().position(|w| w.line == line) {
+            Some(i) => i,
+            None => {
+                if self.live_waits == self.waits.len() {
+                    self.waits.push(LineWait::default());
+                }
+                self.waits[self.live_waits].line = line;
+                self.live_waits += 1;
+                self.live_waits - 1
+            }
+        };
+        self.waits[i].entries.push(entry);
     }
 
     /// Captures this core's full architectural state.
     pub fn snapshot_state(&self) -> CoreState {
-        let mut by_line: Vec<(u64, Vec<u64>)> = self
-            .by_line
+        // Expand the runs, remembering each entry's first sequence number.
+        let mut rob = Vec::with_capacity(self.rob.instrs);
+        let mut first_seq = Vec::with_capacity((self.rob.tail - self.rob.head) as usize);
+        for entry in self.rob.head..self.rob.tail {
+            first_seq.push(self.front_seq + rob.len() as u64);
+            rob.extend(self.rob.ring[(entry & self.rob.mask) as usize].slots());
+        }
+        let mut by_line: Vec<(u64, Vec<u64>)> = self.waits[..self.live_waits]
             .iter()
-            .map(|(&line, seqs)| (line, seqs.clone()))
+            .map(|w| {
+                let seqs = w.entries.iter();
+                (
+                    w.line,
+                    seqs.map(|e| first_seq[(e - self.rob.head) as usize])
+                        .collect(),
+                )
+            })
             .collect();
         by_line.sort_unstable_by_key(|(line, _)| *line);
         CoreState {
-            rob: self.rob.iter().copied().collect(),
+            rob,
             by_line,
             front_seq: self.front_seq,
             next_seq: self.next_seq,
@@ -565,19 +724,47 @@ impl CoreModel {
     /// # Panics
     ///
     /// Panics if the snapshot's chain table width does not match
-    /// [`Instr::MAX_CHAINS`].
+    /// [`Instr::MAX_CHAINS`], its ROB does not fit this core's, or a waiter
+    /// names a sequence number outside the ROB.
     pub fn restore_state(&mut self, state: &CoreState) {
         assert_eq!(
             state.chain_inflight.len(),
             Instr::MAX_CHAINS,
             "core snapshot chain table width mismatch"
         );
-        self.rob = state.rob.iter().copied().collect();
-        self.by_line = state
-            .by_line
+        assert!(
+            state.rob.len() <= self.cfg.rob_entries,
+            "core snapshot holds {} ROB slots, this core {}",
+            state.rob.len(),
+            self.cfg.rob_entries
+        );
+        self.rob = Rob::new(self.cfg.rob_entries);
+        let entry_of: Vec<u64> = state
+            .rob
             .iter()
-            .map(|(line, seqs)| (*line, seqs.clone()))
+            .map(|slot| match (slot.state, slot.chain) {
+                (SlotState::Ready, _) => {
+                    self.rob.push_ready(1, slot.issued_at);
+                    self.rob.tail - 1
+                }
+                (SlotState::WaitUntil(t), _) => {
+                    self.rob.push_waiting(t << 2 | UNTIL, slot.issued_at)
+                }
+                (SlotState::WaitLine(line), None) => {
+                    self.rob.push_waiting(line | LINE, slot.issued_at)
+                }
+                (SlotState::WaitLine(line), Some(c)) => self
+                    .rob
+                    .push_waiting(line | u64::from(c & 15) << 2 | CHAIN_LINE, slot.issued_at),
+            })
             .collect();
+        self.waits.iter_mut().for_each(|w| w.entries.clear());
+        self.live_waits = 0;
+        for (line, seqs) in &state.by_line {
+            for seq in seqs {
+                self.wait_on(*line, entry_of[(seq - state.front_seq) as usize]);
+            }
+        }
         self.front_seq = state.front_seq;
         self.next_seq = state.next_seq;
         self.fetch_stall_until = state.fetch_stall_until;
@@ -591,14 +778,28 @@ impl CoreModel {
         self.chain_inflight.copy_from_slice(&state.chain_inflight);
         self.mshr_blocked = state.mshr_blocked;
     }
+}
 
-    fn push_slot(&mut self, state: SlotState, now: u64) {
-        self.rob.push_back(RobSlot {
-            state,
-            issued_at: now,
-            chain: None,
-        });
-        self.next_seq += 1;
+/// Adds the `n` stall cycles `[start, start + n)` of `kind` to `stack`,
+/// splitting a DRAM wait at the base-window boundary exactly as per-cycle
+/// classification does.
+fn accrue_stall(stack: &mut CycleStack, cfg: &CoreConfig, start: u64, n: u64, kind: StallKind) {
+    match kind {
+        StallKind::Idle => stack.add_n(CycleComponent::Idle, n),
+        StallKind::Branch => stack.add_n(CycleComponent::Branch, n),
+        StallKind::Dcache => stack.add_n(CycleComponent::Dcache, n),
+        StallKind::Dram { issued_at } => {
+            // Cycle c is DramBase while c - issued_at <= window, so the
+            // first DramQueue cycle is issued_at + window + 1.
+            let boundary = issued_at + cfg.dram_base_window + 1;
+            let base = boundary.saturating_sub(start).min(n);
+            if base > 0 {
+                stack.add_n(CycleComponent::DramBase, base);
+            }
+            if n > base {
+                stack.add_n(CycleComponent::DramQueue, n - base);
+            }
+        }
     }
 }
 

@@ -7,11 +7,12 @@
 //! dirty LLC evictions in [`Hierarchy::pop_write`], and the simulator
 //! reports DRAM completions back via [`Hierarchy::complete_read`].
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{Cache, CacheConfig, CacheDelta, CacheStats};
+use crate::mshr::MshrFile;
 use crate::prefetch::{PrefetchConfig, StreamPrefetcher};
 
 /// Configuration of the whole hierarchy.
@@ -72,15 +73,31 @@ pub struct OutboundRead {
     pub is_prefetch: bool,
 }
 
+/// One in-flight line as snapshots carry it (the live form is a slot of
+/// the [`MshrFile`]).
 #[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
-struct PendingLine {
-    /// Cores with demand waiters on this line.
-    waiters: Vec<usize>,
+pub(crate) struct PendingLine {
+    /// Cores with demand waiters on this line, in arrival order.
+    pub(crate) waiters: Vec<usize>,
     /// Whether any waiter was a store (fill dirty).
-    any_store: bool,
+    pub(crate) any_store: bool,
     /// Core whose prefetcher requested the line, if it started as a
     /// prefetch.
-    prefetch_for: Option<usize>,
+    pub(crate) prefetch_for: Option<usize>,
+}
+
+/// The cores whose demand accesses waited on a completed line, in arrival
+/// order; what [`Hierarchy::complete_read`] returns. The fills are done by
+/// the time it exists, so it may be dropped unread.
+#[derive(Debug)]
+pub struct Woken<'a>(std::slice::Iter<'a, usize>);
+
+impl Iterator for Woken<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        self.0.next().copied()
+    }
 }
 
 /// Aggregated hierarchy statistics.
@@ -101,9 +118,10 @@ pub struct HierarchyStats {
 /// Serializable state of the whole [`Hierarchy`], captured by
 /// [`Hierarchy::snapshot_state`] and re-injected by
 /// [`Hierarchy::restore_state`] into a hierarchy built with the same
-/// configuration and core count. Hash-based members are stored as
-/// key-sorted vectors (canonical encoding; the vendored serde subset has
-/// no hash-map/set support).
+/// configuration and core count. The MSHR file is stored as the
+/// line-sorted `pending` list plus the per-core line sets it implies
+/// (`demand_outstanding`: lines a core waits on; `prefetch_outstanding`:
+/// lines its prefetcher started).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HierarchyState {
     l1: Vec<Cache>,
@@ -194,15 +212,15 @@ pub struct Hierarchy {
     l2: Vec<Cache>,
     llc: Cache,
     prefetchers: Vec<StreamPrefetcher>,
-    /// Per-core outstanding demand lines (bounded by `l1_mshrs`).
-    demand_outstanding: Vec<HashSet<u64>>,
-    /// Per-core outstanding prefetch lines.
-    prefetch_outstanding: Vec<HashSet<u64>>,
-    /// All in-flight lines, keyed by line address.
-    pending: HashMap<u64, PendingLine>,
+    /// All in-flight lines with their waiting cores, and the per-core
+    /// demand (bounded by `l1_mshrs`) and prefetch counts.
+    mshrs: MshrFile,
     outbound_reads: VecDeque<OutboundRead>,
     outbound_writes: VecDeque<u64>,
     prefetch_buf: Vec<u64>,
+    /// Scratch: the waiters of the line [`complete_read`](Self::complete_read)
+    /// just finished.
+    woken: Vec<usize>,
     line_mask: u64,
     stats: HierarchyStats,
     /// Calls to [`access`](Self::access) since construction: host-side
@@ -227,12 +245,11 @@ impl Hierarchy {
             prefetchers: (0..n_cores)
                 .map(|_| StreamPrefetcher::new(cfg.prefetch))
                 .collect(),
-            demand_outstanding: vec![HashSet::new(); n_cores],
-            prefetch_outstanding: vec![HashSet::new(); n_cores],
-            pending: HashMap::new(),
+            mshrs: MshrFile::new(n_cores, cfg.l1_mshrs, cfg.prefetch_outstanding),
             outbound_reads: VecDeque::new(),
             outbound_writes: VecDeque::new(),
             prefetch_buf: Vec::new(),
+            woken: Vec::with_capacity(n_cores),
             line_mask: !(u64::from(cfg.l1.line_bytes) - 1),
             stats: HierarchyStats::default(),
             accesses: 0,
@@ -281,24 +298,16 @@ impl Hierarchy {
         }
 
         // Merge into an in-flight line if present.
-        if let Some(p) = self.pending.get_mut(&line) {
-            if self.demand_outstanding[core].contains(&line) {
-                if is_write {
-                    p.any_store = true;
+        if let Some(slot) = self.mshrs.find(line) {
+            if !self.mshrs.waits(slot, core) {
+                if self.mshrs.demand(core) >= self.cfg.l1_mshrs {
+                    return AccessResult::MshrFull;
                 }
-                self.stats.mshr_merges += 1;
-                return AccessResult::Miss;
-            }
-            if self.demand_outstanding[core].len() >= self.cfg.l1_mshrs {
-                return AccessResult::MshrFull;
+                self.mshrs.add_waiter(slot, core);
             }
             if is_write {
-                p.any_store = true;
+                self.mshrs.mark_store(slot);
             }
-            if !p.waiters.contains(&core) {
-                p.waiters.push(core);
-            }
-            self.demand_outstanding[core].insert(line);
             self.stats.mshr_merges += 1;
             return AccessResult::Miss;
         }
@@ -322,18 +331,14 @@ impl Hierarchy {
         }
 
         // DRAM.
-        if self.demand_outstanding[core].len() >= self.cfg.l1_mshrs {
+        if self.mshrs.demand(core) >= self.cfg.l1_mshrs {
             return AccessResult::MshrFull;
         }
-        self.demand_outstanding[core].insert(line);
-        self.pending.insert(
-            line,
-            PendingLine {
-                waiters: vec![core],
-                any_store: is_write,
-                prefetch_for: None,
-            },
-        );
+        let slot = self.mshrs.insert(line, None);
+        self.mshrs.add_waiter(slot, core);
+        if is_write {
+            self.mshrs.mark_store(slot);
+        }
         self.outbound_reads.push_back(OutboundRead {
             line,
             core,
@@ -350,24 +355,16 @@ impl Hierarchy {
         self.prefetchers[core].train(line_idx, &mut buf);
         for idx in &buf {
             let pline = idx << self.cfg.l1.line_bytes.trailing_zeros();
-            if self.prefetch_outstanding[core].len() >= self.cfg.prefetch_outstanding {
+            if self.mshrs.prefetches(core) >= self.cfg.prefetch_outstanding {
                 break;
             }
-            if self.pending.contains_key(&pline)
+            if self.mshrs.find(pline).is_some()
                 || self.l2[core].probe(pline)
                 || self.llc.probe(pline)
             {
                 continue;
             }
-            self.prefetch_outstanding[core].insert(pline);
-            self.pending.insert(
-                pline,
-                PendingLine {
-                    waiters: Vec::new(),
-                    any_store: false,
-                    prefetch_for: Some(core),
-                },
-            );
+            self.mshrs.insert(pline, Some(core));
             self.outbound_reads.push_back(OutboundRead {
                 line: pline,
                 core,
@@ -423,32 +420,30 @@ impl Hierarchy {
 
     /// Whether any miss is still in flight anywhere.
     pub fn quiescent(&self) -> bool {
-        self.pending.is_empty() && self.outbound_reads.is_empty() && self.outbound_writes.is_empty()
+        self.mshrs.is_empty() && self.outbound_reads.is_empty() && self.outbound_writes.is_empty()
     }
 
     /// A DRAM read for `line` finished: fill the caches and return the
-    /// cores whose demand loads waited on it.
-    pub fn complete_read(&mut self, line: u64) -> Vec<usize> {
-        let Some(p) = self.pending.remove(&line) else {
-            return Vec::new();
-        };
-        if let Some(core) = p.prefetch_for {
-            self.prefetch_outstanding[core].remove(&line);
-            if p.waiters.is_empty() {
+    /// cores whose demand loads waited on it, in arrival order.
+    pub fn complete_read(&mut self, line: u64) -> Woken<'_> {
+        let mut woken = std::mem::take(&mut self.woken);
+        if let Some((any_store, prefetch_for)) = self.mshrs.remove(line, &mut woken) {
+            self.fill_llc(line, false);
+            if woken.is_empty() {
                 // Pure prefetch: fill LLC + the requesting core's L2.
-                self.fill_llc(line, false);
-                self.fill_l2(core, line, false);
-                return Vec::new();
+                if let Some(core) = prefetch_for {
+                    self.fill_l2(core, line, false);
+                }
+            } else if prefetch_for.is_some() {
+                self.stats.prefetch_hits += 1;
             }
-            self.stats.prefetch_hits += 1;
+            for &core in &woken {
+                self.fill_l2(core, line, false);
+                self.fill_l1(core, line, any_store);
+            }
         }
-        self.fill_llc(line, false);
-        for &core in &p.waiters {
-            self.demand_outstanding[core].remove(&line);
-            self.fill_l2(core, line, false);
-            self.fill_l1(core, line, p.any_store);
-        }
-        p.waiters
+        self.woken = woken;
+        Woken(self.woken.iter())
     }
 
     /// Functionally warms the LLC with `line` (optionally dirty) without
@@ -472,33 +467,36 @@ impl Hierarchy {
     /// Captures the full state of caches, prefetchers, MSHR sets, pending
     /// lines and outbound queues.
     pub fn snapshot_state(&self) -> HierarchyState {
-        let sorted_sets = |sets: &[HashSet<u64>]| {
-            sets.iter()
-                .map(|s| {
-                    let mut v: Vec<u64> = s.iter().copied().collect();
-                    v.sort_unstable();
-                    v
-                })
-                .collect()
-        };
-        let mut pending: Vec<(u64, PendingLine)> = self
-            .pending
-            .iter()
-            .map(|(&line, p)| (line, p.clone()))
-            .collect();
-        pending.sort_unstable_by_key(|(line, _)| *line);
+        let pending = self.mshrs.pending();
+        let [demand_outstanding, prefetch_outstanding] = self.line_sets(&pending);
         HierarchyState {
             l1: self.l1.clone(),
             l2: self.l2.clone(),
             llc: self.llc.clone(),
             prefetchers: self.prefetchers.clone(),
-            demand_outstanding: sorted_sets(&self.demand_outstanding),
-            prefetch_outstanding: sorted_sets(&self.prefetch_outstanding),
+            demand_outstanding,
+            prefetch_outstanding,
             pending,
             outbound_reads: self.outbound_reads.iter().copied().collect(),
             outbound_writes: self.outbound_writes.iter().copied().collect(),
             stats: self.stats,
         }
+    }
+
+    /// The per-core line sets `pending` implies, each ascending: the lines
+    /// a core waits on, and the lines its prefetcher started.
+    fn line_sets(&self, pending: &[(u64, PendingLine)]) -> [Vec<Vec<u64>>; 2] {
+        let mut demand = vec![Vec::new(); self.cores()];
+        let mut prefetch = vec![Vec::new(); self.cores()];
+        for (line, p) in pending {
+            for &core in &p.waiters {
+                demand[core].push(*line);
+            }
+            if let Some(core) = p.prefetch_for {
+                prefetch[core].push(*line);
+            }
+        }
+        [demand, prefetch]
     }
 
     /// Marks every cache clean so the next [`take_delta`](Self::take_delta)
@@ -515,28 +513,15 @@ impl Hierarchy {
     /// [`mark_clean`](Self::mark_clean) / `take_delta` (cache sets), plus
     /// the small always-captured members, and marks the caches clean.
     pub fn take_delta(&mut self) -> HierarchyDelta {
-        let sorted_sets = |sets: &[HashSet<u64>]| {
-            sets.iter()
-                .map(|s| {
-                    let mut v: Vec<u64> = s.iter().copied().collect();
-                    v.sort_unstable();
-                    v
-                })
-                .collect()
-        };
-        let mut pending: Vec<(u64, PendingLine)> = self
-            .pending
-            .iter()
-            .map(|(&line, p)| (line, p.clone()))
-            .collect();
-        pending.sort_unstable_by_key(|(line, _)| *line);
+        let pending = self.mshrs.pending();
+        let [demand_outstanding, prefetch_outstanding] = self.line_sets(&pending);
         HierarchyDelta {
             l1: self.l1.iter_mut().map(Cache::take_delta).collect(),
             l2: self.l2.iter_mut().map(Cache::take_delta).collect(),
             llc: self.llc.take_delta(),
             prefetchers: self.prefetchers.clone(),
-            demand_outstanding: sorted_sets(&self.demand_outstanding),
-            prefetch_outstanding: sorted_sets(&self.prefetch_outstanding),
+            demand_outstanding,
+            prefetch_outstanding,
             pending,
             outbound_reads: self.outbound_reads.iter().copied().collect(),
             outbound_writes: self.outbound_writes.iter().copied().collect(),
@@ -550,7 +535,8 @@ impl Hierarchy {
     ///
     /// # Panics
     ///
-    /// Panics if the snapshot's core count does not match this hierarchy's.
+    /// Panics if the snapshot's core count does not match this hierarchy's,
+    /// or it holds more lines in flight than this configuration allows.
     pub fn restore_state(&mut self, state: &HierarchyState) {
         assert_eq!(
             state.l1.len(),
@@ -561,21 +547,8 @@ impl Hierarchy {
         self.l2 = state.l2.clone();
         self.llc = state.llc.clone();
         self.prefetchers = state.prefetchers.clone();
-        self.demand_outstanding = state
-            .demand_outstanding
-            .iter()
-            .map(|v| v.iter().copied().collect())
-            .collect();
-        self.prefetch_outstanding = state
-            .prefetch_outstanding
-            .iter()
-            .map(|v| v.iter().copied().collect())
-            .collect();
-        self.pending = state
-            .pending
-            .iter()
-            .map(|(line, p)| (*line, p.clone()))
-            .collect();
+        // `pending` implies the per-core line sets stored beside it.
+        self.mshrs.restore(&state.pending);
         self.outbound_reads = state.outbound_reads.iter().copied().collect();
         self.outbound_writes = state.outbound_writes.iter().copied().collect();
         // Scratch only lives within `train_prefetcher`; it is always empty
@@ -656,7 +629,7 @@ mod tests {
                 is_prefetch: false
             }
         );
-        let waiters = h.complete_read(0x1000);
+        let waiters: Vec<usize> = h.complete_read(0x1000).collect();
         assert_eq!(waiters, vec![0]);
         // Now it hits in L1.
         assert_eq!(
@@ -681,9 +654,8 @@ mod tests {
         let mut h = small_hierarchy(2);
         assert_eq!(h.access(0, 0x2000, false, 0), AccessResult::Miss);
         assert_eq!(h.access(1, 0x2000, false, 0), AccessResult::Miss);
-        let mut waiters = h.complete_read(0x2000);
-        waiters.sort();
-        assert_eq!(waiters, vec![0, 1]);
+        let waiters: Vec<usize> = h.complete_read(0x2000).collect();
+        assert_eq!(waiters, vec![0, 1], "arrival order");
     }
 
     #[test]

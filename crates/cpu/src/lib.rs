@@ -31,6 +31,7 @@ mod core_model;
 mod cycle_stack;
 mod hierarchy;
 mod instr;
+mod mshr;
 mod prefetch;
 
 pub use cache::{Cache, CacheConfig, CacheDelta, CacheOutcome, CacheStats, SetPatch};
@@ -38,7 +39,7 @@ pub use core_model::{CoreConfig, CoreModel, CoreState, StallKind};
 pub use cycle_stack::{CycleComponent, CycleStack};
 pub use hierarchy::{
     AccessResult, Hierarchy, HierarchyConfig, HierarchyDelta, HierarchyState, HierarchyStats,
-    OutboundRead,
+    OutboundRead, Woken,
 };
 pub use instr::{FnStream, Instr, InstrStream, VecStream};
 pub use prefetch::{PrefetchConfig, StreamPrefetcher};

@@ -3,7 +3,9 @@
 //! [`PhaseTimers`] accumulates host time per [`SimPhase`] of the step
 //! loop and summarizes into a serializable [`PerfReport`]; when disabled
 //! (the default), [`PhaseTimers::begin`] returns `None` and the hot loop
-//! pays a single branch. [`Heartbeat`] produces an opt-in progress line
+//! pays a single branch. When enabled it times one step in
+//! [`STEP_SAMPLE`] and scales the per-step phases up: six clock reads on
+//! every ~1 µs step would make the profiled program a different one. [`Heartbeat`] produces an opt-in progress line
 //! every N simulated cycles; the driver routes it through a
 //! [`LogSink`](crate::LogSink) so it never interleaves with other output.
 //!
@@ -61,7 +63,16 @@ impl SimPhase {
     fn index(self) -> usize {
         self as usize
     }
+
+    /// Whether the phase is part of every step (timed by sampling) rather
+    /// than a whole skipped span (timed exactly).
+    fn per_step(self) -> bool {
+        !matches!(self, SimPhase::FastForward | SimPhase::BusyForward)
+    }
 }
+
+/// [`PhaseTimers::begin_step`] times one step in this many.
+pub const STEP_SAMPLE: u64 = 64;
 
 /// Accumulates wall-clock time per [`SimPhase`].
 ///
@@ -82,6 +93,12 @@ pub struct PhaseTimers {
     nanos: [u128; 7],
     started: Option<Instant>,
     wall_nanos: u128,
+    /// Cost of one clock read, taken off every [`mark`](Self::mark)ed
+    /// interval.
+    read_nanos: u128,
+    /// Calls to [`begin_step`](Self::begin_step), and how many were timed.
+    steps: u64,
+    timed_steps: u64,
     ff_cycles: u64,
     busy_ff_cycles: u64,
 }
@@ -96,6 +113,15 @@ impl PhaseTimers {
     pub fn enable(&mut self) {
         self.enabled = true;
         if self.started.is_none() {
+            // What one clock read costs: every interval between two marks
+            // of a timed step holds one, a third of a ~100 ns phase.
+            self.read_nanos = (0..32)
+                .map(|_| {
+                    let t = Instant::now();
+                    Instant::now().duration_since(t).as_nanos()
+                })
+                .min()
+                .unwrap_or(0);
             self.started = Some(Instant::now());
         }
     }
@@ -115,6 +141,23 @@ impl PhaseTimers {
         }
     }
 
+    /// Starts timing a step's phases, for one step in [`STEP_SAMPLE`]
+    /// (`None` otherwise, which [`mark`](Self::mark) passes on for free);
+    /// [`seconds`](Self::seconds) scales what the timed steps took to all
+    /// of them.
+    #[inline]
+    pub fn begin_step(&mut self) -> Option<Instant> {
+        if !self.enabled {
+            return None;
+        }
+        self.steps += 1;
+        if self.steps % STEP_SAMPLE != 1 {
+            return None;
+        }
+        self.timed_steps += 1;
+        Some(Instant::now())
+    }
+
     /// Ends timing the phase started by [`begin`](Self::begin).
     #[inline]
     pub fn end(&mut self, phase: SimPhase, started: Option<Instant>) {
@@ -130,7 +173,8 @@ impl PhaseTimers {
     pub fn mark(&mut self, phase: SimPhase, prev: Option<Instant>) -> Option<Instant> {
         prev.map(|t| {
             let at = Instant::now();
-            self.nanos[phase.index()] += at.duration_since(t).as_nanos();
+            let nanos = at.duration_since(t).as_nanos();
+            self.nanos[phase.index()] += nanos.saturating_sub(self.read_nanos);
             at
         })
     }
@@ -166,9 +210,16 @@ impl PhaseTimers {
         }
     }
 
-    /// Seconds accumulated in a phase so far.
+    /// Seconds accumulated in a phase so far; for a per-step phase timed
+    /// through [`begin_step`](Self::begin_step), the timed steps' seconds
+    /// scaled to all steps.
     pub fn seconds(&self, phase: SimPhase) -> f64 {
-        self.nanos[phase.index()] as f64 / 1e9
+        let seconds = self.nanos[phase.index()] as f64 / 1e9;
+        if phase.per_step() && self.timed_steps > 0 {
+            seconds * self.steps as f64 / self.timed_steps as f64
+        } else {
+            seconds
+        }
     }
 
     /// Summarizes into a report for a run of `sim_cycles` DRAM cycles.
@@ -443,6 +494,34 @@ mod tests {
         let mut off = PhaseTimers::new();
         assert!(off.mark(SimPhase::Ctrl, None).is_none());
         assert_eq!(off.seconds(SimPhase::Ctrl), 0.0);
+    }
+
+    #[test]
+    fn one_step_in_sixty_four_is_timed_and_scaled() {
+        let mut t = PhaseTimers::new();
+        assert!(t.begin_step().is_none(), "disabled: never timed");
+        t.enable();
+        let mut timed = 0;
+        for _ in 0..2 * STEP_SAMPLE {
+            let h = t.begin_step();
+            if h.is_some() {
+                timed += 1;
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            let h = t.mark(SimPhase::Ctrl, h);
+            t.mark(SimPhase::Cores, h);
+        }
+        assert_eq!(timed, 2);
+        // 2 ms measured over 2 of 128 steps stands for ~128 ms.
+        assert!(
+            t.seconds(SimPhase::Ctrl) > 0.1,
+            "{}",
+            t.seconds(SimPhase::Ctrl)
+        );
+        // Spans are exact, not scaled.
+        let h = t.begin();
+        t.end(SimPhase::BusyForward, h);
+        assert!(t.seconds(SimPhase::BusyForward) < 0.01);
     }
 
     #[test]

@@ -61,10 +61,8 @@ pub struct Simulator {
     /// accounting and must know they describe the immediately preceding
     /// cycle.
     views_valid_at: Option<Cycle>,
-    /// Scratch: per-core stall classification for the current busy span.
-    stall_kinds: Vec<StallKind>,
-    /// Scratch: which cores were bulk-stalled this cycle (step fast path).
-    core_skips: Vec<bool>,
+    /// Which cores are parked (off the step loop) and which `step` ticks.
+    parking: Parking,
     /// Busy-forward attempt throttle: after a full horizon scan fails, the
     /// next scan is deferred to this cycle (backoff doubles per miss, so a
     /// workload whose spans never materialize stops paying the scan).
@@ -74,10 +72,9 @@ pub struct Simulator {
     /// Scratch buffer for draining controller completions without a
     /// per-cycle allocation.
     completion_buf: Vec<CompletedRead>,
-    /// `CoreModel::tick` calls and `CoreModel::stall_horizon` evaluations
-    /// made by the drive loop (host-side work for `SimReport::perf`).
+    /// `CoreModel::tick` calls made by the drive loop (host-side work for
+    /// `SimReport::perf`, like [`Parking::polls`]).
     core_ticks: u64,
-    core_polls: u64,
     /// Per-channel shadow-auditor handles; `Some` while the auditor is
     /// armed (default in debug/test builds, off in release).
     audits: Vec<Option<AuditHandle>>,
@@ -86,6 +83,129 @@ pub struct Simulator {
     /// [`snapshot_delta`](Self::snapshot_delta), cleared by
     /// [`restore`](Self::restore). `None` until a base is taken.
     ckpt_marks: Option<CkptMarks>,
+}
+
+/// A core taken off the step loop: ticking it at any core cycle in
+/// `[since, until)` would only add one `kind` cycle to its stack (the
+/// contract of [`CoreModel::stall_horizon`]), so nobody does, and the
+/// cycles are added in bulk when the core wakes or its stack is read.
+#[derive(Debug, Clone, Copy)]
+struct Parked {
+    /// First core cycle not yet accrued.
+    since: u64,
+    kind: StallKind,
+    /// First core cycle the core must tick again (`u64::MAX`: only a line
+    /// completion or a barrier release ends the stall).
+    until: u64,
+}
+
+/// Which cores are parked. Every method that needs the cores takes them
+/// as an argument, so a caller can hold other parts of the [`Simulator`]
+/// (the hierarchy's completion iterator) at the same time.
+struct Parking {
+    /// Per core: `Some` while parked.
+    parked: Vec<Option<Parked>>,
+    /// The cores `step` ticks, ascending: the tick order within a core
+    /// cycle is part of the model.
+    awake: Vec<usize>,
+    /// Lower bound on the earliest `until` of any parked core.
+    next_wake: u64,
+    /// `CoreModel::stall_horizon` evaluations made (for `SimReport::perf`).
+    polls: u64,
+}
+
+impl Parking {
+    fn new(n_cores: usize) -> Self {
+        Parking {
+            parked: vec![None; n_cores],
+            awake: (0..n_cores).collect(),
+            next_wake: u64::MAX,
+            polls: 0,
+        }
+    }
+
+    /// Asks core `c` (not in `awake`, or about to be dropped from it by
+    /// the caller) whether it is stalled from core cycle `from` on, and
+    /// parks it there if so.
+    fn try_park(&mut self, cores: &[CoreModel], c: usize, from: u64) -> bool {
+        self.polls += 1;
+        let Some((until, kind)) = cores[c].stall_horizon(from) else {
+            return false;
+        };
+        self.parked[c] = Some(Parked {
+            since: from,
+            kind,
+            until,
+        });
+        self.next_wake = self.next_wake.min(until);
+        true
+    }
+
+    /// Adds the stall cycles core `c` owes up to core cycle `to`, if it is
+    /// parked.
+    fn settle(&mut self, cores: &mut [CoreModel], c: usize, to: u64) {
+        if let Some(p) = &mut self.parked[c] {
+            cores[c].add_stall_cycles(p.since, to - p.since, p.kind);
+            p.since = to;
+        }
+    }
+
+    /// Settles every parked core up to core cycle `to`: the cycle stacks
+    /// are about to be read.
+    fn settle_all(&mut self, cores: &mut [CoreModel], to: u64) {
+        for c in 0..cores.len() {
+            self.settle(cores, c, to);
+        }
+    }
+
+    /// Puts core `c` back on the step loop; its next tick is at `now`.
+    fn wake(&mut self, cores: &mut [CoreModel], c: usize, now: u64) {
+        if self.parked[c].is_some() {
+            self.settle(cores, c, now);
+            self.parked[c] = None;
+            let at = self.awake.partition_point(|&a| a < c);
+            self.awake.insert(at, c);
+        }
+    }
+
+    /// Wakes every parked core whose stall ends by core cycle `now` and
+    /// recomputes `next_wake`.
+    fn wake_due(&mut self, cores: &mut [CoreModel], now: u64) {
+        self.next_wake = u64::MAX;
+        for c in 0..cores.len() {
+            match self.parked[c] {
+                Some(p) if p.until <= now => self.wake(cores, c, now),
+                Some(p) => self.next_wake = self.next_wake.min(p.until),
+                None => {}
+            }
+        }
+    }
+
+    /// Wakes every parked core; their next tick is at `now`.
+    fn wake_all(&mut self, cores: &mut [CoreModel], now: u64) {
+        if self.awake.len() < cores.len() {
+            for c in 0..cores.len() {
+                self.wake(cores, c, now);
+            }
+            self.next_wake = u64::MAX;
+        }
+    }
+
+    /// Whether every core is parked on an idle stall with no end: finished,
+    /// nothing in flight.
+    fn all_idle(&self) -> bool {
+        self.awake.is_empty()
+            && self.parked.iter().all(|p| {
+                matches!(
+                    p,
+                    Some(Parked {
+                        kind: StallKind::Idle,
+                        until: u64::MAX,
+                        ..
+                    })
+                )
+            })
+    }
 }
 
 /// Bookkeeping for delta checkpoints: everything needed to decide what
@@ -183,13 +303,11 @@ impl Simulator {
             fast_forward: true,
             busy_engine: true,
             views_valid_at: None,
-            stall_kinds: Vec::new(),
-            core_skips: Vec::new(),
+            parking: Parking::new(cfg.n_cores),
             busy_attempt_after: 0,
             busy_backoff: 0,
             completion_buf: Vec::new(),
             core_ticks: 0,
-            core_polls: 0,
             audits: vec![None; cfg.channels],
             ckpt_marks: None,
             streams,
@@ -434,11 +552,18 @@ impl Simulator {
     /// Advances the system by one DRAM cycle.
     pub fn step(&mut self) {
         let now = self.dram_cycle;
+        let mult = u64::from(self.cfg.core_clock_mult);
+        let c0 = now * mult;
+        if !self.busy_engine {
+            // The oracle ticks every core every cycle (an idle
+            // fast-forward may have left the cores parked).
+            self.parking.wake_all(&mut self.cores, c0);
+        }
 
         // 1. Memory controllers + DRAM + bandwidth-stack accounting.
         //    Phase timing chains through `mark` — one clock read per phase
         //    boundary instead of an end/begin pair.
-        let t = self.timers.begin();
+        let t = self.timers.begin_step();
         for ch in 0..self.ctrls.len() {
             self.ctrls[ch].tick(now, &mut self.views[ch]);
             self.samplers[ch].account(&self.views[ch]);
@@ -447,7 +572,11 @@ impl Simulator {
         let t = self.timers.mark(SimPhase::Ctrl, t);
 
         // 2. Completions propagate up: latency stack, cache fills, cores.
-        //    `meta` carries the original (pre-strip) line address.
+        //    `meta` carries the original (pre-strip) line address. A
+        //    completion is one of the two events that can end a parked
+        //    core's stall, so such a core is settled, told, and asked
+        //    again: it stays parked (a line other than the one its ROB
+        //    head waits for) or wakes and ticks from `c0` on.
         let mut buf = std::mem::take(&mut self.completion_buf);
         for ch in 0..self.ctrls.len() {
             self.ctrls[ch].take_completions_into(&mut buf);
@@ -459,57 +588,48 @@ impl Simulator {
                 }
                 let original_line = c.meta;
                 for core in self.hier.complete_read(original_line) {
+                    self.parking.settle(&mut self.cores, core, c0);
                     self.cores[core].complete_line(original_line);
+                    if self.parking.parked[core].is_some()
+                        && !self.parking.try_park(&self.cores, core, c0)
+                    {
+                        self.parking.wake(&mut self.cores, core, c0);
+                    }
                 }
             }
         }
         self.completion_buf = buf;
         let t = self.timers.mark(SimPhase::Completions, t);
 
-        // 3. Cores run `core_clock_mult` cycles per DRAM cycle. With the
-        // busy engine on, a core whose stall horizon covers the whole
-        // window accrues its stack cycles in one bulk add instead of
-        // `mult` ticks; the rest tick in the usual lockstep order, which
-        // is unchanged because a skipped core provably never touches the
-        // shared hierarchy during the window.
-        let mult = u64::from(self.cfg.core_clock_mult);
-        let c0 = now * mult;
-        if self.busy_engine && mult > 1 {
-            let mut skips = std::mem::take(&mut self.core_skips);
-            skips.clear();
-            self.core_polls += self.cores.len() as u64;
-            for core in &mut self.cores {
-                skips.push(match core.stall_horizon(c0) {
-                    Some((h, kind)) if h >= c0 + mult => {
-                        core.add_stall_cycles(c0, mult, kind);
-                        true
-                    }
-                    _ => false,
-                });
+        // 3. The awake cores run `core_clock_mult` cycles per DRAM cycle,
+        // in core order. With the busy engine on, a core whose tick says
+        // it may be stalled is asked for its stall horizon and parked from
+        // the next cycle on; a parked core provably never touches the
+        // shared hierarchy, so the others see what they would have seen.
+        for core_now in c0..c0 + mult {
+            if core_now >= self.parking.next_wake {
+                self.parking.wake_due(&mut self.cores, core_now);
             }
-            for k in 0..mult {
-                let core_now = c0 + k;
-                let cores = self.cores.iter_mut().zip(&mut self.streams).zip(&skips);
-                for ((core, stream), skip) in cores {
-                    if !skip {
-                        core.tick(stream.as_mut(), &mut self.hier, core_now);
-                        self.core_ticks += 1;
-                    }
+            self.core_ticks += self.parking.awake.len() as u64;
+            let mut kept = 0;
+            for i in 0..self.parking.awake.len() {
+                let c = self.parking.awake[i];
+                let may_stall =
+                    self.cores[c].tick(self.streams[c].as_mut(), &mut self.hier, core_now);
+                if may_stall
+                    && self.busy_engine
+                    && self.parking.try_park(&self.cores, c, core_now + 1)
+                {
+                    continue;
                 }
+                self.parking.awake[kept] = c;
+                kept += 1;
             }
-            self.core_skips = skips;
-        } else {
-            for k in 0..mult {
-                let core_now = c0 + k;
-                for (core, stream) in self.cores.iter_mut().zip(&mut self.streams) {
-                    core.tick(stream.as_mut(), &mut self.hier, core_now);
-                }
-            }
-            self.core_ticks += mult * self.cores.len() as u64;
+            self.parking.awake.truncate(kept);
         }
 
         // 4. Barrier release: when every unfinished core is parked.
-        self.release_barriers();
+        self.release_barriers(c0 + mult);
         let t = self.timers.mark(SimPhase::Cores, t);
 
         // 5. Pump hierarchy ⇄ controllers (head-of-line per direction).
@@ -538,16 +658,15 @@ impl Simulator {
         // 6. Through-time CPU cycle-stack sampling.
         self.dram_cycle += 1;
         if self.dram_cycle == self.next_cycle_sample {
-            self.next_cycle_sample += self.cfg.sample_period;
-            let mut window = CycleStack::new();
-            for core in &mut self.cores {
-                window.merge(&core.take_stack_sample());
-            }
-            self.cycle_total.merge(&window);
-            self.cycle_samples.push(window);
+            self.roll_cycle_window();
         }
         self.timers.mark(SimPhase::Sampling, t);
 
+        self.after_advance();
+    }
+
+    /// Heartbeat and telemetry, after `dram_cycle` moved.
+    fn after_advance(&mut self) {
         if let Some(hb) = &mut self.heartbeat {
             // Summing per-controller counters every cycle is measurable at
             // heartbeat granularity; only pay for it on beat cycles.
@@ -560,29 +679,51 @@ impl Simulator {
                 }
             }
         }
-
         if self.telemetry.is_some() {
             self.publish_windows();
         }
     }
 
-    fn release_barriers(&mut self) {
-        let mut waiting = 0;
-        let mut active = 0;
+    /// Sums and resets every core's cycle stack as of the current DRAM
+    /// cycle. Parked cores are settled first: this is where their stacks
+    /// are read, and a window must hold exactly its own cycles.
+    fn take_cycle_window(&mut self) -> CycleStack {
+        let core_now = self.dram_cycle * u64::from(self.cfg.core_clock_mult);
+        self.parking.settle_all(&mut self.cores, core_now);
+        let mut window = CycleStack::new();
+        for core in &mut self.cores {
+            window.merge(&core.take_stack_sample());
+        }
+        window
+    }
+
+    /// Closes the CPU cycle-stack window that ends at the current cycle.
+    fn roll_cycle_window(&mut self) {
+        self.next_cycle_sample += self.cfg.sample_period;
+        let window = self.take_cycle_window();
+        self.cycle_total.merge(&window);
+        self.cycle_samples.push(window);
+    }
+
+    /// Releases the barrier once every unfinished core waits at it; the
+    /// released cores tick again from `next_core_cycle` (the other event,
+    /// besides a line completion, that ends a parked core's stall).
+    fn release_barriers(&mut self, next_core_cycle: u64) {
+        let mut waiting = false;
         for core in &self.cores {
-            if core.is_finished() {
-                continue;
-            }
-            active += 1;
             if core.at_barrier().is_some() {
-                waiting += 1;
+                waiting = true;
+            } else if !core.is_finished() {
+                return;
             }
         }
-        if active > 0 && waiting == active {
-            for core in &mut self.cores {
-                if core.at_barrier().is_some() {
-                    core.release_barrier();
-                }
+        if !waiting {
+            return;
+        }
+        for c in 0..self.cores.len() {
+            if self.cores[c].at_barrier().is_some() {
+                self.parking.wake(&mut self.cores, c, next_core_cycle);
+                self.cores[c].release_barrier();
             }
         }
     }
@@ -590,12 +731,13 @@ impl Simulator {
     /// Attempts to bulk-skip inert cycles, stopping before `limit`.
     ///
     /// The skip fires only when nothing observable can happen until a
-    /// conservatively computed horizon: every core is quiet (finished and
-    /// past any fetch stall), the cache hierarchy has no outstanding or
-    /// outbound requests, and every memory controller is idle with its
-    /// DRAM device settled — leaving the fixed-grid refresh as the only
-    /// future event. The skipped span is accounted in bulk as pure idle
-    /// (bit-identical to stepping it cycle by cycle, including sampling
+    /// conservatively computed horizon: every core is parked idle with no
+    /// end (finished and past any fetch stall), the cache hierarchy has no
+    /// outstanding or outbound requests, and every memory controller is
+    /// idle with its DRAM device settled — leaving the fixed-grid refresh
+    /// as the only future event. The skipped span is accounted in bulk as
+    /// pure idle (bit-identical to stepping it cycle by cycle, including
+    /// sampling window rolls; the parked cores accrue theirs when a
     /// window rolls) and the simulator lands exactly on the earliest next
     /// event, which [`step`](Self::step) then handles normally.
     ///
@@ -605,12 +747,27 @@ impl Simulator {
             return false;
         }
         let now = self.dram_cycle;
-        if limit <= now + 1 {
+        if limit <= now + 1 || !self.hier.quiescent() {
             return false;
         }
-        let mult = u64::from(self.cfg.core_clock_mult);
-        let core_now = now * mult;
-        if !self.cores.iter().all(|c| c.is_quiet(core_now)) || !self.hier.quiescent() {
+        if !self.busy_engine && !self.parking.awake.is_empty() {
+            // `step` parks nothing with the engine off: park the cores
+            // here, for the span only, if every one of them is done.
+            let core_now = now * u64::from(self.cfg.core_clock_mult);
+            let done = |&c: &usize| {
+                matches!(
+                    self.cores[c].stall_horizon(core_now),
+                    Some((u64::MAX, StallKind::Idle))
+                )
+            };
+            if !self.parking.awake.iter().all(done) {
+                return false;
+            }
+            for c in std::mem::take(&mut self.parking.awake) {
+                self.parking.try_park(&self.cores, c, core_now);
+            }
+        }
+        if !self.parking.all_idle() {
             return false;
         }
         let mut horizon = limit;
@@ -634,35 +791,14 @@ impl Simulator {
             for s in &mut self.samplers {
                 s.account_idle(n);
             }
-            for core in &mut self.cores {
-                core.add_idle_cycles(n * mult);
-            }
             self.dram_cycle = chunk_end;
             if self.dram_cycle == self.next_cycle_sample {
-                self.next_cycle_sample += self.cfg.sample_period;
-                let mut window = CycleStack::new();
-                for core in &mut self.cores {
-                    window.merge(&core.take_stack_sample());
-                }
-                self.cycle_total.merge(&window);
-                self.cycle_samples.push(window);
+                self.roll_cycle_window();
             }
         }
         self.timers.add_fast_forwarded(skipped);
         self.timers.end(SimPhase::FastForward, t);
-        if let Some(hb) = &mut self.heartbeat {
-            if hb.due(self.dram_cycle) {
-                if let Some(line) = hb.tick(
-                    self.dram_cycle,
-                    self.ctrls.iter().map(|c| c.stats().reads_done).sum(),
-                ) {
-                    self.log_sink.line(&line);
-                }
-            }
-        }
-        if self.telemetry.is_some() {
-            self.publish_windows();
-        }
+        self.after_advance();
         true
     }
 
@@ -670,18 +806,17 @@ impl Simulator {
     ///
     /// The dual of [`try_fast_forward`](Self::try_fast_forward): instead
     /// of waiting for the whole system to go inert, this engages while
-    /// requests are in flight — whenever every controller can prove via
-    /// [`MemoryController::stall_horizon`] that no command issues, no
-    /// completion lands, and no refresh boundary trips before some cycle
-    /// `h`, every core is parked on a classifiable stall, and the
-    /// hierarchy⇄controller pump is head-of-line blocked. Because every
-    /// per-cycle observable is then constant over `[now, h)`, the span is
-    /// replayed in bulk: the frozen [`CycleView`]s are re-accounted `n`
-    /// times, controller queue attribution is applied via
-    /// [`MemoryController::apply_stall_span`], and each core charges its
-    /// stall classification for `n × core_clock_mult` cycles — all
-    /// bit-identical to stepping cycle by cycle, including sampling
-    /// window rolls.
+    /// requests are in flight — whenever every core is parked, every
+    /// controller can prove via [`MemoryController::stall_horizon`] that
+    /// no command issues, no completion lands, and no refresh boundary
+    /// trips before some cycle `h`, and the hierarchy⇄controller pump is
+    /// head-of-line blocked. Because every per-cycle observable is then
+    /// constant over `[now, h)`, the span is replayed in bulk: the frozen
+    /// [`CycleView`]s are re-accounted `n` times and controller queue
+    /// attribution is applied via [`MemoryController::apply_stall_span`]
+    /// — all bit-identical to stepping cycle by cycle, including sampling
+    /// window rolls. The parked cores need nothing: their stall cycles
+    /// accrue when they wake or a window rolls.
     ///
     /// Returns true when at least one cycle was skipped.
     fn try_busy_forward(&mut self, limit: Cycle) -> bool {
@@ -698,10 +833,12 @@ impl Simulator {
         if self.views_valid_at != Some(last) {
             return false;
         }
-        // Free disqualifiers first: a tick that issued a command (or has
-        // an undelivered completion, or a refresh drain) can never head a
-        // span, and costs nothing to detect — no backoff charged.
-        if self.ctrls.iter().any(MemoryController::stall_blocked) {
+        // Free disqualifiers first: an awake core, or a tick that issued a
+        // command (or has an undelivered completion, or a refresh drain),
+        // can never head a span, and costs nothing to detect — no backoff
+        // charged.
+        if !self.parking.awake.is_empty() || self.ctrls.iter().any(MemoryController::stall_blocked)
+        {
             return false;
         }
         // Throttle the expensive horizon scans: a workload whose spans
@@ -725,44 +862,23 @@ impl Simulator {
                 return false;
             }
         }
-        let mut miss = || {
-            self.busy_backoff = (self.busy_backoff * 2).clamp(2, 8);
-            self.busy_attempt_after = now + self.busy_backoff;
-        };
-        let mut horizon = limit;
+        // Every core is stalled for core cycles [c0, next_wake); convert
+        // to whole DRAM cycles of guaranteed stall.
+        let mult = u64::from(self.cfg.core_clock_mult);
+        let stalled = self.parking.next_wake.saturating_sub(now * mult) / mult;
+        let mut horizon = limit.min(now.saturating_add(stalled));
         for ctrl in &self.ctrls {
             match ctrl.stall_horizon(last) {
                 Some(h) => horizon = horizon.min(h),
                 None => {
-                    miss();
-                    return false;
-                }
-            }
-        }
-        let mult = u64::from(self.cfg.core_clock_mult);
-        let c0 = now * mult;
-        let mut kinds = std::mem::take(&mut self.stall_kinds);
-        kinds.clear();
-        for core in &self.cores {
-            self.core_polls += 1;
-            match core.stall_horizon(c0) {
-                Some((h_core, kind)) => {
-                    // The core is stalled for core cycles [c0, h_core);
-                    // convert to whole DRAM cycles of guaranteed stall.
-                    let n_dram = (h_core - c0) / mult;
-                    horizon = horizon.min(now.saturating_add(n_dram));
-                    kinds.push(kind);
-                }
-                None => {
-                    miss();
-                    self.stall_kinds = kinds;
-                    return false;
+                    horizon = now;
+                    break;
                 }
             }
         }
         if horizon <= now {
-            miss();
-            self.stall_kinds = kinds;
+            self.busy_backoff = (self.busy_backoff * 2).clamp(2, 8);
+            self.busy_attempt_after = now + self.busy_backoff;
             return false;
         }
         self.busy_backoff = 0;
@@ -776,47 +892,23 @@ impl Simulator {
         // Skip [now, horizon) in chunks bounded by the CPU cycle-stack
         // sampling boundary so window rolls land exactly where per-cycle
         // stepping would put them.
-        let mut core_start = c0;
         while self.dram_cycle < horizon {
             let chunk_end = horizon.min(self.next_cycle_sample);
             let n = chunk_end - self.dram_cycle;
             for (s, v) in self.samplers.iter_mut().zip(&self.views) {
                 s.account_span(v, n);
             }
-            for (core, kind) in self.cores.iter_mut().zip(&kinds) {
-                core.add_stall_cycles(core_start, n * mult, *kind);
-            }
-            core_start += n * mult;
             self.dram_cycle = chunk_end;
             if self.dram_cycle == self.next_cycle_sample {
-                self.next_cycle_sample += self.cfg.sample_period;
-                let mut window = CycleStack::new();
-                for core in &mut self.cores {
-                    window.merge(&core.take_stack_sample());
-                }
-                self.cycle_total.merge(&window);
-                self.cycle_samples.push(window);
+                self.roll_cycle_window();
             }
         }
-        self.stall_kinds = kinds;
         // The views still describe every cycle of the span, including the
         // one just before where we landed — consecutive busy spans chain.
         self.views_valid_at = Some(horizon - 1);
         self.timers.add_busy_forwarded(skipped);
         self.timers.end(SimPhase::BusyForward, t);
-        if let Some(hb) = &mut self.heartbeat {
-            if hb.due(self.dram_cycle) {
-                if let Some(line) = hb.tick(
-                    self.dram_cycle,
-                    self.ctrls.iter().map(|c| c.stats().reads_done).sum(),
-                ) {
-                    self.log_sink.line(&line);
-                }
-            }
-        }
-        if self.telemetry.is_some() {
-            self.publish_windows();
-        }
+        self.after_advance();
         true
     }
 
@@ -926,7 +1018,7 @@ impl Simulator {
             config: self.cfg.clone(),
             dram_cycle: self.dram_cycle,
             next_cycle_sample: self.next_cycle_sample,
-            cores: self.cores.iter().map(CoreModel::snapshot_state).collect(),
+            cores: self.core_states(),
             streams,
             hierarchy: self.hier.snapshot_state(),
             controllers: self
@@ -948,6 +1040,22 @@ impl Simulator {
             cycle_total: self.cycle_total,
             histogram: self.histogram.clone(),
         })
+    }
+
+    /// Every core's state as of the current cycle. A parked core's stack
+    /// is read here, so the stall cycles it owes are added to the copy.
+    fn core_states(&self) -> Vec<dramstack_cpu::CoreState> {
+        let core_now = self.dram_cycle * u64::from(self.cfg.core_clock_mult);
+        let states = self.cores.iter().zip(&self.parking.parked);
+        states
+            .map(|(core, parked)| {
+                let mut state = core.snapshot_state();
+                if let Some(p) = parked {
+                    state.add_stall_cycles(&self.cfg.core, p.since, core_now - p.since, p.kind);
+                }
+                state
+            })
+            .collect()
     }
 
     /// Captures a full snapshot *and* arms delta tracking: subsequent
@@ -1003,6 +1111,7 @@ impl Simulator {
                     .ok_or(SnapshotError::StreamUnsupported { core })?,
             );
         }
+        let cores = self.core_states();
         let marks = self.ckpt_marks.as_mut().expect("checked above");
         let mut controllers = Vec::with_capacity(self.ctrls.len());
         for (ch, ctrl) in self.ctrls.iter().enumerate() {
@@ -1044,7 +1153,7 @@ impl Simulator {
             base_cycle: marks.last_cycle,
             dram_cycle: self.dram_cycle,
             next_cycle_sample: self.next_cycle_sample,
-            cores: self.cores.iter().map(CoreModel::snapshot_state).collect(),
+            cores,
             streams,
             hierarchy: self.hier.take_delta(),
             controllers,
@@ -1148,8 +1257,13 @@ impl Simulator {
         self.views_valid_at = None;
         self.busy_attempt_after = 0;
         self.busy_backoff = 0;
-        self.stall_kinds.clear();
-        self.core_skips.clear();
+        // The snapshot holds every stall cycle owed at capture, so the
+        // restored cores start awake with nothing owed and park again on
+        // their first stalled tick.
+        self.parking = Parking {
+            polls: self.parking.polls,
+            ..Parking::new(self.cores.len())
+        };
         self.completion_buf.clear();
         // Any open delta chain refers to pre-restore state; callers start
         // a fresh chain with `snapshot_base` after restoring.
@@ -1172,10 +1286,7 @@ impl Simulator {
     /// sampled after this call.
     pub fn report(&mut self) -> SimReport {
         // Flush the open sampling windows.
-        let mut window = CycleStack::new();
-        for core in &mut self.cores {
-            window.merge(&core.take_stack_sample());
-        }
+        let window = self.take_cycle_window();
         if window.total() > 0 {
             self.cycle_total.merge(&window);
             self.cycle_samples.push(window);
@@ -1279,7 +1390,7 @@ impl Simulator {
             perf.queue_entries_visited += w.queue_entries_visited;
         }
         perf.core_ticks = self.core_ticks;
-        perf.core_polls = self.core_polls;
+        perf.core_polls = self.parking.polls;
         perf.hier_accesses = self.hier.accesses();
         SimReport {
             bandwidth_stack,
@@ -1308,6 +1419,11 @@ impl Simulator {
     /// Panics if `channel` is out of range.
     pub fn controller(&self, channel: usize) -> &MemoryController {
         &self.ctrls[channel]
+    }
+
+    /// How many cores are parked right now (for inspection in tests).
+    pub fn parked_cores(&self) -> usize {
+        self.cores.len() - self.parking.awake.len()
     }
 
     /// The system configuration.
