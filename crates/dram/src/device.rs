@@ -236,6 +236,10 @@ pub struct DramDevice {
     pre_legal: Vec<Cell<NextLegal>>,
     read_legal: Vec<Cell<NextLegal>>,
     write_legal: Vec<Cell<NextLegal>>,
+    /// `earliest_*` queries a valid slot answered / that refolded one
+    /// (host-side work for `SimReport::perf`, never snapshotted).
+    memo_hits: Cell<u64>,
+    memo_refolds: Cell<u64>,
     /// Flat indices of banks with a pending auto-precharge, so `advance`
     /// visits only them instead of sweeping every bank.
     auto_pre_pending: Vec<usize>,
@@ -283,6 +287,8 @@ impl DramDevice {
             pre_legal: vec![Cell::new(NextLegal::STALE); n_banks],
             read_legal: vec![Cell::new(NextLegal::STALE); n_banks],
             write_legal: vec![Cell::new(NextLegal::STALE); n_banks],
+            memo_hits: Cell::new(0),
+            memo_refolds: Cell::new(0),
             auto_pre_pending: Vec::new(),
             auto_precharged: Vec::new(),
             transitioning: Vec::new(),
@@ -301,6 +307,24 @@ impl DramDevice {
     /// reference path for busy-engine A/B measurements.
     pub fn set_memoize(&mut self, on: bool) {
         self.memo_enabled = on;
+    }
+
+    /// `(hits, refolds)` of the next-legal-cycle tables since construction:
+    /// `earliest_*` queries (the validation query inside `issue` included)
+    /// answered by a valid slot, and those that had to refold one. Both
+    /// stay zero while memoization is off.
+    pub fn memo_work(&self) -> (u64, u64) {
+        (self.memo_hits.get(), self.memo_refolds.get())
+    }
+
+    /// Counts one memoized query: a refold if `refolded`, else a hit.
+    fn count_memo(&self, refolded: bool) {
+        let counter = if refolded {
+            &self.memo_refolds
+        } else {
+            &self.memo_hits
+        };
+        counter.set(counter.get() + 1);
     }
 
     fn touch_bank(&mut self, flat: usize) {
@@ -435,7 +459,9 @@ impl DramDevice {
         let flat = self.config.geometry.flat_bank(addr);
         let (be, re) = (self.bank_epochs[flat], self.rank_epochs[addr.rank as usize]);
         let mut m = self.act_legal[flat].get();
-        if m.bank_epoch != be || m.rank_epoch != re {
+        let stale = m.bank_epoch != be || m.rank_epoch != re;
+        self.count_memo(stale);
+        if stale {
             m = self.fold_activate(addr, flat, be, re);
             self.act_legal[flat].set(m);
         }
@@ -514,7 +540,9 @@ impl DramDevice {
         let flat = self.config.geometry.flat_bank(addr);
         let (be, re) = (self.bank_epochs[flat], self.rank_epochs[addr.rank as usize]);
         let mut m = self.pre_legal[flat].get();
-        if m.bank_epoch != be || m.rank_epoch != re {
+        let stale = m.bank_epoch != be || m.rank_epoch != re;
+        self.count_memo(stale);
+        if stale {
             let bank = &self.banks[flat];
             let mut e = Earliest::now();
             e.tighten(bank.earliest_precharge(), BlockReason::PrechargeWindow);
@@ -568,7 +596,9 @@ impl DramDevice {
             &self.read_legal[flat]
         };
         let mut m = slot.get();
-        if m.bank_epoch != be || m.rank_epoch != re || m.bus_epoch != self.bus_epoch {
+        let stale = m.bank_epoch != be || m.rank_epoch != re || m.bus_epoch != self.bus_epoch;
+        self.count_memo(stale);
+        if stale {
             m = self.fold_cas(addr, flat, is_write, be, re);
             slot.set(m);
         }
@@ -1243,6 +1273,24 @@ mod tests {
         let s = d.stats();
         assert_eq!((s.activates, s.reads, s.writes), (1, 2, 0));
         assert_eq!(d.bus_totals(), (2, 0));
+    }
+
+    #[test]
+    fn memo_work_counts_hits_and_refolds() {
+        let mut d = dev();
+        let b = BankAddr::new(0, 0, 0);
+        assert_eq!(d.memo_work(), (0, 0));
+        d.earliest_activate(b, 0); // stale slot: refold
+        d.earliest_activate(b, 1); // valid slot: hit
+        assert_eq!(d.memo_work(), (1, 1));
+        // The validation query inside `issue` hits; the ACT then moves the
+        // bank and rank epochs, so the next query refolds.
+        d.issue(Command::activate(b, 0), 2).unwrap();
+        d.earliest_activate(BankAddr::new(0, 1, 0), 3);
+        assert_eq!(d.memo_work(), (2, 2));
+        d.set_memoize(false);
+        d.earliest_read(b, 4);
+        assert_eq!(d.memo_work(), (2, 2), "off: nothing to count");
     }
 
     #[test]

@@ -247,6 +247,8 @@ impl PhaseTimers {
             core_ticks: 0,
             core_polls: 0,
             hier_accesses: 0,
+            memo_hits: 0,
+            memo_refolds: 0,
         }
     }
 }
@@ -292,6 +294,11 @@ pub struct PerfReport {
     pub core_polls: u64,
     /// Calls to `Hierarchy::access`.
     pub hier_accesses: u64,
+    /// Device `earliest_*` queries answered by a valid next-legal-cycle
+    /// slot (the validation query inside `issue` included).
+    pub memo_hits: u64,
+    /// Device `earliest_*` queries that had to refold their slot.
+    pub memo_refolds: u64,
 }
 
 impl Serialize for PerfReport {
@@ -321,6 +328,8 @@ impl Serialize for PerfReport {
             ("core_ticks", self.core_ticks),
             ("core_polls", self.core_polls),
             ("hier_accesses", self.hier_accesses),
+            ("memo_hits", self.memo_hits),
+            ("memo_refolds", self.memo_refolds),
         ] {
             if count != 0 {
                 m.push((key.to_string(), count.to_value()));
@@ -347,6 +356,8 @@ impl Deserialize for PerfReport {
             core_ticks: counter("core_ticks")?,
             core_polls: counter("core_polls")?,
             hier_accesses: counter("hier_accesses")?,
+            memo_hits: counter("memo_hits")?,
+            memo_refolds: counter("memo_refolds")?,
         })
     }
 }
@@ -368,6 +379,8 @@ impl PerfReport {
             core_ticks: 0,
             core_polls: 0,
             hier_accesses: 0,
+            memo_hits: 0,
+            memo_refolds: 0,
         }
     }
 
@@ -567,6 +580,8 @@ mod tests {
         r.core_ticks = 5;
         r.core_polls = 3;
         r.hier_accesses = 2;
+        r.memo_hits = 13;
+        r.memo_refolds = 4;
         let json = serde_json::to_string(&r).unwrap();
         assert_eq!(serde_json::from_str::<PerfReport>(&json).unwrap(), r);
     }

@@ -1388,6 +1388,9 @@ impl Simulator {
             perf.ctrl_ticks += w.ticks;
             perf.timing_queries += w.timing_queries;
             perf.queue_entries_visited += w.queue_entries_visited;
+            let (hits, refolds) = c.device().memo_work();
+            perf.memo_hits += hits;
+            perf.memo_refolds += refolds;
         }
         perf.core_ticks = self.core_ticks;
         perf.core_polls = self.parking.polls;

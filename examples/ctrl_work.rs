@@ -3,8 +3,9 @@
 //!
 //! Prints `SimReport::perf`'s deterministic work counters — `ctrl_ticks`,
 //! `timing_queries`, `queue_entries_visited`, then `core_ticks`,
-//! `core_polls`, `hier_accesses` — as the per-controller-tick tables
-//! EXPERIMENTS.md records before and after a change to either layer. The
+//! `core_polls`, `hier_accesses`, then the device's `memo_hits`,
+//! `memo_refolds` — as the per-controller-tick tables EXPERIMENTS.md
+//! records before and after a change to any of the three layers. The
 //! inputs are rebuilt here the way `refbench/src/workloads.rs` generates
 //! them (same configurations, same seed use); counts do not depend on
 //! slicing, checkpointing or the HTTP path, so those are left out.
@@ -61,6 +62,8 @@ fn main() {
         a.core_ticks += b.core_ticks;
         a.core_polls += b.core_polls;
         a.hier_accesses += b.hier_accesses;
+        a.memo_hits += b.memo_hits;
+        a.memo_refolds += b.memo_refolds;
         a
     };
     let rows = [
@@ -104,6 +107,19 @@ fn main() {
             p.core_ticks as f64 / ticks,
             p.core_polls as f64 / ticks,
             p.hier_accesses as f64 / ticks,
+        );
+    }
+    println!();
+    println!("| config | memo_hits | memo_refolds | per ctrl tick |");
+    println!("|---|---|---|---|");
+    for (name, p) in &rows {
+        let ticks = p.ctrl_ticks.max(1) as f64;
+        println!(
+            "| `{name}` | {} | {} | {:.2} / {:.2} |",
+            p.memo_hits,
+            p.memo_refolds,
+            p.memo_hits as f64 / ticks,
+            p.memo_refolds as f64 / ticks,
         );
     }
 }
