@@ -236,9 +236,10 @@ pub struct DramDevice {
     pre_legal: Vec<Cell<NextLegal>>,
     read_legal: Vec<Cell<NextLegal>>,
     write_legal: Vec<Cell<NextLegal>>,
-    /// `earliest_*` queries a valid slot answered / that refolded one
-    /// (host-side work for `SimReport::perf`, never snapshotted).
-    memo_hits: Cell<u64>,
+    /// Memoized `earliest_*` queries, and those of them that refolded
+    /// their slot (host-side work for `SimReport::perf`, never
+    /// snapshotted).
+    memo_queries: Cell<u64>,
     memo_refolds: Cell<u64>,
     /// Flat indices of banks with a pending auto-precharge, so `advance`
     /// visits only them instead of sweeping every bank.
@@ -287,7 +288,7 @@ impl DramDevice {
             pre_legal: vec![Cell::new(NextLegal::STALE); n_banks],
             read_legal: vec![Cell::new(NextLegal::STALE); n_banks],
             write_legal: vec![Cell::new(NextLegal::STALE); n_banks],
-            memo_hits: Cell::new(0),
+            memo_queries: Cell::new(0),
             memo_refolds: Cell::new(0),
             auto_pre_pending: Vec::new(),
             auto_precharged: Vec::new(),
@@ -314,17 +315,17 @@ impl DramDevice {
     /// answered by a valid slot, and those that had to refold one. Both
     /// stay zero while memoization is off.
     pub fn memo_work(&self) -> (u64, u64) {
-        (self.memo_hits.get(), self.memo_refolds.get())
+        let refolds = self.memo_refolds.get();
+        (self.memo_queries.get() - refolds, refolds)
     }
 
-    /// Counts one memoized query: a refold if `refolded`, else a hit.
+    /// Counts one memoized query, unconditionally so the hit path pays
+    /// one increment and no branch; `refolded` ones are counted again.
     fn count_memo(&self, refolded: bool) {
-        let counter = if refolded {
-            &self.memo_refolds
-        } else {
-            &self.memo_hits
-        };
-        counter.set(counter.get() + 1);
+        self.memo_queries.set(self.memo_queries.get() + 1);
+        if refolded {
+            self.memo_refolds.set(self.memo_refolds.get() + 1);
+        }
     }
 
     fn touch_bank(&mut self, flat: usize) {

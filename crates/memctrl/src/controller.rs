@@ -17,6 +17,7 @@ use crate::queue::{bits, BankedQueue, MAX_BANKS, NONE};
 use crate::request::{CompletedRead, LatencyBreakdown, QueueEntry, RequestId};
 use crate::stats::{CtrlStats, CtrlWork};
 use crate::timing::{Class, TimingTable};
+use crate::waits::WaitTotals;
 
 /// Memory-controller configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -149,8 +150,14 @@ pub struct MemoryController {
     /// benchmarking and the bit-identity test matrix. The queue summaries
     /// are maintained regardless, so the toggle can flip mid-run.
     busy_engine: bool,
-    /// Tick-local table of the device's `earliest_*` answers.
+    /// The device's `earliest_*` answers, kept until an event moves them.
     timing: TimingTable,
+    /// Running latency-attribution totals the queued reads' baselines
+    /// are measured from. Not simulation state: a snapshot holds settled
+    /// entries and a restore starts the totals over.
+    waits: WaitTotals,
+    /// `base_dram` of every read: CL + burst of the configured timing.
+    base_read_cycles: Cycle,
     /// Host-side work counters (`Cell`: the query passes take `&self`).
     work: Cell<CtrlWork>,
 }
@@ -169,6 +176,7 @@ impl MemoryController {
             "at most {MAX_BANKS} banks per controller"
         );
         MemoryController {
+            base_read_cycles: device.timing().base_read_cycles(),
             cfg,
             device,
             map,
@@ -188,6 +196,7 @@ impl MemoryController {
             issued_this_cycle: false,
             busy_engine: true,
             timing: TimingTable::new(),
+            waits: WaitTotals::new(),
             work: Cell::new(CtrlWork::default()),
         }
     }
@@ -277,7 +286,8 @@ impl MemoryController {
         self.work.get()
     }
 
-    /// Adds to the timing-query and visited-entry work counters.
+    /// Adds to the timing-query and visited-entry work counters; a pass
+    /// tallies locally and calls this once.
     fn count(&self, queries: u64, visited: usize) {
         let mut w = self.work.get();
         w.timing_queries += queries;
@@ -483,8 +493,8 @@ impl MemoryController {
     /// Bulk replay of the per-tick bookkeeping for the `n` skipped cycles
     /// `(now, now + n]` of a span vetted by
     /// [`stall_horizon`](Self::stall_horizon): drain-cycle statistics and
-    /// the per-waiting-read latency attribution, all of which are constant
-    /// across the span by the horizon's construction.
+    /// the latency attribution of the waiting reads, all of which are
+    /// constant across the span by the horizon's construction.
     pub fn apply_stall_span(&mut self, now: Cycle, n: u64) {
         if self.drain_mode {
             self.stats.drain_cycles += n;
@@ -499,24 +509,16 @@ impl MemoryController {
     /// component — write drain, refresh, a PRE/ACT this entry caused (its
     /// bank is in `transitioning`), or plain queueing — so the final
     /// breakdown sums to the measured service time with no clamped
-    /// residual (audited by `conserve::check_read`). The one per-entry
-    /// pass of a tick: the counters live in the serialized entries.
+    /// residual (audited by `conserve::check_read`). Which component is a
+    /// property of the cycle, so the cycle is added to a running total
+    /// and each read's share is a difference settled when the read leaves
+    /// the queue or a snapshot copies it (see [`WaitTotals`]).
     fn attribute_waits(&mut self, n: u64, refreshing: bool, transitioning: u64) {
-        self.count(0, self.read_q.len());
-        let entries = self.read_q.iter_mut_with_bank();
-        if self.drain_mode {
-            entries.for_each(|(e, _)| e.writeburst_wait += n);
-        } else if refreshing {
-            entries.for_each(|(e, _)| e.refresh_wait += n);
-        } else {
-            for (e, flat) in entries {
-                if (e.caused_pre || e.caused_act) && transitioning >> flat & 1 == 1 {
-                    e.preact_wait += n;
-                } else {
-                    e.queue_wait += n;
-                }
-            }
-        }
+        self.waits
+            .add(n, self.drain_mode, refreshing, transitioning);
+        #[cfg(debug_assertions)]
+        self.read_q
+            .shadow_attribute(n, self.drain_mode, refreshing, transitioning);
     }
 
     // ---- checkpoint/restore --------------------------------------------------------
@@ -549,10 +551,13 @@ impl MemoryController {
     /// Captures the full simulation state of this controller and its
     /// device. Probes and the command trace are attachments and are not
     /// captured; reattach them after [`restore_state`](Self::restore_state).
+    /// The queued reads are copied with their wait counters settled, so
+    /// the image does not depend on how attribution is kept.
     pub fn snapshot_state(&self) -> CtrlSnapshot {
+        let reads = 0..self.read_q.len();
         CtrlSnapshot {
             device: self.device.snapshot_state(),
-            read_q: self.read_q.entries().to_vec(),
+            read_q: reads.map(|i| self.read_q.settled(i, &self.waits)).collect(),
             write_q: self.write_q.entries().to_vec(),
             in_flight: self.in_flight.clone(),
             completions: self.completions.clone(),
@@ -567,9 +572,11 @@ impl MemoryController {
 
     /// Restores state captured by [`snapshot_state`](Self::snapshot_state)
     /// into a controller built from the same configuration. The per-bank
-    /// queue summaries are rebuilt from the restored queues and the timing
-    /// tables (the device's and the tick-local one) are invalidated, so
-    /// subsequent scheduling is bit-identical to an uninterrupted run.
+    /// queue summaries are rebuilt from the restored queues, the timing
+    /// tables (the device's and the controller's) are invalidated and the
+    /// attribution totals start over from the settled counters the
+    /// entries carry, so subsequent scheduling and attribution are
+    /// bit-identical to an uninterrupted run.
     /// Controller time is monotonic: the first `tick` after a restore must
     /// be at or past the cycle the snapshot was taken.
     ///
@@ -580,6 +587,7 @@ impl MemoryController {
     pub fn restore_state(&mut self, snap: &CtrlSnapshot) {
         self.device.restore_state(&snap.device);
         self.timing.clear();
+        self.waits = WaitTotals::new();
         let (g, device) = (*self.device.geometry(), &self.device);
         let rebuild = |entries| {
             BankedQueue::rebuild(
@@ -609,8 +617,8 @@ impl MemoryController {
         w.ticks += 1;
         self.work.set(w);
         self.device.advance(now);
-        self.timing.clear();
         for &flat in self.device.auto_precharged() {
+            self.timing.bank_moved(flat);
             self.read_q.reclassify(flat, None);
             self.write_q.reclassify(flat, None);
         }
@@ -691,8 +699,9 @@ impl MemoryController {
     /// tick that observes them — they are each queue's unstamped suffix,
     /// so after this no entry has `arrival > now`.
     fn stamp_arrivals(&mut self, now: Cycle) {
+        let base = self.waits.arrival_base();
         for q in [&mut self.read_q, &mut self.write_q] {
-            let fresh = q.stamp_arrivals(now);
+            let fresh = q.stamp_arrivals(now, base);
             let mut w = self.work.get();
             w.queue_entries_visited += fresh.len() as u64;
             self.work.set(w);
@@ -718,9 +727,8 @@ impl MemoryController {
     }
 
     /// Issues `cmd` on the device and keeps every piece of derived state
-    /// in step: the command trace and probe, the tick-local timing table
-    /// and, when the command changes a bank's open row, both queue
-    /// summaries.
+    /// in step: the command trace and probe, the timing table and, when
+    /// the command changes a bank's open row, both queue summaries.
     fn issue(&mut self, cmd: Command, now: Cycle) -> Cycle {
         let done_at = self
             .device
@@ -798,14 +806,6 @@ impl MemoryController {
         }
     }
 
-    fn queue_mut(&mut self, writes: bool) -> &mut BankedQueue {
-        if writes {
-            &mut self.write_q
-        } else {
-            &mut self.read_q
-        }
-    }
-
     /// How many head-of-queue positions the scheduler may consider.
     fn limit(&self) -> usize {
         match self.cfg.scheduler {
@@ -822,7 +822,14 @@ impl MemoryController {
         // Pass 2: oldest-per-bank ACT/PRE that can issue.
         } else if let Some((cmd, idx, caused)) = self.find_actpre(now, writes) {
             self.issue(cmd, now);
-            let e = self.queue_mut(writes).entry_mut(idx);
+            let flat = self.device.geometry().flat_bank(cmd.bank);
+            let q = if writes {
+                &mut self.write_q
+            } else {
+                &mut self.read_q
+            };
+            let (e, base) = q.entry_mut(idx);
+            self.waits.note_cause(e, base, flat);
             match caused {
                 Caused::Act => e.caused_act = true,
                 Caused::Pre => e.caused_pre = true,
@@ -843,41 +850,44 @@ impl MemoryController {
         mut visit: impl FnMut(u32, BankAddr, Earliest) -> bool,
     ) -> bool {
         let q = self.queue(writes);
-        for flat in bits(q.work()) {
+        let mut visited = 0;
+        let done = bits(q.work()).all(|flat| {
             let (cas, miss) = (Class::cas(writes), Class::miss(&self.device, flat));
-            for (class, pos) in [(cas, q.oldest_hit(flat)), (miss, q.oldest_miss(flat))] {
-                if pos == NONE {
-                    continue;
-                }
-                self.count(0, 1);
-                let bank = q.entries()[pos as usize].addr.bank;
-                if !visit(pos, bank, self.earliest(class, flat, bank, now)) {
-                    return false;
-                }
-            }
-        }
-        true
+            [(cas, q.oldest_hit(flat)), (miss, q.oldest_miss(flat))]
+                .into_iter()
+                .filter(|&(_, pos)| pos != NONE)
+                .all(|(class, pos)| {
+                    visited += 1;
+                    let bank = q.entries()[pos as usize].addr.bank;
+                    visit(pos, bank, self.earliest(class, flat, bank, now))
+                })
+        });
+        self.count(0, visited);
+        done
     }
 
-    /// The device's answer for a command of `class` on `bank`, asked at
-    /// most once per tick (see [`TimingTable`]).
+    /// The device's answer at `now` for a command of `class` on `bank`,
+    /// asked only when an event dropped the slot (see [`TimingTable`]).
     fn earliest(&self, class: Class, flat: usize, bank: BankAddr, now: Cycle) -> Earliest {
-        if let Some(e) = self.timing.get(class, flat) {
-            // A stall horizon may look the answer up at a later cycle of
-            // the same frozen span; only `at` is compared there.
-            debug_assert_eq!(e.at.max(now), class.ask(&self.device, bank, now).at);
+        if let Some(e) = self.timing.get(class, flat, now) {
+            debug_assert_eq!(e, class.ask(&self.device, bank, now));
             return e;
         }
         self.count(1, 0);
         let e = class.ask(&self.device, bank, now);
-        self.timing.put(class, flat, bank, e, now);
+        let pre_done_at = self.device.bank(bank).pre_done_at();
+        self.timing.put(class, flat, bank.rank, e, pre_done_at, now);
         e
     }
 
     /// Whether that command can issue at `now` — all a scheduling pass
     /// needs, so a bank of a rank known to be blocked is not asked.
     fn ready(&self, class: Class, flat: usize, bank: BankAddr, now: Cycle) -> bool {
-        if self.timing.get(class, flat).is_none() && self.timing.rank_blocked(class, bank.rank) {
+        if let Some(e) = self.timing.get(class, flat, now) {
+            debug_assert_eq!(e, class.ask(&self.device, bank, now));
+            return e.ready(now);
+        }
+        if self.timing.rank_blocked(class, bank.rank, now) {
             debug_assert!(!class.ask(&self.device, bank, now).ready(now));
             return false;
         }
@@ -902,18 +912,19 @@ impl MemoryController {
             return self.find_ready_cas_scan(now, writes, limit);
         }
         let q = self.queue(writes);
-        let mut best = limit;
-        for flat in bits(q.work()) {
+        let (mut best, mut visited) = (limit, 0);
+        for flat in bits(q.hit_mask()) {
             let pos = q.oldest_hit(flat) as usize;
-            if pos == NONE as usize || pos >= best {
-                continue; // no hit, or younger than the winner so far
+            if pos >= best {
+                continue; // younger than the winner so far
             }
-            self.count(0, 1);
+            visited += 1;
             let bank = q.entries()[pos].addr.bank;
             if self.ready(Class::cas(writes), flat, bank, now) {
                 best = pos;
             }
         }
+        self.count(0, visited);
         let got = (best != limit).then_some(best);
         #[cfg(debug_assertions)]
         self.uncounted(|| assert_eq!(got, self.find_ready_cas_scan(now, writes, limit)));
@@ -936,7 +947,14 @@ impl MemoryController {
     }
 
     fn issue_cas_for(&mut self, now: Cycle, writes: bool, idx: usize) {
-        let e = self.queue_mut(writes).remove_for_cas(idx);
+        // A read leaves with its wait counters settled; a write has none.
+        let e = if writes {
+            self.write_q.remove_for_cas(idx)
+        } else {
+            let settled = self.read_q.settled(idx, &self.waits);
+            self.read_q.remove_for_cas(idx);
+            settled
+        };
         let flat = self.device.geometry().flat_bank(e.addr.bank);
         let auto_pre = self.cfg.page_policy == PagePolicy::Closed
             && !self.any_pending_hit(flat, e.addr.bank, e.addr.row);
@@ -1007,16 +1025,19 @@ impl MemoryController {
             return self.find_actpre_scan(now, writes, limit);
         }
         let q = self.queue(writes);
-        let (mut best, mut got) = (limit, None);
-        for flat in bits(q.work()) {
-            let pos = q.oldest_miss(flat);
-            if pos > q.oldest_hit(flat) || pos as usize >= best {
-                continue; // a row hit drives the bank: pass 1 handles it
+        let (mut best, mut got, mut visited) = (limit, None, 0);
+        // A bank a row hit drives is pass 1's: only miss-driven banks.
+        for flat in bits(q.miss_driven()) {
+            let pos = q.oldest_miss(flat) as usize;
+            if pos >= best {
+                continue;
             }
-            if let Some(found) = self.actpre_for_entry(now, writes, flat, pos as usize) {
-                (best, got) = (pos as usize, Some(found));
+            visited += 1;
+            if let Some(found) = self.actpre_for_entry(now, writes, flat, pos) {
+                (best, got) = (pos, Some(found));
             }
         }
+        self.count(0, visited);
         #[cfg(debug_assertions)]
         self.uncounted(|| assert_eq!(got, self.find_actpre_scan(now, writes, limit)));
         got
@@ -1036,6 +1057,7 @@ impl MemoryController {
                 continue; // only the oldest request per bank drives the bank
             }
             seen_banks[flat] = true;
+            self.count(0, 1);
             if let Some(found) = self.actpre_for_entry(now, writes, flat, idx) {
                 return Some(found);
             }
@@ -1056,7 +1078,6 @@ impl MemoryController {
     ) -> Option<(Command, usize, Caused)> {
         let q = self.queue(writes);
         let e = &q.entries()[idx];
-        self.count(0, 1);
         let bank = e.addr.bank;
         let ready = |class| {
             if self.busy_engine {
@@ -1092,8 +1113,10 @@ impl MemoryController {
     }
 
     fn collect_completions(&mut self, now: Cycle) {
+        if self.in_flight.is_empty() {
+            return;
+        }
         let overhead = self.cfg.ctrl_overhead;
-        let timing = *self.device.timing();
         let mut i = 0;
         while i < self.in_flight.len() {
             if self.in_flight[i].done_at <= now {
@@ -1105,7 +1128,7 @@ impl MemoryController {
                 // so no residual subtraction (and no clamp) is needed:
                 // preact + refresh + writeburst + queue cover every cycle
                 // in [arrival, CAS) and base_dram covers [CAS, done_at).
-                let base_dram = timing.base_read_cycles();
+                let base_dram = self.base_read_cycles;
                 self.completions.push(CompletedRead {
                     id: f.id,
                     meta: f.meta,

@@ -41,6 +41,7 @@ mod queue;
 mod request;
 mod stats;
 mod timing;
+mod waits;
 
 pub use controller::{CtrlConfig, CtrlSnapshot, MemoryController};
 pub use mapping::{AddressMapping, MappingScheme};

@@ -5,13 +5,19 @@
 //! PRE. So the scheduler never needs the queue itself, only — per flat
 //! bank — how many entries target it, how many of them hit its open row,
 //! and where the oldest hit and the oldest non-hit sit. [`BankedQueue`]
-//! keeps exactly that in flat arrays beside the entries, plus a mask of
-//! the banks that have work, and updates it only where the queue or a
-//! bank's open row changes. Per-tick passes iterate set bits of the mask.
+//! keeps exactly that in flat arrays beside the entries, plus masks of
+//! the banks that have work, a queued row hit, or a non-hit for a driver,
+//! and updates it only where the queue or a bank's open row changes.
+//! Per-tick passes iterate set bits of a mask.
+//!
+//! Beside each entry sits its [`WaitBase`]: the latency attribution of a
+//! queued read is a difference of running totals (see `waits.rs`), so no
+//! pass walks the entries to count waiting cycles either.
 
 use dramstack_dram::Cycle;
 
 use crate::request::QueueEntry;
+use crate::waits::{WaitBase, WaitTotals};
 
 /// "No such entry" in the position arrays.
 pub(crate) const NONE: u32 = u32::MAX;
@@ -40,6 +46,8 @@ pub(crate) fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
 /// * `hits[b]` of them have `addr.row == open(b)` (0 for a closed bank);
 /// * `oldest_hit[b]` / `oldest_miss[b]` is the lowest queue position of
 ///   such an entry / of any other entry of the bank, or [`NONE`];
+/// * `hit_mask` has bit `b` iff `hits[b] > 0`; `miss_driven` iff the
+///   bank's oldest entry is a non-hit (`oldest_miss[b] < oldest_hit[b]`);
 /// * entries `[0, stamped)` carry an arrival cycle, the rest are the
 ///   suffix pushed since the last tick.
 #[derive(Debug)]
@@ -47,12 +55,31 @@ pub(crate) struct BankedQueue {
     entries: Vec<QueueEntry>,
     /// Flat bank of each queue position.
     bank_of: Vec<u8>,
+    /// Attribution baseline of each queue position.
+    base: Vec<WaitBase>,
+    /// The four wait counters of each position as the per-entry walk the
+    /// baselines replaced would have left them (debug oracle).
+    #[cfg(debug_assertions)]
+    shadow: Vec<[Cycle; 4]>,
     count: [u32; MAX_BANKS],
     hits: [u32; MAX_BANKS],
     oldest_hit: [u32; MAX_BANKS],
     oldest_miss: [u32; MAX_BANKS],
     work: u64,
+    hit_mask: u64,
+    miss_driven: u64,
     stamped: usize,
+}
+
+/// `e`'s four wait counters, in the order the debug shadow keeps them.
+#[cfg(debug_assertions)]
+fn wait_counters(e: &QueueEntry) -> [Cycle; 4] {
+    [
+        e.writeburst_wait,
+        e.refresh_wait,
+        e.preact_wait,
+        e.queue_wait,
+    ]
 }
 
 impl BankedQueue {
@@ -60,17 +87,24 @@ impl BankedQueue {
         BankedQueue {
             entries: Vec::new(),
             bank_of: Vec::new(),
+            base: Vec::new(),
+            #[cfg(debug_assertions)]
+            shadow: Vec::new(),
             count: [0; MAX_BANKS],
             hits: [0; MAX_BANKS],
             oldest_hit: [NONE; MAX_BANKS],
             oldest_miss: [NONE; MAX_BANKS],
             work: 0,
+            hit_mask: 0,
+            miss_driven: 0,
             stamped: 0,
         }
     }
 
     /// Rebuilds a queue from restored entries; `flat_of` maps an entry to
-    /// its flat bank and `open` a flat bank to its open row.
+    /// its flat bank and `open` a flat bank to its open row. The entries
+    /// carry settled wait counters, so their baselines are zero: what
+    /// [`WaitTotals::new`] is measured from.
     pub(crate) fn rebuild(
         entries: &[QueueEntry],
         flat_of: impl Fn(&QueueEntry) -> usize,
@@ -109,9 +143,20 @@ impl BankedQueue {
         self.work
     }
 
+    /// Mask of flat banks with a queued open-row hit: the CAS candidates.
+    pub(crate) fn hit_mask(&self) -> u64 {
+        self.hit_mask
+    }
+
+    /// Mask of flat banks whose oldest entry is a non-hit: the banks an
+    /// ACT or PRE may be issued for.
+    pub(crate) fn miss_driven(&self) -> u64 {
+        self.miss_driven
+    }
+
     /// Whether any entry hits the open row of `flat`.
     pub(crate) fn has_hit(&self, flat: usize) -> bool {
-        self.hits[flat] > 0
+        self.hit_mask >> flat & 1 == 1
     }
 
     /// Queue position of the oldest open-row hit of `flat`, or [`NONE`].
@@ -143,18 +188,32 @@ impl BankedQueue {
         } else if self.oldest_miss[flat] == NONE {
             self.oldest_miss[flat] = pos;
         }
+        self.update_masks(flat);
         self.bank_of.push(flat as u8);
+        self.base.push(WaitBase::default());
+        #[cfg(debug_assertions)]
+        self.shadow.push(wait_counters(&e));
         self.entries.push(e);
     }
 
+    /// Brings the two driver masks in line with `oldest_hit[flat]` and
+    /// `oldest_miss[flat]`; called wherever either changes.
+    fn update_masks(&mut self, flat: usize) {
+        let bit = 1 << flat;
+        let (hit, miss) = (self.oldest_hit[flat], self.oldest_miss[flat]);
+        self.hit_mask = (self.hit_mask & !bit) | if hit != NONE { bit } else { 0 };
+        self.miss_driven = (self.miss_driven & !bit) | if miss < hit { bit } else { 0 };
+    }
+
     /// Stamps the entries pushed since the last call with arrival `now`
-    /// and returns them.
-    pub(crate) fn stamp_arrivals(&mut self, now: Cycle) -> &[QueueEntry] {
+    /// and attribution baseline `base`, and returns them.
+    pub(crate) fn stamp_arrivals(&mut self, now: Cycle, base: WaitBase) -> &[QueueEntry] {
         let fresh = &mut self.entries[self.stamped..];
         for e in fresh.iter_mut() {
             debug_assert_eq!(e.arrival, Cycle::MAX);
             e.arrival = now;
         }
+        self.base[self.stamped..].fill(base);
         self.stamped += fresh.len();
         fresh
     }
@@ -166,6 +225,9 @@ impl BankedQueue {
     pub(crate) fn remove_for_cas(&mut self, idx: usize) -> QueueEntry {
         let flat = self.bank_of.remove(idx) as usize;
         let e = self.entries.remove(idx);
+        self.base.remove(idx);
+        #[cfg(debug_assertions)]
+        self.shadow.remove(idx);
         debug_assert_eq!(self.oldest_hit[flat], idx as u32);
         debug_assert!(idx < self.stamped);
         self.stamped -= 1;
@@ -190,6 +252,7 @@ impl BankedQueue {
         if self.count[flat] == 0 {
             self.work &= !(1 << flat);
         }
+        self.update_masks(flat);
         e
     }
 
@@ -220,17 +283,44 @@ impl BankedQueue {
         self.hits[flat] = hits;
         self.oldest_hit[flat] = oldest_hit;
         self.oldest_miss[flat] = oldest_miss;
+        self.update_masks(flat);
     }
 
-    /// Mutable entries paired with their flat bank, in queue order.
-    pub(crate) fn iter_mut_with_bank(&mut self) -> impl Iterator<Item = (&mut QueueEntry, usize)> {
-        self.entries
-            .iter_mut()
-            .zip(self.bank_of.iter().map(|&b| b as usize))
+    /// The entry at `idx` and its attribution baseline.
+    pub(crate) fn entry_mut(&mut self, idx: usize) -> (&mut QueueEntry, &mut WaitBase) {
+        (&mut self.entries[idx], &mut self.base[idx])
     }
 
-    pub(crate) fn entry_mut(&mut self, idx: usize) -> &mut QueueEntry {
-        &mut self.entries[idx]
+    /// A copy of the entry at `idx` with its four wait counters brought
+    /// up to `totals`: what leaves the queue with a read's CAS and what a
+    /// snapshot holds. An entry not yet stamped has not started waiting.
+    pub(crate) fn settled(&self, idx: usize, totals: &WaitTotals) -> QueueEntry {
+        let mut e = self.entries[idx].clone();
+        if idx < self.stamped {
+            totals.settle(&mut e, self.base[idx], self.bank_of[idx] as usize);
+        }
+        #[cfg(debug_assertions)]
+        assert_eq!(wait_counters(&e), self.shadow[idx], "entry {idx}: {e:?}");
+        e
+    }
+
+    /// The per-entry walk the baselines replaced, kept on the shadow
+    /// counters: `n` identical cycles, each charged to one component.
+    #[cfg(debug_assertions)]
+    pub(crate) fn shadow_attribute(&mut self, n: u64, drain: bool, refreshing: bool, moving: u64) {
+        assert!(self.all_stamped(), "attribution runs on stamped queues");
+        let entries = self.entries.iter().zip(&self.bank_of);
+        for ((e, &flat), [writeburst, refresh, preact, queue]) in entries.zip(&mut self.shadow) {
+            if drain {
+                *writeburst += n;
+            } else if refreshing {
+                *refresh += n;
+            } else if (e.caused_pre || e.caused_act) && moving >> flat & 1 == 1 {
+                *preact += n;
+            } else {
+                *queue += n;
+            }
+        }
     }
 
     /// Recounts every summary field from the entries and panics on any
@@ -248,6 +338,8 @@ impl BankedQueue {
         assert_eq!(self.oldest_hit, fresh.oldest_hit);
         assert_eq!(self.oldest_miss, fresh.oldest_miss);
         assert_eq!(self.work, fresh.work);
+        assert_eq!(self.hit_mask, fresh.hit_mask);
+        assert_eq!(self.miss_driven, fresh.miss_driven);
         assert_eq!(self.stamped, fresh.stamped);
     }
 }
@@ -285,7 +377,8 @@ mod tests {
         assert_eq!(q.work(), 1 << 3 | 1 << 5);
         assert_eq!((q.oldest_hit(3), q.oldest_miss(3)), (NONE, 0));
         assert!(!q.all_stamped());
-        assert_eq!(q.stamp_arrivals(10).len(), 4);
+        assert_eq!((q.hit_mask(), q.miss_driven()), (0, 1 << 3 | 1 << 5));
+        assert_eq!(q.stamp_arrivals(10, WaitBase::default()).len(), 4);
         assert!(q.all_stamped());
 
         // ACT row 7 on bank 3: positions 0 and 3 hit, position 2 does not.
@@ -293,11 +386,13 @@ mod tests {
         q.reclassify(3, open[3]);
         assert!(q.has_hit(3) && !q.has_hit(5));
         assert_eq!((q.oldest_hit(3), q.oldest_miss(3)), (0, 2));
+        assert_eq!((q.hit_mask(), q.miss_driven()), (1 << 3, 1 << 5));
         q.check(flat_of, |f| open[f]);
 
         // CAS for position 0: everything shifts, the next hit is found.
         assert_eq!(q.remove_for_cas(0).id, RequestId(0));
         assert_eq!((q.oldest_hit(3), q.oldest_miss(3)), (2, 1));
+        assert_eq!((q.hit_mask(), q.miss_driven()), (1 << 3, 1 << 3 | 1 << 5));
         assert_eq!(q.oldest_miss(5), 0);
         q.check(flat_of, |f| open[f]);
 
@@ -305,11 +400,12 @@ mod tests {
         q.push(entry(9, 5, 1), 5, open[5]);
         assert!(!q.all_stamped());
         q.check(flat_of, |f| open[f]);
-        q.stamp_arrivals(11);
+        q.stamp_arrivals(11, WaitBase::default());
 
         // Last hit leaves, then the bank closes: the classes merge.
         q.remove_for_cas(2);
         assert_eq!((q.oldest_hit(3), q.oldest_miss(3)), (NONE, 1));
+        assert_eq!(q.hit_mask(), 0);
         open[3] = None;
         q.reclassify(3, None);
         q.check(flat_of, |f| open[f]);

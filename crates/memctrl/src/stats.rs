@@ -35,9 +35,14 @@ pub struct CtrlWork {
     /// Calls to [`MemoryController::tick`](crate::MemoryController::tick).
     pub ticks: u64,
     /// `earliest_*` queries asked of the device by the scheduling, view
-    /// and stall-horizon passes.
+    /// and stall-horizon passes: one per (bank, command class) whose
+    /// deadline an event dropped from the controller's table.
     pub timing_queries: u64,
-    /// Queue entries those passes looked at.
+    /// Queue entries those passes looked at (a bank's oldest hit or
+    /// oldest non-hit, once per pass that needs it), plus each entry once
+    /// when its arrival is stamped. The latency attribution visits none:
+    /// it adds the cycle to running totals and a read's share is settled
+    /// when it leaves the queue.
     pub queue_entries_visited: u64,
 }
 

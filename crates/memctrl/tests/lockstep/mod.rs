@@ -1,12 +1,17 @@
 //! Lockstep harness: one controller with the busy-path engine on (per-bank
-//! summaries, tick-local timing table) and one with it off (the full-queue
-//! `*_scan` oracles), fed the same arrivals and compared every cycle.
+//! summaries, persistent deadline table, attribution by running totals)
+//! and one with it off (the full-queue `*_scan` oracles), fed the same
+//! arrivals and compared every cycle, plus a reference model that
+//! recomputes every read's latency breakdown from the command trace.
 //!
 //! Shared by `tick_identity.rs` and, through `#[path]`, by the root
 //! package's `tests/ctrl_identity.rs`, so tier-1 runs a reduced case.
 
-use dramstack_dram::{Cycle, CycleView, DeviceConfig};
-use dramstack_memctrl::{CtrlConfig, MemoryController, PagePolicy, SchedulerPolicy};
+use dramstack_dram::{BankActivity, CommandKind, Cycle, CycleView, DeviceConfig, TimedCommand};
+use dramstack_memctrl::{
+    CompletedRead, CtrlConfig, LatencyBreakdown, MemoryController, PagePolicy, RequestId,
+    SchedulerPolicy,
+};
 
 /// One request of an arrival tape: not before `at`, physical line `addr`.
 #[derive(Debug, Clone, Copy)]
@@ -93,6 +98,136 @@ pub struct Outcome {
     pub writes_done: u64,
     pub refreshes: u64,
     pub horizons_checked: u64,
+    /// Completions whose breakdown the reference model recomputed.
+    pub breakdowns_checked: u64,
+    /// CAS commands that carried an auto-precharge.
+    pub auto_precharges: u64,
+}
+
+/// One read as the reference model sees it.
+struct RefRead {
+    id: RequestId,
+    flat: usize,
+    row: u32,
+    /// A PRE or ACT was issued on its behalf.
+    caused: bool,
+    breakdown: LatencyBreakdown,
+}
+
+/// Reference model of the per-read latency attribution, independent of
+/// how the controller keeps it: it sees only what an observer sees — the
+/// enqueued addresses, each tick's command and the tick's `CycleView`
+/// (drain flag, refresh flag, per-bank PRE/ACT activity) — and charges
+/// every queued read one cycle per tick, the way the paper defines the
+/// components. Compiled into release test builds too, where the
+/// controller's own debug shadow is not.
+struct Reference {
+    /// Queued reads in arrival order.
+    queued: Vec<RefRead>,
+    /// Row of the latest ACT per flat bank: the row a CAS goes to.
+    last_row: Vec<u32>,
+    /// Stopping traffic for an overdue refresh.
+    refresh_draining: bool,
+    /// Reads whose CAS issued, until their completion is checked.
+    in_flight: Vec<RefRead>,
+    checked: u64,
+}
+
+impl Reference {
+    fn new(ctrl: &MemoryController) -> Self {
+        Reference {
+            queued: Vec::new(),
+            last_row: vec![0; ctrl.total_banks()],
+            refresh_draining: false,
+            in_flight: Vec::new(),
+            checked: 0,
+        }
+    }
+
+    fn enqueue_read(&mut self, ctrl: &MemoryController, id: RequestId, phys: u64) {
+        let addr = ctrl.mapping().decode(phys);
+        let cfg = ctrl.config();
+        self.queued.push(RefRead {
+            id,
+            flat: ctrl.device().geometry().flat_bank(addr.bank),
+            row: addr.row,
+            caused: false,
+            breakdown: LatencyBreakdown {
+                base_cntlr: cfg.ctrl_overhead,
+                base_dram: cfg.device.timing.base_read_cycles(),
+                ..LatencyBreakdown::default()
+            },
+        });
+    }
+
+    /// Before `ctrl.tick(now)`: a refresh that fell due starts a drain.
+    fn before_tick(&mut self, ctrl: &MemoryController, now: Cycle) {
+        let d = ctrl.device();
+        self.refresh_draining |=
+            (0..d.geometry().ranks).any(|r| d.refresh_due(r, now) && !d.is_refreshing(r, now));
+    }
+
+    /// After `ctrl.tick(now)`, which issued `cmds` (at most one), filled
+    /// `view` and completed `done`.
+    fn after_tick(
+        &mut self,
+        ctrl: &MemoryController,
+        view: &CycleView,
+        cmds: &[TimedCommand],
+        done: &[CompletedRead],
+    ) {
+        assert!(cmds.len() <= 1, "one command per cycle: {cmds:?}");
+        for c in cmds {
+            let flat = ctrl.device().geometry().flat_bank(c.cmd.bank);
+            match c.cmd.kind {
+                CommandKind::Refresh => self.refresh_draining = false,
+                CommandKind::Activate | CommandKind::Precharge => {
+                    if c.cmd.kind == CommandKind::Activate {
+                        self.last_row[flat] = c.cmd.row;
+                    }
+                    // The scheduler serves reads unless it drains writes
+                    // or has none, and a bank's oldest entry drives it.
+                    if !self.refresh_draining && !view.drain {
+                        if let Some(r) = self.queued.iter_mut().find(|r| r.flat == flat) {
+                            r.caused = true;
+                        }
+                    }
+                }
+                CommandKind::Read | CommandKind::ReadAp => {
+                    let row = self.last_row[flat];
+                    let hit = |r: &RefRead| r.flat == flat && r.row == row;
+                    let pos = self.queued.iter().position(hit).expect("a queued row hit");
+                    self.in_flight.push(self.queued.remove(pos));
+                }
+                CommandKind::Write | CommandKind::WriteAp => {}
+            }
+        }
+        for r in &mut self.queued {
+            let moving = matches!(
+                view.banks[r.flat],
+                BankActivity::Precharging | BankActivity::Activating
+            );
+            let b = &mut r.breakdown;
+            if view.drain {
+                b.writeburst += 1;
+            } else if self.refresh_draining || view.refreshing {
+                b.refresh += 1;
+            } else if r.caused && moving {
+                b.preact += 1;
+            } else {
+                b.queue += 1;
+            }
+        }
+        for c in done {
+            let pos = self.in_flight.iter().position(|r| r.id == c.id);
+            let r = self
+                .in_flight
+                .swap_remove(pos.expect("completed read had its CAS"));
+            assert_eq!(c.breakdown, r.breakdown, "read {:?} at {}", c.id, c.done_at);
+            assert_eq!(c.breakdown.total(), c.done_at - c.arrival, "{c:?}");
+            self.checked += 1;
+        }
+    }
 }
 
 /// Runs the tape on both controllers for at most `max_cycles`. With
@@ -101,10 +236,12 @@ pub struct Outcome {
 /// and replaced by a fresh controller restored from it.
 ///
 /// Every cycle: identical `CycleView` and identical completions
-/// (breakdown included). At the end: identical `CtrlStats` and command
-/// trace. Whenever the engine-on side offers a stall horizon `h`, the
-/// following ticks up to `h` must issue nothing, complete nothing and
-/// repeat the view, unless an arrival intervened.
+/// (breakdown included), and every completion's breakdown equal to what
+/// the [`Reference`] model recomputed from the commands and views. At
+/// the end: identical `CtrlStats` and command trace. Whenever the
+/// engine-on side offers a stall horizon `h`, the following ticks up to
+/// `h` must issue nothing, complete nothing and repeat the view, unless
+/// an arrival intervened.
 ///
 /// In debug builds every tick additionally recounts every field of both
 /// queue summaries against the queues (`MemoryController::tick`), and
@@ -116,6 +253,19 @@ pub fn run(
     max_cycles: Cycle,
     restore_at: Option<Cycle>,
 ) -> Outcome {
+    run_with(cfg, traffic, arrivals, max_cycles, restore_at, |_, _| {})
+}
+
+/// [`run`] with `before_tick(now, engine-on controller)` called ahead of
+/// every tick, e.g. to flip its engine mid-run.
+pub fn run_with(
+    cfg: &CtrlConfig,
+    traffic: Traffic,
+    arrivals: &[Arrival],
+    max_cycles: Cycle,
+    restore_at: Option<Cycle>,
+    mut before_tick: impl FnMut(Cycle, &mut MemoryController),
+) -> Outcome {
     let mut on = MemoryController::new(cfg.clone());
     let mut off = MemoryController::new(cfg.clone());
     off.set_busy_engine(false);
@@ -126,6 +276,7 @@ pub fn run(
     let (mut trace_on, mut trace_off) = (Vec::new(), Vec::new());
     let mut next = 0;
     let mut out = Outcome::default();
+    let mut reference = Reference::new(&on);
     // (horizon, the frozen view, commands traced so far) of a pending claim.
     let mut frozen: Option<(Cycle, CycleView, usize)> = None;
 
@@ -146,10 +297,9 @@ pub fn run(
             if a.write {
                 assert_eq!(on.enqueue_write(a.addr), off.enqueue_write(a.addr));
             } else {
-                assert_eq!(
-                    on.enqueue_read(a.addr, next as u64),
-                    off.enqueue_read(a.addr, next as u64)
-                );
+                let id = on.enqueue_read(a.addr, next as u64);
+                assert_eq!(id, off.enqueue_read(a.addr, next as u64));
+                reference.enqueue_read(&on, id, a.addr);
             }
             next += 1;
             frozen = None; // a horizon only speaks for frozen queues
@@ -164,13 +314,17 @@ pub fn run(
             frozen = None;
         }
 
+        before_tick(now, &mut on);
+        reference.before_tick(&on, now);
         on.tick(now, &mut view_on);
         off.tick(now, &mut view_off);
         assert_eq!(view_on, view_off, "view differs at cycle {now}");
         let done_on: Vec<_> = on.drain_completions().collect();
         let done_off: Vec<_> = off.drain_completions().collect();
         assert_eq!(done_on, done_off, "completions differ at cycle {now}");
-        trace_on.extend(on.take_command_trace());
+        let issued = on.take_command_trace();
+        reference.after_tick(&on, &view_on, &issued, &done_on);
+        trace_on.extend(issued);
         trace_off.extend(off.take_command_trace());
 
         if let Some((h, view, commands)) = &frozen {
@@ -210,5 +364,9 @@ pub fn run(
     out.reads_done = s.reads_done;
     out.writes_done = s.writes_done;
     out.refreshes = s.refreshes;
+    out.breakdowns_checked = reference.checked;
+    let auto_pre =
+        |c: &&TimedCommand| matches!(c.cmd.kind, CommandKind::ReadAp | CommandKind::WriteAp);
+    out.auto_precharges = trace_on.iter().filter(auto_pre).count() as u64;
     out
 }

@@ -1,16 +1,20 @@
 //! `MemoryController::tick` with the per-bank summaries is the tick of
 //! the full-queue scans: engine-on and engine-off controllers in lockstep
 //! over {FR-FCFS, FCFS} × {open, closed page} × {single, dual rank} ×
-//! four traffic shapes, a mid-run snapshot/restore, and a bounded proptest
-//! over random enqueue/tick interleavings. See `lockstep::run` for what is
-//! compared every cycle.
+//! four traffic shapes, a mid-run snapshot/restore, an engine toggled
+//! mid-run, a pinned snapshot image, and a bounded proptest over random
+//! enqueue/tick interleavings. See `lockstep::run` for what is compared
+//! every cycle, the reference latency attribution included.
 
 mod lockstep;
 
 use proptest::prelude::*;
 
-use dramstack_memctrl::{PagePolicy, SchedulerPolicy};
-use lockstep::{config, run, tape, Arrival, Traffic, ALL_TRAFFIC};
+use dramstack_dram::{BankActivity, CycleView};
+use dramstack_memctrl::{
+    CompletedRead, CtrlConfig, CtrlSnapshot, MemoryController, PagePolicy, SchedulerPolicy,
+};
+use lockstep::{config, run, run_with, tape, Arrival, Traffic, ALL_TRAFFIC};
 
 /// Long enough to cross two refresh intervals (tREFI = 9360 cycles).
 const CYCLES: u64 = 20_000;
@@ -27,6 +31,11 @@ fn engine_on_equals_engine_off_across_the_matrix() {
                     let case = format!("{scheduler:?}/{page:?}/dual={dual_rank}/{traffic:?}");
                     assert!(out.reads_done + out.writes_done > 300, "{case}: {out:?}");
                     assert!(out.refreshes >= 1, "{case}: {out:?}");
+                    // All but the reads still in flight at the cut-off.
+                    assert!(
+                        out.breakdowns_checked + 8 >= out.reads_done,
+                        "{case}: {out:?}"
+                    );
                     if traffic == Traffic::WriteHeavy {
                         assert!(out.writes_done > 300, "{case}: {out:?}");
                     }
@@ -60,6 +69,143 @@ fn summaries_are_rebuilt_by_a_mid_run_restore() {
             assert!(out.reads_done > 100, "{page:?}/{traffic:?}@{at}: {out:?}");
         }
     }
+}
+
+#[test]
+fn breakdowns_hold_under_auto_precharge_and_rank_by_rank_refresh() {
+    // Closed page on two ranks for three refresh intervals: every CAS
+    // without a pending hit auto-precharges (a slot drop no command
+    // announces) and each REF closes one rank while the other works on.
+    let cfg = config(SchedulerPolicy::FrFcfs, PagePolicy::Closed, true);
+    let arrivals = tape(Traffic::Random, 8_000, 23);
+    let out = run(&cfg, Traffic::Random, &arrivals, 30_000, None);
+    assert!(out.refreshes >= 6 && out.auto_precharges > 2_000, "{out:?}");
+    assert!(out.breakdowns_checked > 2_000, "{out:?}");
+}
+
+#[test]
+fn engine_switched_off_and_on_again_mid_run() {
+    // While the engine is off the scan oracles schedule and nobody reads
+    // the deadline table, the queue summaries or the attribution totals:
+    // `issue`, `advance` and the per-tick totals must have kept them
+    // exact for the engine that comes back 10 k cycles later.
+    for (page, traffic) in [
+        (PagePolicy::Open, Traffic::Random),
+        (PagePolicy::Closed, Traffic::WriteHeavy),
+    ] {
+        let cfg = config(SchedulerPolicy::FrFcfs, page, true);
+        let arrivals = tape(traffic, 8_000, 17);
+        let out = run_with(
+            &cfg,
+            traffic,
+            &arrivals,
+            24_000,
+            None,
+            |now, on| match now {
+                3_000 => on.set_busy_engine(false),
+                13_000 => on.set_busy_engine(true),
+                _ => {}
+            },
+        );
+        assert!(
+            out.cycles == 24_000 && out.refreshes >= 4,
+            "{page:?}: {out:?}"
+        );
+        assert!(out.breakdowns_checked > 500, "{page:?}: {out:?}");
+    }
+}
+
+/// One controller fed from a tape, for the snapshot-image test.
+struct Driver<'a> {
+    ctrl: MemoryController,
+    arrivals: &'a [Arrival],
+    next: usize,
+    view: CycleView,
+    done: Vec<CompletedRead>,
+}
+
+impl<'a> Driver<'a> {
+    fn new(ctrl: MemoryController, arrivals: &'a [Arrival], next: usize) -> Self {
+        let view = CycleView::idle(ctrl.total_banks());
+        Driver {
+            ctrl,
+            arrivals,
+            next,
+            view,
+            done: Vec::new(),
+        }
+    }
+
+    fn run(&mut self, cycles: std::ops::Range<u64>) {
+        for now in cycles {
+            while let Some(a) = self.arrivals.get(self.next).filter(|a| a.at <= now) {
+                if a.write && self.ctrl.can_accept_write() {
+                    self.ctrl.enqueue_write(a.addr);
+                } else if !a.write && self.ctrl.can_accept_read() {
+                    self.ctrl.enqueue_read(a.addr, self.next as u64);
+                } else {
+                    break;
+                }
+                self.next += 1;
+            }
+            self.ctrl.tick(now, &mut self.view);
+            self.done.extend(self.ctrl.drain_completions());
+        }
+    }
+}
+
+#[test]
+fn a_snapshot_holds_settled_counters_in_the_pinned_bytes() {
+    // The image below was written by the controller that kept the four
+    // wait counters in the queued entries and bumped them every tick.
+    // Attribution by running totals must serialise to the same bytes at
+    // a tick with reads mid-wait: PREs and ACTs already caused, their
+    // banks mid-transition, nonzero queue and preact counters.
+    const PINNED: &str = include_str!("data/ctrl_snapshot_cycle_64.json");
+    const AT: u64 = 64;
+    let cfg: CtrlConfig = config(SchedulerPolicy::FrFcfs, PagePolicy::Open, false);
+    // Conflicts on bank 0 and bank 1, hits behind them, a lone bank 2.
+    let read = |bank: u64, row: u64, col: u64| Arrival {
+        at: 0,
+        addr: row << 17 | bank << 13 | col << 6,
+        write: false,
+    };
+    let arrivals = [
+        read(0, 1, 0),
+        read(0, 2, 0),
+        read(0, 1, 1),
+        read(1, 1, 0),
+        read(1, 3, 0),
+        read(2, 5, 0),
+        read(0, 2, 1),
+        read(0, 4, 0),
+    ];
+    let mut live = Driver::new(MemoryController::new(cfg.clone()), &arrivals, 0);
+    live.run(0..AT);
+    let moving =
+        |a: &&BankActivity| matches!(a, BankActivity::Precharging | BankActivity::Activating);
+    assert_eq!(live.view.banks.iter().filter(moving).count(), 2);
+    let json = serde_json::to_string(&live.ctrl.snapshot_state()).unwrap();
+    for flag in ["\"caused_pre\":true", "\"caused_act\":true"] {
+        assert_eq!(json.matches(flag).count(), 2, "{flag} in {json}");
+    }
+    assert_eq!(json, PINNED.trim_end());
+
+    // A controller restored from the bytes finishes the tape exactly as
+    // the live one does: re-baselined totals owe the entries nothing.
+    let snap: CtrlSnapshot = serde_json::from_str(&json).unwrap();
+    let mut restored = Driver::new(MemoryController::new(cfg), &arrivals, live.next);
+    restored.ctrl.restore_state(&snap);
+    live.done.clear();
+    live.run(AT..1_000);
+    restored.run(AT..1_000);
+    assert!(
+        live.ctrl.is_idle() && live.done.len() >= 4,
+        "{:?}",
+        live.done
+    );
+    assert_eq!(live.done, restored.done);
+    assert_eq!(live.ctrl.snapshot_state(), restored.ctrl.snapshot_state());
 }
 
 proptest! {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """PC-sampling profiler for boxes without `perf`: python3 + binutils only.
 
-    tools/pcsample.py [--hz 1000] [--top 25] -- target/release/dramstack-cli synth ...
+    tools/pcsample.py [--hz 1000] [--top 25] [--callers N] -- target/release/dramstack-cli synth ...
 
 Starts the command, attaches with PTRACE_SEIZE and, `--hz` times a second,
 stops its main thread with PTRACE_INTERRUPT, reads the program counter and
@@ -14,6 +14,13 @@ a workspace, so a `HashMap` probe inlined into `hierarchy.rs` counts for
 not inlined) is counted under `libstd`, `liballoc`, `libcore`, `libc` or
 `?`, and one outside the executable's mappings (vdso, shared libc) under
 `outside exe`.
+
+With `--callers N` the samples are counted a third time, by the outermost
+N workspace frames of their inline chain, written innermost first:
+`build_view::{{closure}} < build_view < tick`. The outermost frame is the
+function that was really called, so this splits one big inlined function
+(a controller's `tick`, the simulator's `step`) into the parts inlined
+into it, which the by-function list cannot tell apart from its callers.
 
 Only the main thread is sampled and only user-mode PCs are seen, which is
 the simulator's case (one thread, no I/O in the drive loop). Build with
@@ -146,19 +153,25 @@ def symbolise(exe, vaddrs):
     return frames
 
 
+def workspace_crate(path):
+    """The workspace crate source file `path` belongs to, or None."""
+    if any(d in path for d in ("/rustc/", "/library/", "/rust/deps/", "/.cargo/")):
+        return None  # toolchain source inlined into a caller further out
+    m = re.search(r"/(?:crates|vendor)/([^/]+)/src/", path)
+    if m:
+        return m.group(1)
+    m = re.search(r"/(refbench|examples|tests)/", path)
+    if m:
+        return m.group(1)
+    return "dramstack" if "/src/" in path else None
+
+
 def bucket(frames):
     """(crate, function) a sample with this inline chain is counted under."""
     for function, path in frames:
-        if any(d in path for d in ("/rustc/", "/library/", "/rust/deps/", "/.cargo/")):
-            continue  # toolchain source inlined into a caller further out
-        m = re.search(r"/(?:crates|vendor)/([^/]+)/src/", path)
-        if m:
-            return m.group(1), function
-        m = re.search(r"/(refbench|examples|tests)/", path)
-        if m:
-            return m.group(1), function
-        if "/src/" in path:
-            return "dramstack", function
+        crate = workspace_crate(path)
+        if crate:
+            return crate, function
     function, path = frames[0] if frames else ("?", "?")
     m = re.search(r"/library/(std|core|alloc)/", path)
     if m:
@@ -170,10 +183,23 @@ def bucket(frames):
     return "?", function
 
 
+def callers(frames, n):
+    """The outermost n workspace frames of an inline chain, innermost first."""
+    own = [function for function, path in frames if workspace_crate(path)]
+    return " < ".join(own[-n:]) if own else "[%s] %s" % bucket(frames)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--hz", type=float, default=1000.0, help="samples per second (default 1000)")
     ap.add_argument("--top", type=int, default=25, help="functions to list (default 25)")
+    ap.add_argument(
+        "--callers",
+        type=int,
+        default=0,
+        metavar="N",
+        help="also count by the outermost N workspace frames of each inline chain",
+    )
     ap.add_argument("command", nargs=argparse.REMAINDER, help="-- command to run")
     args = ap.parse_args()
     argv = args.command[1:] if args.command[:1] == ["--"] else args.command
@@ -187,10 +213,13 @@ def main():
 
     crates = collections.Counter()
     functions = collections.Counter()
+    chains = collections.Counter()
     for v in vaddrs:
         crate, function = bucket(frames.get(v, [])) if v is not None else ("outside exe", "?")
         crates[crate] += 1
         functions[(crate, function)] += 1
+        if args.callers > 0:
+            chains[callers(frames.get(v, []), args.callers) if v is not None else "outside exe"] += 1
     total = max(len(pcs), 1)
     print(f"{len(pcs)} samples at {args.hz:g} Hz of {' '.join(argv)} (exit {code})", file=sys.stderr)
     print("by crate:")
@@ -199,6 +228,10 @@ def main():
     print(f"top {args.top} functions:")
     for (crate, function), n in functions.most_common(args.top):
         print(f"  {100 * n / total:5.1f} %  {n:6d}  [{crate}] {function}")
+    if chains:
+        print(f"top {args.top} chains of the outermost {args.callers} workspace frames:")
+        for chain, n in chains.most_common(args.top):
+            print(f"  {100 * n / total:5.1f} %  {n:6d}  {chain}")
     return code
 
 
