@@ -90,6 +90,87 @@ pub fn tape(traffic: Traffic, n: usize, seed: u64) -> Vec<Arrival> {
         .collect()
 }
 
+/// One controller fed from a tape, cycle by cycle or — with
+/// `replay_period` set — replaying every span `stall_horizon` offers by
+/// `apply_stall_span` instead of ticking it, cut as the simulator's drive
+/// loops cut it: at the next multiple of the period and at the next
+/// arrival the queues have room for, and chained from there.
+pub struct Driver<'a> {
+    pub ctrl: MemoryController,
+    arrivals: &'a [Arrival],
+    /// Index of the next arrival to enqueue.
+    pub next: usize,
+    pub view: CycleView,
+    pub done: Vec<CompletedRead>,
+    pub replay_period: Option<Cycle>,
+    /// Cycles replayed, and spans a period boundary cut short.
+    pub skipped: u64,
+    pub cuts: u64,
+}
+
+impl<'a> Driver<'a> {
+    pub fn new(ctrl: MemoryController, arrivals: &'a [Arrival], next: usize) -> Self {
+        Driver {
+            view: CycleView::idle(ctrl.total_banks()),
+            ctrl,
+            arrivals,
+            next,
+            done: Vec::new(),
+            replay_period: None,
+            skipped: 0,
+            cuts: 0,
+        }
+    }
+
+    /// The next arrival, if it is due by `now` and its queue has room.
+    fn admissible(&self, now: Cycle) -> Option<Arrival> {
+        let a = *self.arrivals.get(self.next)?;
+        let room = if a.write {
+            self.ctrl.can_accept_write()
+        } else {
+            self.ctrl.can_accept_read()
+        };
+        (a.at <= now && room).then_some(a)
+    }
+
+    pub fn run(&mut self, cycles: std::ops::Range<Cycle>) {
+        let mut now = cycles.start;
+        while now < cycles.end {
+            while let Some(a) = self.admissible(now) {
+                if a.write {
+                    self.ctrl.enqueue_write(a.addr);
+                } else {
+                    self.ctrl.enqueue_read(a.addr, self.next as u64);
+                }
+                self.next += 1;
+            }
+            self.ctrl.tick(now, &mut self.view);
+            self.done.extend(self.ctrl.drain_completions());
+            // `last` is the latest cycle accounted for, ticked or replayed.
+            let mut last = now;
+            while let Some(period) = self.replay_period {
+                let Some(h) = self.ctrl.stall_horizon(last) else {
+                    break;
+                };
+                let boundary = (last / period + 1) * period;
+                let mut end = h.min(cycles.end).min(boundary);
+                // Occupancy is frozen over a span: room now is room then.
+                if let Some(a) = self.admissible(Cycle::MAX) {
+                    end = end.min(a.at);
+                }
+                if end <= last + 1 {
+                    break;
+                }
+                self.ctrl.apply_stall_span(last, end - last - 1);
+                self.skipped += end - last - 1;
+                self.cuts += u64::from(end == boundary && end < h);
+                last = end - 1;
+            }
+            now = last + 1;
+        }
+    }
+}
+
 /// What a lockstep run did, so callers can assert it exercised something.
 #[derive(Debug, Default)]
 pub struct Outcome {

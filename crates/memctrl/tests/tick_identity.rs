@@ -10,11 +10,9 @@ mod lockstep;
 
 use proptest::prelude::*;
 
-use dramstack_dram::{BankActivity, CycleView};
-use dramstack_memctrl::{
-    CompletedRead, CtrlConfig, CtrlSnapshot, MemoryController, PagePolicy, SchedulerPolicy,
-};
-use lockstep::{config, run, run_with, tape, Arrival, Traffic, ALL_TRAFFIC};
+use dramstack_dram::BankActivity;
+use dramstack_memctrl::{CtrlConfig, CtrlSnapshot, MemoryController, PagePolicy, SchedulerPolicy};
+use lockstep::{config, run, run_with, tape, Arrival, Driver, Traffic, ALL_TRAFFIC};
 
 /// Long enough to cross two refresh intervals (tREFI = 9360 cycles).
 const CYCLES: u64 = 20_000;
@@ -112,45 +110,6 @@ fn engine_switched_off_and_on_again_mid_run() {
             "{page:?}: {out:?}"
         );
         assert!(out.breakdowns_checked > 500, "{page:?}: {out:?}");
-    }
-}
-
-/// One controller fed from a tape, for the snapshot-image test.
-struct Driver<'a> {
-    ctrl: MemoryController,
-    arrivals: &'a [Arrival],
-    next: usize,
-    view: CycleView,
-    done: Vec<CompletedRead>,
-}
-
-impl<'a> Driver<'a> {
-    fn new(ctrl: MemoryController, arrivals: &'a [Arrival], next: usize) -> Self {
-        let view = CycleView::idle(ctrl.total_banks());
-        Driver {
-            ctrl,
-            arrivals,
-            next,
-            view,
-            done: Vec::new(),
-        }
-    }
-
-    fn run(&mut self, cycles: std::ops::Range<u64>) {
-        for now in cycles {
-            while let Some(a) = self.arrivals.get(self.next).filter(|a| a.at <= now) {
-                if a.write && self.ctrl.can_accept_write() {
-                    self.ctrl.enqueue_write(a.addr);
-                } else if !a.write && self.ctrl.can_accept_read() {
-                    self.ctrl.enqueue_read(a.addr, self.next as u64);
-                } else {
-                    break;
-                }
-                self.next += 1;
-            }
-            self.ctrl.tick(now, &mut self.view);
-            self.done.extend(self.ctrl.drain_completions());
-        }
     }
 }
 
