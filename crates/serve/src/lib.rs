@@ -24,7 +24,7 @@
 //! | Endpoint | Behavior |
 //! |---|---|
 //! | `POST /jobs` | Submit a [`JobSpec`](dramstack_sim::JobSpec) JSON body → 202 `{id}`, 400 typed, 429 shed, 503 draining |
-//! | `GET /jobs/<id>` | Status JSON (report inline once done) |
+//! | `GET /jobs/<id>` | Status JSON (report inline once done); 404 once the job is among the finished ones beyond [`MAX_FINISHED_JOBS`] |
 //! | `GET /jobs/<id>/stream` | Chunked JSONL: one telemetry record per sample window |
 //! | `GET /healthz` | Liveness (always 200 while the loop runs) |
 //! | `GET /readyz` | Readiness (503 once draining) |
@@ -61,7 +61,7 @@ mod server;
 
 pub use client::{Client, ClientError};
 pub use hub::{HubSink, StreamHub, STREAM_CAP_LINES};
-pub use server::{ServeStats, Server, ServerHandle};
+pub use server::{ServeStats, Server, ServerHandle, MAX_FINISHED_JOBS};
 
 /// Everything tunable about the daemon. The defaults are production-ish;
 /// tests shrink the timeouts and caps to provoke every failure path

@@ -17,7 +17,7 @@
 //!    period, then cancel them cooperatively — cancelled jobs
 //!    checkpoint for resume when a checkpoint dir is configured.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -82,6 +82,12 @@ impl JobState {
     }
 }
 
+/// Finished jobs (report, stream and all) the daemon keeps for clients to
+/// fetch. Past this many, the oldest finished job is forgotten — its id
+/// answers 404 from then on — so a long-lived daemon's memory is bounded;
+/// queued and running jobs are never dropped.
+pub const MAX_FINISHED_JOBS: usize = 128;
+
 struct JobEntry {
     spec: JobSpec,
     state: JobState,
@@ -107,7 +113,7 @@ struct State {
     cfg: ServeConfig,
     queue: Mutex<VecDeque<u64>>,
     queue_cv: Condvar,
-    jobs: Mutex<HashMap<u64, JobEntry>>,
+    jobs: Mutex<BTreeMap<u64, JobEntry>>,
     jobs_cv: Condvar,
     next_id: AtomicU64,
     draining: AtomicBool,
@@ -129,7 +135,7 @@ impl State {
             cfg,
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
-            jobs: Mutex::new(HashMap::new()),
+            jobs: Mutex::new(BTreeMap::new()),
             jobs_cv: Condvar::new(),
             next_id: AtomicU64::new(0),
             draining: AtomicBool::new(false),
@@ -408,9 +414,13 @@ fn worker_loop(state: &Arc<State>) {
             poll: Duration::from_millis(10),
         };
         let deadline = state.cfg.job_deadline;
+        // Checkpoint only when drain cancels the job; a served job always
+        // starts from cycle 0.
         let ckpt = state.cfg.checkpoint_dir.clone().map(|dir| JobCheckpoint {
             dir,
             key: format!("job-{id}"),
+            every: 0,
+            resume: false,
         });
         let fleet = Arc::clone(&state.fleet);
         let hub_for_job = Arc::clone(&hub);
@@ -469,10 +479,24 @@ fn worker_loop(state: &Arc<State>) {
                 e.state = final_state;
                 e.finished = Some(Instant::now());
             }
+            evict_finished(&mut jobs);
         }
         hub.close();
         state.running.fetch_sub(1, Ordering::SeqCst);
         state.jobs_cv.notify_all();
+    }
+}
+
+/// Forgets the oldest finished jobs beyond [`MAX_FINISHED_JOBS`]. Ids grow
+/// with submission order, so map order is age order.
+fn evict_finished(jobs: &mut BTreeMap<u64, JobEntry>) {
+    let finished: Vec<u64> = jobs
+        .iter()
+        .filter(|(_, e)| e.finished.is_some())
+        .map(|(id, _)| *id)
+        .collect();
+    for id in &finished[..finished.len().saturating_sub(MAX_FINISHED_JOBS)] {
+        jobs.remove(id);
     }
 }
 

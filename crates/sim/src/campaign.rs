@@ -1,5 +1,5 @@
 //! Resumable experiment campaigns: a config-hash-keyed completion
-//! manifest plus on-disk checkpoints and reports.
+//! manifest around [`run_job`](crate::jobs::run_job).
 //!
 //! A [`Campaign`] wraps a checkpoint directory. Each job (one simulator
 //! configuration + label) is identified by [`job_key`] — an FNV-1a hash
@@ -8,15 +8,17 @@
 //!
 //! * `manifest.json` entry — marks the job finished and names its report;
 //! * `report-<key>.json` — the finished job's [`SimReport`];
-//! * `ckpt-<key>.json` — the latest [`Snapshot`] of an in-flight job
-//!   (removed once the job finishes).
+//! * `ckpt-<key>.*` — the [`CheckpointChain`](crate::ckpt::CheckpointChain)
+//!   of an in-flight job, written by the run driver (removed once the job
+//!   finishes).
 //!
-//! A re-invoked sweep opens the same directory, skips every job whose
-//! manifest entry is `done`, restores interrupted jobs from their
-//! checkpoint, and picks up where the killed process stopped. All file
-//! writes go through a temp-file + rename so a crash mid-write never
-//! corrupts an existing artifact, and the manifest is updated under a
-//! lock so parallel sweep workers can record completions concurrently.
+//! A re-invoked sweep opens the same directory, loads every job whose
+//! manifest entry is `done` ([`Campaign::load_report`]), and runs the
+//! rest through [`Campaign::run_job`], which resumes interrupted jobs
+//! from their chain and records completions. Manifest and report writes
+//! go through a temp-file + rename so a crash mid-write never corrupts an
+//! existing artifact, and the manifest is updated under a lock so
+//! parallel sweep workers can record completions concurrently.
 
 use std::fmt;
 use std::fs;
@@ -26,9 +28,13 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use serde::{Deserialize, Serialize};
 
+use dramstack_dram::Cycle;
+
+use crate::ckpt::CkptError;
 use crate::config::SystemConfig;
+use crate::jobs::{run_job, JobCancel, JobCheckpoint, JobError, JobOptions, JobSpec};
+use crate::parallel::JobPulse;
 use crate::report::{load_report, ReportLoadError, SimReport};
-use crate::snapshot::{Snapshot, SnapshotError};
 
 /// Version stamp of the manifest file format.
 pub const MANIFEST_VERSION: u32 = 1;
@@ -108,14 +114,6 @@ pub enum CampaignError {
         /// What went wrong.
         msg: String,
     },
-    /// A checkpoint file exists but could not be parsed or is from a
-    /// different snapshot format version.
-    Checkpoint {
-        /// Path of the offending checkpoint.
-        path: String,
-        /// The underlying snapshot error.
-        err: SnapshotError,
-    },
     /// A recorded report file could not be loaded.
     Report(ReportLoadError),
 }
@@ -125,7 +123,6 @@ impl fmt::Display for CampaignError {
         match self {
             CampaignError::Io { path, err } => write!(f, "{path}: {err}"),
             CampaignError::Manifest { path, msg } => write!(f, "{path}: {msg}"),
-            CampaignError::Checkpoint { path, err } => write!(f, "{path}: {err}"),
             CampaignError::Report(e) => write!(f, "{e}"),
         }
     }
@@ -252,75 +249,41 @@ impl Campaign {
             })?;
             self.write_atomic(&self.dir.join(MANIFEST_FILE), &text)?;
         }
-        self.clear_checkpoint(key);
+        crate::ckpt::clear(&self.dir, key);
         Ok(())
     }
 
-    /// Persists an in-flight job's checkpoint (temp-file + rename, so an
-    /// interrupt mid-write leaves the previous checkpoint intact).
-    pub fn save_checkpoint(&self, key: &str, snap: &Snapshot) -> Result<(), CampaignError> {
-        self.write_atomic(&self.checkpoint_path(key), &snap.to_json())
-    }
-
-    /// Loads the most advanced complete checkpoint of a job in *any*
-    /// format: the binary base+delta chain first (replayed up to the
-    /// last complete link), falling back to the JSON blob. Unreadable or
-    /// torn files are skipped, never fatal — `None` means nothing usable
-    /// exists.
-    pub fn load_checkpoint_latest(&self, key: &str) -> Option<crate::ckpt::LoadedCheckpoint> {
-        crate::ckpt::load_latest(&self.dir, key)
-    }
-
-    /// Opens a [`CheckpointChain`](crate::ckpt::CheckpointChain) writing
-    /// this job's checkpoints into the campaign directory.
+    /// Runs `spec` as this campaign's job [`JobSpec::identity`] through
+    /// [`run_job`]: checkpoints land in the campaign directory every
+    /// `every` cycles (`0` = only if cancelled), `resume` continues from
+    /// the job's chain if one is there, and a finished run is recorded
+    /// done — a cancelled or failed one never is. `opts.checkpoint` is
+    /// the campaign's to set.
     ///
     /// # Errors
     ///
-    /// Returns the error from creating the campaign directory.
-    pub fn open_chain(
+    /// As [`run_job`]; a report that cannot be recorded is a
+    /// [`JobError::Checkpoint`].
+    pub fn run_job(
         &self,
-        key: &str,
-        format: crate::ckpt::SnapshotFormat,
-        delta_mode: bool,
-    ) -> Result<crate::ckpt::CheckpointChain, CampaignError> {
-        crate::ckpt::CheckpointChain::create(&self.dir, key, format, delta_mode).map_err(|err| {
-            CampaignError::Io {
-                path: self.dir.display().to_string(),
-                err,
-            }
-        })
-    }
-
-    /// Loads an in-flight job's latest checkpoint, or `None` if it has
-    /// none on disk.
-    pub fn load_checkpoint(&self, key: &str) -> Result<Option<Snapshot>, CampaignError> {
-        let path = self.checkpoint_path(key);
-        let text = match fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(err) => {
-                return Err(CampaignError::Io {
-                    path: path.display().to_string(),
-                    err,
-                })
-            }
-        };
-        Snapshot::from_json(&text)
-            .map(Some)
-            .map_err(|err| CampaignError::Checkpoint {
-                path: path.display().to_string(),
-                err,
-            })
-    }
-
-    /// Removes a job's checkpoint files (every format: JSON blob, binary
-    /// base, delta chain, torn `.tmp` leftovers) if present.
-    pub fn clear_checkpoint(&self, key: &str) {
-        crate::ckpt::clear(&self.dir, key);
-    }
-
-    fn checkpoint_path(&self, key: &str) -> PathBuf {
-        self.dir.join(format!("ckpt-{key}.json"))
+        spec: &JobSpec,
+        every: Cycle,
+        resume: bool,
+        pulse: &JobPulse,
+        cancel: &JobCancel,
+        opts: JobOptions,
+    ) -> Result<SimReport, JobError> {
+        let (key, label) = spec.identity().map_err(JobError::Spec)?;
+        let checkpoint = Some(JobCheckpoint {
+            dir: self.dir.clone(),
+            key: key.clone(),
+            every,
+            resume,
+        });
+        let report = run_job(spec, pulse, cancel, JobOptions { checkpoint, ..opts })?;
+        self.record_done(&key, &label, &report)
+            .map_err(|e| CkptError::Io(io::Error::other(e.to_string())))?;
+        Ok(report)
     }
 
     fn write_atomic(&self, path: &Path, text: &str) -> Result<(), CampaignError> {
@@ -392,14 +355,6 @@ mod tests {
             Err(CampaignError::Manifest { msg, .. }) => assert!(msg.contains("byte")),
             other => panic!("expected Manifest error, got {other:?}"),
         }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn missing_checkpoint_is_none_not_error() {
-        let dir = temp_dir("ckpt");
-        let campaign = Campaign::open(&dir).unwrap();
-        assert!(campaign.load_checkpoint("deadbeef").unwrap().is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -29,12 +29,13 @@ use std::thread::JoinHandle;
 use crate::snapshot::{Snapshot, SnapshotError};
 use crate::system::Simulator;
 
-/// Cooperative termination flag, polled by checkpointed run loops at
-/// checkpoint boundaries. A signal handler (or any thread) sets it via
-/// [`request_interrupt`]; the simulation thread then flushes one final
-/// checkpoint and stops instead of being killed mid-write. The flag is
-/// process-wide and sticky — callers that want to survive an interrupt
-/// must [`clear_interrupt`] once they have handled it.
+/// Cooperative termination flag. A signal handler (or any thread) sets it
+/// via [`request_interrupt`]; [`run_job`](crate::jobs::run_job) sees it at
+/// its next slice boundary through a
+/// [`JobCancel::on_interrupt`](crate::jobs::JobCancel::on_interrupt) token,
+/// flushes one final checkpoint and stops instead of being killed
+/// mid-write. The flag is process-wide and sticky — callers that want to
+/// survive an interrupt must [`clear_interrupt`] once they have handled it.
 static INTERRUPTED: AtomicBool = AtomicBool::new(false);
 
 /// Which signal requested the interrupt (0 = none / not signal-driven).
@@ -42,7 +43,36 @@ static INTERRUPTED: AtomicBool = AtomicBool::new(false);
 /// SIGTERM, 130 for SIGINT — after the cooperative shutdown finished.
 static INTERRUPT_SIGNAL: AtomicI32 = AtomicI32::new(0);
 
-/// Requests a cooperative stop at the next checkpoint boundary.
+/// Routes SIGTERM and SIGINT to [`request_interrupt_signal`] for the rest
+/// of the process. No `libc` dependency: the handlers are registered
+/// through the raw `signal(2)` symbol every Unix target links anyway, and
+/// the handler body is async-signal-safe (two atomic stores, recording
+/// which signal fired). Installing twice is harmless.
+#[cfg(unix)]
+pub fn catch_termination_signals() {
+    extern "C" fn on_signal(sig: i32) {
+        request_interrupt_signal(sig);
+    }
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+    const SIGINT: i32 = 2;
+    const SIGTERM: i32 = 15;
+    // SAFETY: `signal` is the C library's own prototype (an `int` and a
+    // handler address), `on_signal` has the `void (*)(int)` ABI it
+    // expects, and the handler only stores to two atomics.
+    unsafe {
+        signal(SIGTERM, on_signal as extern "C" fn(i32) as usize);
+        signal(SIGINT, on_signal as extern "C" fn(i32) as usize);
+    }
+}
+
+/// No signals to catch off Unix; the interrupt flag can still be set with
+/// [`request_interrupt`].
+#[cfg(not(unix))]
+pub fn catch_termination_signals() {}
+
+/// Requests a cooperative stop at the next slice boundary.
 /// Async-signal-safe: a single atomic store.
 pub fn request_interrupt() {
     INTERRUPTED.store(true, Ordering::SeqCst);
@@ -85,17 +115,6 @@ pub enum SnapshotFormat {
     /// Pretty-printed JSON blob (the golden-fixture format; several
     /// times larger and slower, kept as the oracle and for inspection).
     Json,
-}
-
-impl SnapshotFormat {
-    /// Parses a `--snapshot-format` value.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "binary" => Some(SnapshotFormat::Binary),
-            "json" => Some(SnapshotFormat::Json),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for SnapshotFormat {
@@ -489,14 +508,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn format_parses_and_displays() {
-        assert_eq!(
-            SnapshotFormat::parse("binary"),
-            Some(SnapshotFormat::Binary)
-        );
-        assert_eq!(SnapshotFormat::parse("json"), Some(SnapshotFormat::Json));
-        assert_eq!(SnapshotFormat::parse("yaml"), None);
+    fn format_displays_and_defaults_to_binary() {
         assert_eq!(SnapshotFormat::Binary.to_string(), "binary");
+        assert_eq!(SnapshotFormat::Json.to_string(), "json");
         assert_eq!(SnapshotFormat::default(), SnapshotFormat::Binary);
     }
 

@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 
 use dramstack_cpu::{CoreConfig, HierarchyConfig};
 use dramstack_dram::Cycle;
-use dramstack_memctrl::CtrlConfig;
+use dramstack_memctrl::{CtrlConfig, MappingScheme, PagePolicy};
 
 /// Why a [`SystemConfig`] (or the streams handed to the simulator) was
 /// rejected. User-supplied configurations surface as this typed error
@@ -94,6 +94,25 @@ impl SystemConfig {
             sample_period: 12_000,
             channels: 1,
         }
+    }
+
+    /// [`paper_default`](Self::paper_default) with the two controller
+    /// knobs the synthetic experiments vary, validated — the configuration
+    /// of every synthetic run, whichever entry point asks for it.
+    ///
+    /// # Errors
+    ///
+    /// The [`ConfigError`] `validate` finds (e.g. zero cores).
+    pub fn paper_synthetic(
+        n_cores: usize,
+        policy: PagePolicy,
+        mapping: MappingScheme,
+    ) -> Result<Self, ConfigError> {
+        let mut cfg = Self::paper_default(n_cores);
+        cfg.ctrl.page_policy = policy;
+        cfg.ctrl.mapping = mapping;
+        cfg.validate()?;
+        Ok(cfg)
     }
 
     /// The GAP-experiment variant: identical to

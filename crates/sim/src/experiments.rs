@@ -12,9 +12,9 @@ use dramstack_dram::Cycle;
 use dramstack_memctrl::{MappingScheme, PagePolicy};
 use dramstack_workloads::{GapConfig, GapKernel, Graph, SyntheticPattern};
 
-use crate::campaign::{job_key, Campaign};
-use crate::ckpt::SnapshotFormat;
+use crate::campaign::Campaign;
 use crate::config::{ConfigError, SystemConfig};
+use crate::jobs::{parse_mapping, parse_policy, run_job, JobCancel, JobError, JobOptions, JobSpec};
 use crate::parallel;
 use crate::report::SimReport;
 use crate::system::Simulator;
@@ -107,10 +107,7 @@ pub fn run_synthetic(
     mapping: MappingScheme,
     us: f64,
 ) -> Result<SimReport, ConfigError> {
-    let mut cfg = SystemConfig::paper_default(cores);
-    cfg.ctrl.page_policy = policy;
-    cfg.ctrl.mapping = mapping;
-    cfg.validate()?;
+    let cfg = SystemConfig::paper_synthetic(cores, policy, mapping)?;
     Ok(Simulator::with_synthetic(cfg, pattern).run_for_us(us))
 }
 
@@ -462,271 +459,135 @@ pub fn sweep_synthetic(
     .collect()
 }
 
-/// Checkpoint policy for [`sweep_synthetic_supervised`] grid points.
-///
-/// `every == 0` disables checkpointing even when a [`Campaign`] is
-/// attached. `format`/`delta` pick the on-disk chain layout; deltas are
-/// only meaningful for [`SnapshotFormat::Binary`] and are silently
-/// ignored for JSON (which always writes full snapshots).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SweepCheckpointing {
-    /// Checkpoint every this many DRAM cycles (`0` disables).
-    pub every: Cycle,
-    /// On-disk snapshot encoding for checkpoint files.
-    pub format: SnapshotFormat,
-    /// Serialize periodic checkpoints as deltas against the last base.
-    pub delta: bool,
-}
-
-impl SweepCheckpointing {
-    /// Checkpointing disabled.
-    pub fn off() -> Self {
-        Self {
-            every: 0,
-            format: SnapshotFormat::Binary,
-            delta: true,
-        }
-    }
-
-    /// Binary delta chain every `every` cycles — the fast default.
-    pub fn every(every: Cycle) -> Self {
-        Self {
-            every,
-            format: SnapshotFormat::Binary,
-            delta: true,
-        }
-    }
-}
-
-/// Fault-injection knobs for [`sweep_synthetic_supervised`] — the chaos
-/// half of the crash-safety harness, proving panic isolation and the
-/// watchdog end to end (CI runs a sweep with one of each injected).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SweepInjection {
-    /// Panic inside the grid point with this input-order index.
-    pub panic_at: Option<usize>,
-    /// Hang (sleep forever, never pulse) inside this grid point.
-    pub hang_at: Option<usize>,
-}
-
-/// Outcome of a supervised, optionally campaign-backed sweep.
-#[derive(Debug)]
-pub struct SupervisedSweep {
-    /// One slot per grid point in input order; `None` where the job was
-    /// lost to a panic or watchdog kill.
-    pub points: Vec<Option<SweepPoint>>,
-    /// Grid points loaded from the campaign manifest instead of re-run.
-    pub skipped: usize,
-    /// Typed failure report (indices are grid input-order positions).
-    pub failures: parallel::SweepFailures,
-}
-
-#[derive(Clone)]
-struct SweepJob {
-    grid_idx: usize,
-    name: String,
-    pattern: SyntheticPattern,
-    cores: usize,
-    policy: PagePolicy,
-    mapping: MappingScheme,
-    cfg: SystemConfig,
-    key: String,
-    label: String,
-}
-
-/// [`sweep_synthetic`] hardened for long campaigns: every grid point
-/// runs under [`parallel::supervised_map`] (panic isolation, watchdog,
-/// bounded retry), and with a [`Campaign`] attached the sweep becomes
-/// resumable — with `resume` set, finished points are loaded from the
-/// manifest instead of re-run and interrupted points restore from their
-/// latest checkpoint; either way, in-flight points checkpoint every
-/// `ckpt.every` cycles — binary delta chains by default, see
-/// [`SweepCheckpointing`] — and completions are recorded incrementally.
-///
-/// Never panics and never loses healthy results: the returned
-/// [`SupervisedSweep`] carries every completed point in input order plus
-/// a typed failure report for the rest.
-///
-/// # Errors
-///
-/// Like [`sweep_synthetic`], the grid is validated before any fan-out.
-#[allow(clippy::too_many_arguments)]
-pub fn sweep_synthetic_supervised(
+/// The grid [`sweep_synthetic`] covers, one [`JobSpec`] per point in the
+/// same order: both patterns × cores × policies × mappings. A caller can
+/// mark points before handing the grid to [`sweep_synthetic_supervised`]
+/// (e.g. set `inject_panic` on one to prove salvage end to end).
+pub fn synthetic_grid(
     cores: &[usize],
     policies: &[PagePolicy],
     mappings: &[MappingScheme],
     store_fraction: f64,
     us: f64,
-    campaign: Option<&Campaign>,
-    ckpt: SweepCheckpointing,
-    resume: bool,
-    sup: &parallel::SupervisorConfig,
-    inject: SweepInjection,
-) -> Result<SupervisedSweep, ConfigError> {
-    for &n in cores {
-        SystemConfig::paper_default(n).validate()?;
-    }
+) -> Vec<JobSpec> {
     let mut grid = Vec::new();
-    for (name, pattern) in [
-        ("seq", SyntheticPattern::sequential(store_fraction)),
-        ("rand", SyntheticPattern::random(store_fraction)),
-    ] {
+    for pattern in ["seq", "rand"] {
         for &n in cores {
             for &policy in policies {
                 for &mapping in mappings {
-                    let mut cfg = SystemConfig::paper_default(n);
-                    cfg.ctrl.page_policy = policy;
-                    cfg.ctrl.mapping = mapping;
-                    cfg.validate()?;
-                    // The key must pin everything that shapes the result:
-                    // the config hash covers cores/policy/mapping, the
-                    // label adds pattern, duration and store mix.
-                    let label =
-                        format!("{name}-{n}c-{policy:?}-{mapping:?}-{us}us-{store_fraction}st");
-                    let key = job_key(&cfg, &label);
-                    grid.push(SweepJob {
-                        grid_idx: grid.len(),
-                        name: name.to_string(),
+                    grid.push(JobSpec::synthetic(
                         pattern,
-                        cores: n,
+                        n,
+                        store_fraction,
+                        us,
                         policy,
                         mapping,
-                        cfg,
-                        key,
-                        label,
-                    });
+                    ));
                 }
             }
         }
     }
+    grid
+}
 
-    let mut points: Vec<Option<SweepPoint>> = vec![None; grid.len()];
-    let mut skipped = 0usize;
-    let mut pending = Vec::new();
-    for job in grid {
-        let recorded = if resume {
-            campaign.and_then(|c| c.load_report(&job.key).ok().flatten())
-        } else {
-            None
-        };
-        match recorded {
-            Some(report) => {
-                points[job.grid_idx] = Some(SweepPoint {
-                    pattern: job.name,
-                    cores: job.cores,
-                    policy: job.policy,
-                    mapping: job.mapping,
-                    report,
-                });
-                skipped += 1;
-            }
-            None => pending.push(job),
-        }
+/// Outcome of a supervised, optionally campaign-backed sweep.
+#[derive(Debug)]
+pub struct SupervisedSweep {
+    /// One slot per grid point in input order; `None` where the job
+    /// produced no report.
+    pub points: Vec<Option<SweepPoint>>,
+    /// Grid points loaded from the campaign manifest instead of re-run.
+    pub skipped: usize,
+    /// Points lost to a panic or a watchdog kill, and points that needed
+    /// a retry (indices are grid input-order positions).
+    pub failures: parallel::SweepFailures,
+    /// Points whose run returned a typed error — cancelled, over its
+    /// deadline, checkpoint I/O — by grid index. Never recorded done.
+    pub errors: Vec<(usize, JobError)>,
+}
+
+impl SupervisedSweep {
+    /// True when every grid point has a report.
+    pub fn complete(&self) -> bool {
+        self.failures.none_lost() && self.errors.is_empty()
     }
+}
+
+/// [`sweep_synthetic`] hardened for long campaigns: every grid point is
+/// one [`run_job`] call under [`parallel::supervised_map`] (panic
+/// isolation, watchdog, bounded retry), all sharing `cancel`. With a
+/// [`Campaign`] attached the sweep becomes resumable — with `resume` set,
+/// finished points are loaded from the manifest instead of re-run and
+/// interrupted points continue from their latest checkpoint; either way,
+/// in-flight points checkpoint every `every` cycles (`0` = only when
+/// cancelled) and completions are recorded incrementally.
+///
+/// Never panics and never loses healthy results: the returned
+/// [`SupervisedSweep`] carries every completed point in input order plus
+/// typed failure reports for the rest.
+///
+/// # Errors
+///
+/// Like [`sweep_synthetic`], the grid is validated before any fan-out: a
+/// point that does not resolve is a [`JobError::Spec`].
+pub fn sweep_synthetic_supervised(
+    grid: Vec<JobSpec>,
+    campaign: Option<&Campaign>,
+    every: Cycle,
+    resume: bool,
+    sup: &parallel::SupervisorConfig,
+    cancel: &JobCancel,
+) -> Result<SupervisedSweep, JobError> {
+    let mut jobs = Vec::with_capacity(grid.len());
+    for spec in grid {
+        let (key, _) = spec.identity().map_err(JobError::Spec)?;
+        let recorded = match campaign {
+            Some(c) if resume => c.load_report(&key).ok().flatten(),
+            _ => None,
+        };
+        jobs.push((spec, recorded));
+    }
+    let skipped = jobs
+        .iter()
+        .filter(|(_, recorded)| recorded.is_some())
+        .count();
 
     let campaign = campaign.cloned();
-    let pending_indices: Vec<usize> = pending.iter().map(|j| j.grid_idx).collect();
-    let outcome = parallel::supervised_map(pending, sup, move |pulse, job: SweepJob| {
-        if crate::ckpt::interrupted() {
-            // A termination request landed before this point started (or
-            // this is the supervisor retrying a point that aborted on the
-            // request). Die before touching the chain on disk: starting
-            // over would overwrite the deeper checkpoint already flushed.
-            panic!("termination requested before job {} started", job.grid_idx);
-        }
-        if inject.panic_at == Some(job.grid_idx) {
-            panic!("injected panic in sweep job {}", job.grid_idx);
-        }
-        if inject.hang_at == Some(job.grid_idx) {
-            loop {
-                std::thread::sleep(std::time::Duration::from_millis(25));
-            }
-        }
-        let mut sim = Simulator::with_synthetic(job.cfg.clone(), job.pattern);
-        let end = job.cfg.us_to_cycles(us);
-        if resume {
-            // Resume an interrupted point from the deepest checkpoint we
-            // can reconstruct — binary base + delta chain first, then the
-            // legacy JSON snapshot; a stale or incompatible checkpoint
-            // just restarts the point.
-            if let Some(c) = &campaign {
-                if let Some(loaded) = c.load_checkpoint_latest(&job.key) {
-                    let _ = sim.restore(&loaded.snapshot);
-                }
-            }
-        }
-        let report = match &campaign {
-            Some(c) if ckpt.every > 0 => {
-                let mut chain = c
-                    .open_chain(&job.key, ckpt.format, ckpt.delta)
-                    .expect("campaign checkpoint dir is writable");
-                // Manual boundary loop rather than `advance_checkpointed`:
-                // delta capture needs `&mut Simulator` to advance its
-                // dirty-tracking marks, which the `&Snapshot` callback
-                // can't provide. Boundaries land on exact multiples of
-                // `every`, so results stay bit-identical either way.
-                let every = ckpt.every;
-                let mut next = (sim.now() / every + 1) * every;
-                while sim.now() < end {
-                    sim.advance_to_cycle(end.min(next));
-                    if crate::ckpt::interrupted() {
-                        // Termination request (the CLI's SIGTERM handler
-                        // sets the flag): flush one final checkpoint so
-                        // `--resume` continues from right here, then
-                        // abort through the supervisor's panic isolation
-                        // — an interrupted point must never be recorded
-                        // as done in the manifest.
-                        let _ = chain.checkpoint(&mut sim);
-                        let _ = chain.finish();
-                        panic!("termination requested: checkpointed at cycle {}", sim.now());
-                    }
-                    if sim.now() == next {
-                        pulse.set_progress(sim.now());
-                        let _ = chain.checkpoint(&mut sim);
-                        next += every;
-                    }
-                }
-                // Surface nothing: a checkpoint I/O failure must not take
-                // down a healthy grid point, the report is still good.
-                let _ = chain.finish();
-                sim.report()
-            }
-            _ => {
-                sim.advance_to_cycle(end);
-                pulse.set_progress(end);
-                sim.report()
-            }
+    let cancel = cancel.clone();
+    let run = move |pulse: parallel::JobPulse, (spec, recorded): (JobSpec, Option<SimReport>)| {
+        let opts = JobOptions::default();
+        let report = match (recorded, &campaign) {
+            (Some(report), _) => report,
+            (None, Some(c)) => c.run_job(&spec, every, resume, &pulse, &cancel, opts)?,
+            (None, None) => run_job(&spec, &pulse, &cancel, opts)?,
         };
-        if let Some(c) = &campaign {
-            let _ = c.record_done(&job.key, &job.label, &report);
-        }
-        SweepPoint {
-            pattern: job.name,
-            cores: job.cores,
-            policy: job.policy,
-            mapping: job.mapping,
+        Ok(SweepPoint {
+            policy: parse_policy(&spec.policy).map_err(JobError::Spec)?,
+            mapping: parse_mapping(&spec.mapping).map_err(JobError::Spec)?,
+            pattern: spec.pattern,
+            cores: spec.cores,
             report,
-        }
-    });
+        })
+    };
+    let (results, failures) = parallel::supervised_map(jobs, sup, run).salvage();
 
-    let mut failures = parallel::SweepFailures::default();
-    for (outcome, grid_idx) in outcome.outcomes.into_iter().zip(pending_indices) {
-        match outcome {
-            parallel::JobOutcome::Ok(p) => points[grid_idx] = Some(p),
-            parallel::JobOutcome::Retried { result, attempts } => {
-                points[grid_idx] = Some(result);
-                failures.retried.push((grid_idx, attempts));
+    let mut errors = Vec::new();
+    let points = results
+        .into_iter()
+        .enumerate()
+        .map(|(grid_idx, result)| match result? {
+            Ok(point) => Some(point),
+            Err(e) => {
+                errors.push((grid_idx, e));
+                None
             }
-            parallel::JobOutcome::Panicked { message, .. } => {
-                failures.panicked.push((grid_idx, message));
-            }
-            parallel::JobOutcome::TimedOut { .. } => failures.timed_out.push(grid_idx),
-        }
-    }
+        })
+        .collect();
     Ok(SupervisedSweep {
         points,
         skipped,
         failures,
+        errors,
     })
 }
 

@@ -1,16 +1,17 @@
 //! Self-describing simulation jobs: a JSON-parseable [`JobSpec`], a
-//! cooperative cancellation token and a slice-wise [`run_job`] driver.
+//! cooperative cancellation token and the slice-wise [`run_job`] driver.
 //!
-//! This is the unit of work the `dramstack serve` daemon schedules on its
-//! worker pool, but it is service-agnostic: anything that wants to run a
-//! synthetic configuration with cooperative cancellation, a wall-clock
-//! deadline, optional live telemetry and checkpoint-on-cancel can use it.
-//! The driver advances the simulator in small cycle slices so cancel and
-//! deadline checks land within milliseconds, while keeping results
-//! bit-identical (modulo `perf` timings) to a straight
+//! [`run_job`] is the one loop that advances a synthetic simulation on a
+//! user's behalf: CLI `synth`, every `sweep` grid point and the `dramstack
+//! serve` worker pool all call it, so cancellation, the wall-clock
+//! deadline, live telemetry, periodic checkpoints and resume behave the
+//! same whichever way a run was started. The driver advances the simulator
+//! in small cycle slices so cancel and deadline checks land within
+//! milliseconds, while keeping results bit-identical (modulo `perf`
+//! timings) to a straight
 //! [`run_synthetic`](crate::experiments::run_synthetic) call — the
-//! fast-forward paths clamp to the slice horizon exactly like they clamp
-//! to checkpoint boundaries.
+//! fast-forward paths clamp to the slice horizon, and to a checkpoint
+//! boundary, exactly like they clamp to the end of a run.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -24,7 +25,8 @@ use dramstack_dram::Cycle;
 use dramstack_memctrl::{MappingScheme, PagePolicy};
 use dramstack_workloads::SyntheticPattern;
 
-use crate::ckpt::{CheckpointChain, SnapshotFormat};
+use crate::campaign::job_key;
+use crate::ckpt::{self, CheckpointChain, CkptError, SnapshotFormat};
 use crate::config::{ConfigError, SystemConfig};
 use crate::parallel::JobPulse;
 use crate::report::SimReport;
@@ -35,6 +37,36 @@ use crate::telemetry::Telemetry;
 /// cancellation lands within a few milliseconds of wall time, large
 /// enough that polling cost is unmeasurable next to simulation work.
 const SLICE_CYCLES: Cycle = 24_000;
+
+/// Parses a page-policy name — one parser for the job spec and the CLI
+/// flags.
+///
+/// # Errors
+///
+/// A message naming the unknown value and the accepted ones.
+pub fn parse_policy(name: &str) -> Result<PagePolicy, String> {
+    match name {
+        "open" => Ok(PagePolicy::Open),
+        "closed" => Ok(PagePolicy::Closed),
+        other => Err(format!("unknown policy `{other}` (want open|closed)")),
+    }
+}
+
+/// Parses an address-mapping name, long or short.
+///
+/// # Errors
+///
+/// A message naming the unknown value and the accepted ones.
+pub fn parse_mapping(name: &str) -> Result<MappingScheme, String> {
+    match name {
+        "def" | "default" => Ok(MappingScheme::RowBankColumn),
+        "int" | "interleaved" => Ok(MappingScheme::CacheLineInterleaved),
+        "xor" | "permutation" => Ok(MappingScheme::PermutationXor),
+        other => Err(format!(
+            "unknown mapping `{other}` (want default|interleaved|xor)"
+        )),
+    }
+}
 
 /// One synthetic simulation job, as submitted over the wire.
 ///
@@ -78,6 +110,36 @@ impl Default for JobSpec {
 }
 
 impl JobSpec {
+    /// The spec of one synthetic run from typed arguments (what the CLI
+    /// flags and the sweep axes hold); the inverse of the `parse_*` pair.
+    pub fn synthetic(
+        pattern: &str,
+        cores: usize,
+        stores: f64,
+        us: f64,
+        policy: PagePolicy,
+        mapping: MappingScheme,
+    ) -> JobSpec {
+        JobSpec {
+            pattern: pattern.to_string(),
+            cores,
+            stores,
+            us,
+            policy: match policy {
+                PagePolicy::Open => "open",
+                PagePolicy::Closed => "closed",
+            }
+            .to_string(),
+            mapping: match mapping {
+                MappingScheme::RowBankColumn => "default",
+                MappingScheme::CacheLineInterleaved => "interleaved",
+                MappingScheme::PermutationXor => "xor",
+            }
+            .to_string(),
+            ..JobSpec::default()
+        }
+    }
+
     /// Parses a JSON object, defaulting omitted fields and rejecting
     /// unknown keys and mistyped values with a human-readable message.
     ///
@@ -130,26 +192,29 @@ impl JobSpec {
             "rand" => SyntheticPattern::random(self.stores),
             other => return Err(format!("unknown pattern `{other}` (want seq|rand)")),
         };
-        let policy = match self.policy.as_str() {
-            "open" => PagePolicy::Open,
-            "closed" => PagePolicy::Closed,
-            other => return Err(format!("unknown policy `{other}` (want open|closed)")),
-        };
-        let mapping = match self.mapping.as_str() {
-            "def" | "default" => MappingScheme::RowBankColumn,
-            "int" | "interleaved" => MappingScheme::CacheLineInterleaved,
-            "xor" | "permutation" => MappingScheme::PermutationXor,
-            other => {
-                return Err(format!(
-                    "unknown mapping `{other}` (want default|interleaved|xor)"
-                ))
-            }
-        };
-        let mut cfg = SystemConfig::paper_default(self.cores);
-        cfg.ctrl.page_policy = policy;
-        cfg.ctrl.mapping = mapping;
-        cfg.validate().map_err(|e| e.to_string())?;
+        let policy = parse_policy(&self.policy)?;
+        let mapping = parse_mapping(&self.mapping)?;
+        let cfg = SystemConfig::paper_synthetic(self.cores, policy, mapping)
+            .map_err(|e| e.to_string())?;
         Ok((cfg, pattern))
+    }
+
+    /// The job's identity in a [`Campaign`](crate::Campaign): its
+    /// `(key, label)`. The key must pin everything that shapes the
+    /// result: the config hash covers cores, policy and mapping, the label
+    /// adds pattern, duration and store mix. Equal specs get equal keys
+    /// whichever command submits them.
+    ///
+    /// # Errors
+    ///
+    /// As [`resolve`](Self::resolve).
+    pub fn identity(&self) -> Result<(String, String), String> {
+        let (cfg, _) = self.resolve()?;
+        let label = format!(
+            "{}-{}c-{:?}-{:?}-{}us-{}st",
+            self.pattern, self.cores, cfg.ctrl.page_policy, cfg.ctrl.mapping, self.us, self.stores
+        );
+        Ok((job_key(&cfg, &label), label))
     }
 }
 
@@ -187,7 +252,11 @@ fn expect_count(key: &str, v: &Value) -> Result<usize, String> {
 /// A clone-able cooperative cancellation token. Cancelling is sticky and
 /// idempotent; [`run_job`] polls it every [`SLICE_CYCLES`] cycles.
 #[derive(Debug, Clone, Default)]
-pub struct JobCancel(Arc<AtomicBool>);
+pub struct JobCancel {
+    flag: Arc<AtomicBool>,
+    /// Also cancelled while the process interrupt flag is set.
+    on_interrupt: bool,
+}
 
 impl JobCancel {
     /// A fresh, un-cancelled token.
@@ -195,25 +264,45 @@ impl JobCancel {
         Self::default()
     }
 
-    /// Requests cancellation; safe from any thread, any number of times.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::SeqCst);
+    /// A token that SIGTERM/SIGINT (or [`ckpt::request_interrupt`]) also
+    /// trips: installs the process's termination-signal handler and
+    /// follows the interrupt flag it sets. For one-shot command-line
+    /// runs; a service that drains before it cancels hands each job a
+    /// plain [`new`](Self::new) token instead.
+    pub fn on_interrupt() -> Self {
+        ckpt::catch_termination_signals();
+        JobCancel {
+            flag: Arc::default(),
+            on_interrupt: true,
+        }
     }
 
-    /// True once [`cancel`](Self::cancel) has fired.
+    /// Requests cancellation; safe from any thread, any number of times.
+    pub fn cancel(&self) {
+        self.flag.store(true, Ordering::SeqCst);
+    }
+
+    /// True once [`cancel`](Self::cancel) has fired (or, for an
+    /// [`on_interrupt`](Self::on_interrupt) token, a signal arrived).
     pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
+        self.flag.load(Ordering::SeqCst) || (self.on_interrupt && ckpt::interrupted())
     }
 }
 
-/// Where [`run_job`] checkpoints a cancelled job so it can be resumed
-/// later with [`load_latest`](crate::ckpt::load_latest).
+/// Where and when [`run_job`] checkpoints, through the production binary
+/// delta [`CheckpointChain`].
 #[derive(Debug, Clone)]
 pub struct JobCheckpoint {
     /// Checkpoint directory (created if absent).
     pub dir: PathBuf,
     /// Job key — becomes the `ckpt-<key>.*` file stem.
     pub key: String,
+    /// Checkpoint on every exact multiple of this many DRAM cycles; `0`
+    /// checkpoints only when the run is cancelled.
+    pub every: Cycle,
+    /// Start from [`load_latest`](crate::ckpt::load_latest)`(dir, key)`
+    /// when a complete checkpoint is there, instead of from cycle 0.
+    pub resume: bool,
 }
 
 /// Per-run knobs for [`run_job`] that are consumed by the run (built
@@ -225,7 +314,8 @@ pub struct JobOptions {
     pub deadline: Option<Duration>,
     /// Telemetry to attach (e.g. with a streaming sink installed).
     pub telemetry: Option<Telemetry>,
-    /// If set, a cancelled run checkpoints here before returning.
+    /// If set, the run checkpoints here: periodically, and once more
+    /// before a cancelled run returns.
     pub checkpoint: Option<JobCheckpoint>,
 }
 
@@ -250,6 +340,12 @@ pub enum JobError {
         /// DRAM cycle the run had reached.
         cycle: Cycle,
     },
+    /// A periodic checkpoint could not be captured or written, the chain
+    /// on disk could not be restored, or the finished report could not be
+    /// recorded. The run stops: its caller asked for a crash-safe run and
+    /// no longer has one. (The extra checkpoint of a *cancelled* run stays
+    /// best-effort and reports through `Cancelled::checkpointed`.)
+    Checkpoint(CkptError),
 }
 
 impl fmt::Display for JobError {
@@ -272,20 +368,33 @@ impl fmt::Display for JobError {
             JobError::DeadlineExceeded { cycle } => {
                 write!(f, "deadline exceeded at cycle {cycle}")
             }
+            JobError::Checkpoint(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for JobError {}
 
+impl From<CkptError> for JobError {
+    fn from(e: CkptError) -> Self {
+        JobError::Checkpoint(e)
+    }
+}
+
 /// Runs one job to completion, cancellation or deadline.
 ///
-/// Advances the simulator in [`SLICE_CYCLES`] slices; after each slice it
-/// reports progress on `pulse` (so a supervising watchdog sees liveness),
-/// polls `cancel`, and checks the wall-clock deadline. Slicing never
+/// With `checkpoint.resume`, starts from the latest complete checkpoint
+/// on disk. Then advances the simulator in steps that end on the next
+/// [`SLICE_CYCLES`] mark or the next multiple of `checkpoint.every`,
+/// whichever comes first; after each step it reports progress on `pulse`
+/// (so a supervising watchdog sees liveness), checkpoints if the step
+/// ended on an `every` boundary, polls `cancel` — a cancelled run
+/// checkpoints once more so a later resume continues from right here —
+/// and checks the wall-clock deadline. Neither slicing nor checkpointing
 /// changes results: a completed job's report is bit-identical (modulo
-/// `perf`) to an unsliced [`run_synthetic`](crate::experiments::run_synthetic)
-/// of the same spec.
+/// `perf`) to an unsliced
+/// [`run_synthetic`](crate::experiments::run_synthetic) of the same spec,
+/// interrupted and resumed or not.
 ///
 /// The `inject_panic` / `inject_hang` spec knobs deliberately misbehave
 /// *inside* the job so supervision layers can be tested end to end:
@@ -295,7 +404,8 @@ impl std::error::Error for JobError {}
 ///
 /// # Errors
 ///
-/// [`JobError`] — invalid spec/config, cancelled, or over deadline.
+/// [`JobError`] — invalid spec/config, cancelled, over deadline, or a
+/// checkpoint that could not be written or restored.
 pub fn run_job(
     spec: &JobSpec,
     pulse: &JobPulse,
@@ -321,47 +431,77 @@ pub fn run_job(
         }
     }
 
-    let horizon = cfg.us_to_cycles(spec.us);
+    let end = cfg.us_to_cycles(spec.us);
     let mut sim = Simulator::with_synthetic(cfg, pattern);
     if let Some(t) = opts.telemetry {
         sim.attach_telemetry(t);
     }
-    let end = sim.now() + horizon;
+    let checkpoint = opts.checkpoint.as_ref();
+    if let Some(c) = checkpoint.filter(|c| c.resume) {
+        if let Some(loaded) = ckpt::load_latest(&c.dir, &c.key) {
+            sim.restore(&loaded.snapshot).map_err(CkptError::from)?;
+        }
+    }
+    let every = checkpoint.map(|c| c.every).filter(|&every| every > 0);
+    let mut chain: Option<CheckpointChain> = None;
     let started = Instant::now();
     while sim.now() < end {
-        let target = end.min(sim.now() + SLICE_CYCLES);
-        sim.advance_to_cycle(target);
+        let boundary = every.map(|every| (sim.now() / every + 1) * every);
+        let slice = end.min(sim.now() + SLICE_CYCLES);
+        sim.advance_to_cycle(boundary.map_or(slice, |b| b.min(slice)));
         pulse.set_progress(sim.now());
-        if cancel.is_cancelled() {
-            let checkpointed = match &opts.checkpoint {
-                Some(c) => checkpoint_cancelled(&mut sim, c),
-                None => false,
-            };
-            return Err(JobError::Cancelled {
-                cycle: sim.now(),
-                checkpointed,
-            });
-        }
-        if let Some(budget) = opts.deadline {
-            if started.elapsed() >= budget {
-                return Err(JobError::DeadlineExceeded { cycle: sim.now() });
+        let cancelled = cancel.is_cancelled();
+        let mut saved = false;
+        if let Some(c) = checkpoint {
+            if cancelled || boundary == Some(sim.now()) {
+                match write_checkpoint(&mut chain, c, &mut sim) {
+                    Ok(()) => saved = true,
+                    // Best effort for the extra checkpoint of a cancelled
+                    // run: failing to save must not turn a clean
+                    // cancellation into an error.
+                    Err(_) if cancelled => {}
+                    Err(e) => return Err(e.into()),
+                }
             }
         }
+        if cancelled {
+            let flushed = chain.take().map_or(Ok(()), CheckpointChain::finish);
+            return Err(JobError::Cancelled {
+                cycle: sim.now(),
+                checkpointed: saved && flushed.is_ok(),
+            });
+        }
+        if opts
+            .deadline
+            .is_some_and(|budget| started.elapsed() >= budget)
+        {
+            return Err(JobError::DeadlineExceeded { cycle: sim.now() });
+        }
+    }
+    if let Some(chain) = chain {
+        chain.finish().map_err(CkptError::from)?;
     }
     Ok(sim.report())
 }
 
-/// Best-effort checkpoint of a cancelled run; failure to save must not
-/// turn a clean cancellation into a crash.
-fn checkpoint_cancelled(sim: &mut Simulator, c: &JobCheckpoint) -> bool {
-    let Ok(mut chain) = CheckpointChain::create(&c.dir, &c.key, SnapshotFormat::Binary, true)
-    else {
-        return false;
-    };
-    if chain.checkpoint(sim).is_err() {
-        return false;
+/// Captures one checkpoint of `sim` into the job's chain, opening the
+/// chain (and its writer thread) on first use so a run that never
+/// checkpoints never touches the directory.
+fn write_checkpoint(
+    chain: &mut Option<CheckpointChain>,
+    c: &JobCheckpoint,
+    sim: &mut Simulator,
+) -> Result<(), CkptError> {
+    if chain.is_none() {
+        *chain = Some(CheckpointChain::create(
+            &c.dir,
+            &c.key,
+            SnapshotFormat::Binary,
+            true,
+        )?);
     }
-    chain.finish().is_ok()
+    chain.as_mut().expect("opened just above").checkpoint(sim)?;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -436,48 +576,114 @@ mod tests {
         assert!(pulse.progress() > 0);
     }
 
+    fn scratch_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("dramstack-jobs-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// `every == 0` is serve's setting and `--checkpoint-every 0`: no
+    /// periodic checkpoints, yet a cancel still lands within one slice,
+    /// saves the state, and a resume finishes the run unchanged.
     #[test]
-    fn cancellation_is_prompt_and_checkpoints_for_resume() {
-        let dir = std::env::temp_dir().join(format!(
-            "dramstack-jobs-cancel-{}-{}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .as_nanos()
-        ));
+    fn cancel_without_periodic_checkpoints_is_prompt_and_resumes_identically() {
+        let dir = scratch_dir("cancel");
         let spec = JobSpec {
-            us: 10_000.0, // far more than we will simulate
+            pattern: "rand".to_string(),
+            cores: 2,
+            stores: 0.2,
+            us: 60.0, // three slices
             ..JobSpec::default()
+        };
+        let checkpoint = |resume| JobOptions {
+            checkpoint: Some(JobCheckpoint {
+                dir: dir.clone(),
+                key: "cancelled".to_string(),
+                every: 0,
+                resume,
+            }),
+            ..JobOptions::default()
         };
         let cancel = JobCancel::new();
         cancel.cancel(); // fires on the first slice boundary
-        let err = run_job(
-            &spec,
-            &JobPulse::default(),
-            &cancel,
-            JobOptions {
-                checkpoint: Some(JobCheckpoint {
-                    dir: dir.clone(),
-                    key: "cancelled".to_string(),
-                }),
-                ..JobOptions::default()
-            },
-        )
-        .unwrap_err();
+        let err = run_job(&spec, &JobPulse::default(), &cancel, checkpoint(false)).unwrap_err();
         match err {
             JobError::Cancelled {
                 cycle,
                 checkpointed,
             } => {
-                assert!(cycle > 0);
+                assert_eq!(cycle, SLICE_CYCLES, "cancel is seen at the first poll");
                 assert!(checkpointed);
             }
             other => panic!("expected Cancelled, got {other}"),
         }
         let loaded = load_latest(&dir, "cancelled").expect("checkpoint written");
-        assert!(loaded.snapshot.dram_cycle > 0);
+        assert_eq!(loaded.snapshot.dram_cycle, SLICE_CYCLES);
+
+        let resumed = run_job(
+            &spec,
+            &JobPulse::default(),
+            &JobCancel::new(),
+            checkpoint(true),
+        )
+        .unwrap();
+        let whole = run_job(
+            &spec,
+            &JobPulse::default(),
+            &JobCancel::new(),
+            JobOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(resumed.strip_perf(), whole.strip_perf());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The one policy for checkpoint I/O: a periodic checkpoint that
+    /// cannot be written fails the run with a typed error, while the
+    /// extra checkpoint of a cancelled run stays best-effort.
+    #[test]
+    fn unwritable_checkpoint_dir_is_a_typed_error_unless_cancelled() {
+        let file = scratch_dir("notadir");
+        std::fs::write(&file, b"in the way").unwrap();
+        let spec = JobSpec {
+            us: 5.0,
+            ..JobSpec::default()
+        };
+        let under_a_file = |every| JobOptions {
+            checkpoint: Some(JobCheckpoint {
+                dir: file.join("ckpt"),
+                key: "k".to_string(),
+                every,
+                resume: false,
+            }),
+            ..JobOptions::default()
+        };
+        let err = run_job(
+            &spec,
+            &JobPulse::default(),
+            &JobCancel::new(),
+            under_a_file(1_000),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, JobError::Checkpoint(CkptError::Io(_))),
+            "{err}"
+        );
+
+        let cancel = JobCancel::new();
+        cancel.cancel();
+        let err = run_job(&spec, &JobPulse::default(), &cancel, under_a_file(0)).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                JobError::Cancelled {
+                    checkpointed: false,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        std::fs::remove_file(&file).ok();
     }
 
     #[test]

@@ -36,11 +36,10 @@ pub mod telemetry;
 
 pub use campaign::{job_key, Campaign, CampaignError};
 pub use ckpt::{
-    clear_interrupt, interrupt_signal, interrupted, request_interrupt, request_interrupt_signal,
-    CheckpointChain, CheckpointWriter, SnapshotFormat,
+    catch_termination_signals, clear_interrupt, interrupt_signal, interrupted, request_interrupt,
+    request_interrupt_signal, CheckpointChain, CheckpointWriter, SnapshotFormat,
 };
 pub use config::{ConfigError, SystemConfig};
-pub use experiments::SweepCheckpointing;
 pub use jobs::{run_job, JobCancel, JobCheckpoint, JobError, JobOptions, JobSpec};
 pub use report::{diff_reports, load_report, ReportLoadError, SimReport};
 pub use snapshot::{

@@ -950,48 +950,6 @@ impl Simulator {
         self.advance_to_cycle(end);
     }
 
-    /// Advances to absolute DRAM cycle `end`, invoking `on_checkpoint`
-    /// with a fresh [`Snapshot`] at every multiple of `every` cycles
-    /// crossed on the way (`every == 0` disables checkpointing). The
-    /// fast-forward paths already clamp their horizons to the supplied
-    /// limit, so checkpoint boundaries land exactly and never perturb
-    /// results: a checkpointed run's report is bit-identical (modulo
-    /// `perf`) to an uncheckpointed one.
-    pub fn advance_checkpointed(
-        &mut self,
-        end: Cycle,
-        every: Cycle,
-        on_checkpoint: &mut dyn FnMut(&Snapshot),
-    ) -> Result<(), SnapshotError> {
-        if every == 0 {
-            self.advance_to_cycle(end);
-            return Ok(());
-        }
-        let mut next = (self.dram_cycle / every + 1) * every;
-        while self.dram_cycle < end {
-            self.advance_to_cycle(end.min(next));
-            if self.dram_cycle == next {
-                let snap = self.snapshot()?;
-                on_checkpoint(&snap);
-                next += every;
-            }
-        }
-        Ok(())
-    }
-
-    /// [`run_for_us`](Self::run_for_us) with periodic checkpoints: the
-    /// callback receives a [`Snapshot`] every `every_n_cycles` cycles.
-    pub fn run_for_us_checkpointed(
-        &mut self,
-        us: f64,
-        every_n_cycles: Cycle,
-        on_checkpoint: &mut dyn FnMut(&Snapshot),
-    ) -> Result<SimReport, SnapshotError> {
-        let end = self.dram_cycle + self.cfg.us_to_cycles(us);
-        self.advance_checkpointed(end, every_n_cycles, on_checkpoint)?;
-        Ok(self.report())
-    }
-
     /// Captures the full machine state as a versioned [`Snapshot`].
     ///
     /// Captures everything needed for bit-identical resume: per-channel

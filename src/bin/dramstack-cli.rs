@@ -13,18 +13,18 @@ use std::process::ExitCode;
 
 use dramstack::live::{auto_mode, env_requests_live, LiveSink};
 use dramstack::memctrl::{MappingScheme, PagePolicy};
-use dramstack::sim::experiments::{
-    run_gap, run_synthetic, sweep_synthetic_supervised, SweepInjection,
-};
-use dramstack::sim::parallel::SupervisorConfig;
+use dramstack::sim::ckpt::load_latest;
+use dramstack::sim::experiments::{run_gap, sweep_synthetic_supervised, synthetic_grid};
+use dramstack::sim::jobs::{parse_mapping, parse_policy};
+use dramstack::sim::parallel::{JobPulse, SupervisorConfig};
 use dramstack::sim::{
-    diff_reports, job_key, load_report, Campaign, SimReport, Simulator, SnapshotFormat,
-    SweepCheckpointing, SystemConfig, Telemetry, TelemetryConfig,
+    diff_reports, load_report, run_job, Campaign, JobCancel, JobError, JobOptions, JobSpec,
+    SimReport, Telemetry, TelemetryConfig,
 };
 use dramstack::stacks::offline::stack_from_trace;
 use dramstack::stacks::{predict_bandwidth_naive, predict_bandwidth_stack};
 use dramstack::viz::{ascii, csv, svg};
-use dramstack::workloads::{GapConfig, GapKernel, Graph, SyntheticPattern};
+use dramstack::workloads::{GapConfig, GapKernel, Graph};
 
 /// A parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,8 +92,6 @@ struct SynthArgs {
     report_out: Option<String>,
     checkpoint_dir: Option<String>,
     checkpoint_every: u64,
-    snapshot_format: SnapshotFormat,
-    snapshot_delta: bool,
     resume: bool,
 }
 
@@ -115,8 +113,6 @@ impl Default for SynthArgs {
             checkpoint_dir: None,
             // 1 ms of simulated time at the paper's DDR4-2400 clock.
             checkpoint_every: 1_200_000,
-            snapshot_format: SnapshotFormat::Binary,
-            snapshot_delta: true,
             resume: false,
         }
     }
@@ -132,8 +128,6 @@ struct SweepArgs {
     us: f64,
     checkpoint_dir: Option<String>,
     checkpoint_every: u64,
-    snapshot_format: SnapshotFormat,
-    snapshot_delta: bool,
     resume: bool,
     deadline_secs: Option<f64>,
     retries: u32,
@@ -153,8 +147,6 @@ impl Default for SweepArgs {
             us: 50.0,
             checkpoint_dir: None,
             checkpoint_every: 1_200_000,
-            snapshot_format: SnapshotFormat::Binary,
-            snapshot_delta: true,
             resume: false,
             deadline_secs: None,
             retries: 1,
@@ -195,13 +187,10 @@ USAGE:
                       [--policy open|closed] [--mapping def|int] [--us F]
                       [--csv FILE] [--svg FILE] [--live]
                       [--telemetry FILE] [--prom FILE] [--report FILE]
-                      [--checkpoint-dir DIR] [--checkpoint-every N]
-                      [--snapshot-format binary|json] [--snapshot-delta on|off]
-                      [--resume]
+                      [--checkpoint-dir DIR] [--checkpoint-every N] [--resume]
   dramstack-cli sweep [--cores N,N,...] [--policies open,closed]
                       [--mappings def,int,xor] [--stores F] [--us F]
                       [--checkpoint-dir DIR] [--checkpoint-every N]
-                      [--snapshot-format binary|json] [--snapshot-delta on|off]
                       [--resume] [--deadline-secs F] [--retries N]
   dramstack-cli gap   [--kernel bc|bfs|cc|pr|sssp|tc] [--cores N]
                       [--scale N] [--degree N] [--policy open|closed]
@@ -224,16 +213,15 @@ sample window; --prom writes a Prometheus-style text snapshot; --report
 dumps the full SimReport JSON for later `diff`.
 
 Crash safety: --checkpoint-dir snapshots the run every --checkpoint-every
-DRAM cycles (default 1200000 = 1 ms simulated) and records completions in
-DIR/manifest.json; --resume skips jobs the manifest already marks done
-and restores interrupted ones from their latest checkpoint, bit-identical
-to an uninterrupted run. Checkpoints default to the compact binary delta
-chain (base .dsnp plus numbered deltas, written off-thread);
---snapshot-format json keeps full pretty-printed JSON snapshots and
---snapshot-delta off forces every binary checkpoint to be a full
-snapshot. SIGTERM and SIGINT are caught while checkpointing is active:
-the run flushes one final checkpoint and exits with the conventional
-128+signal code (143 for SIGTERM, 130 for ctrl-C), ready for --resume.
+DRAM cycles (default 1200000 = 1 ms simulated; 0 = only when interrupted)
+and records completions in DIR/manifest.json; --resume skips jobs the
+manifest already marks done and restores interrupted ones from their
+latest checkpoint, bit-identical to an uninterrupted run. Checkpoints are
+a compact binary delta chain (base .dsnp plus numbered deltas, written
+off-thread). SIGTERM and SIGINT stop a run within a few milliseconds: it
+flushes one final checkpoint (when --checkpoint-dir is set) and exits
+with the conventional 128+signal code (143 for SIGTERM, 130 for ctrl-C),
+ready for --resume.
 `sweep` runs its grid under a supervisor: a panicking job is retried
 (--retries, default 1), a job exceeding --deadline-secs is abandoned,
 and the sweep always returns every healthy result (exit code 3 flags a
@@ -247,35 +235,6 @@ jobs are isolated by the worker supervisor. SIGTERM/SIGINT triggers a
 graceful drain: stop accepting, finish or cancel in-flight jobs
 (checkpointing them when --checkpoint-dir is set), then exit 0.
 ";
-
-fn parse_policy(v: &str) -> Result<PagePolicy, String> {
-    match v {
-        "open" => Ok(PagePolicy::Open),
-        "closed" => Ok(PagePolicy::Closed),
-        other => Err(format!("unknown policy `{other}` (open|closed)")),
-    }
-}
-
-fn parse_mapping(v: &str) -> Result<MappingScheme, String> {
-    match v {
-        "def" | "default" => Ok(MappingScheme::RowBankColumn),
-        "int" | "interleaved" => Ok(MappingScheme::CacheLineInterleaved),
-        "xor" | "permutation" => Ok(MappingScheme::PermutationXor),
-        other => Err(format!("unknown mapping `{other}` (def|int|xor)")),
-    }
-}
-
-fn parse_snapshot_format(v: &str) -> Result<SnapshotFormat, String> {
-    SnapshotFormat::parse(v).ok_or_else(|| format!("unknown snapshot format `{v}` (binary|json)"))
-}
-
-fn parse_on_off(flag: &str, v: &str) -> Result<bool, String> {
-    match v {
-        "on" | "true" | "1" => Ok(true),
-        "off" | "false" | "0" => Ok(false),
-        other => Err(format!("{flag}: expected on|off, got `{other}`")),
-    }
-}
 
 fn parse_kernel(v: &str) -> Result<GapKernel, String> {
     GapKernel::ALL
@@ -328,12 +287,6 @@ fn parse_synth_args(args: &[String]) -> Result<(SynthArgs, Vec<(String, String)>
                 out.checkpoint_every = value("--checkpoint-every")?
                     .parse()
                     .map_err(|e| format!("--checkpoint-every: {e}"))?;
-            }
-            "--snapshot-format" => {
-                out.snapshot_format = parse_snapshot_format(&value("--snapshot-format")?)?;
-            }
-            "--snapshot-delta" => {
-                out.snapshot_delta = parse_on_off("--snapshot-delta", &value("--snapshot-delta")?)?;
             }
             "--resume" => out.resume = true,
             other => rest.push((other.to_string(), value(other).unwrap_or_default())),
@@ -398,12 +351,6 @@ fn parse_sweep_args(args: &[String]) -> Result<SweepArgs, String> {
                 out.checkpoint_every = value("--checkpoint-every")?
                     .parse()
                     .map_err(|e| format!("--checkpoint-every: {e}"))?;
-            }
-            "--snapshot-format" => {
-                out.snapshot_format = parse_snapshot_format(&value("--snapshot-format")?)?;
-            }
-            "--snapshot-delta" => {
-                out.snapshot_delta = parse_on_off("--snapshot-delta", &value("--snapshot-delta")?)?;
             }
             "--resume" => out.resume = true,
             "--deadline-secs" => {
@@ -664,206 +611,129 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
     }
 }
 
-fn synth_pattern(a: &SynthArgs) -> SyntheticPattern {
-    if a.pattern == "seq" {
-        SyntheticPattern::sequential(a.stores)
-    } else {
-        SyntheticPattern::random(a.stores)
+fn synth_spec(a: &SynthArgs) -> JobSpec {
+    JobSpec::synthetic(a.pattern, a.cores, a.stores, a.us, a.policy, a.mapping)
+}
+
+/// The streaming telemetry the flags ask for, if any: JSONL / Prometheus
+/// writers for `--telemetry` / `--prom`, and the live stack dashboard on
+/// stderr for `--live` (ANSI on a TTY, periodic plain text otherwise).
+fn synth_telemetry(a: &SynthArgs) -> Result<Option<Telemetry>, String> {
+    let live = a.live || env_requests_live();
+    if !live && a.telemetry_out.is_none() && a.prom_out.is_none() {
+        return Ok(None);
     }
-}
-
-/// Whether this invocation needs a hand-built simulator with the
-/// telemetry layer attached (vs. the plain experiment helper).
-fn wants_telemetry(a: &SynthArgs) -> bool {
-    a.live
-        || env_requests_live()
-        || a.telemetry_out.is_some()
-        || a.prom_out.is_some()
-        || a.report_out.is_some()
-}
-
-/// Runs the synthetic workload with streaming telemetry attached:
-/// JSONL / Prometheus writers for `--telemetry` / `--prom`, and the live
-/// stack dashboard on stderr for `--live` (ANSI on a TTY, periodic plain
-/// text otherwise).
-fn run_synth_telemetry(a: &SynthArgs) -> Result<SimReport, String> {
-    let mut cfg = SystemConfig::paper_default(a.cores);
-    cfg.ctrl.page_policy = a.policy;
-    cfg.ctrl.mapping = a.mapping;
-    cfg.validate().map_err(|e| e.to_string())?;
-    let mut sim = Simulator::with_synthetic(cfg, synth_pattern(a));
     let mut tel = Telemetry::new(TelemetryConfig::default());
     if let Some(path) = &a.telemetry_out {
         let f = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
         tel = tel.with_jsonl(Box::new(std::io::BufWriter::new(f)));
     }
     if let Some(path) = &a.prom_out {
+        // Written once, when the run's report is built.
         let f = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
         tel = tel.with_prometheus(Box::new(f));
     }
-    if a.live || env_requests_live() {
+    if live {
         tel.add_sink(Box::new(LiveSink::new(auto_mode())));
     }
-    sim.attach_telemetry(tel);
-    let r = sim.run_for_us(a.us);
-    if let Some(path) = &a.telemetry_out {
-        println!("wrote {path}");
-    }
-    if let Some(path) = &a.prom_out {
-        // The writer only fires every N windows; always leave a final
-        // snapshot behind (finish_run wrote it through the writer too,
-        // but render on demand keeps the file complete even when the
-        // run had no windows).
-        if let Some(t) = sim.telemetry() {
-            std::fs::write(path, t.prometheus_snapshot()).map_err(|e| format!("{path}: {e}"))?;
-        }
-        println!("wrote {path}");
-    }
-    Ok(r)
+    Ok(Some(tel))
 }
 
-/// Installs the SIGTERM/SIGINT → cooperative-interrupt bridge for
-/// checkpointed runs and the serve daemon. No `libc` dependency: the
-/// handlers are registered through the raw `signal(2)` symbol every Unix
-/// target links anyway, and the handler body is async-signal-safe (two
-/// atomic stores, recording which signal fired). Checkpointed run loops
-/// poll the flag at checkpoint boundaries, flush one final checkpoint,
-/// and exit with the conventional 128+signal code (143 for SIGTERM, 130
-/// for ctrl-C); the serve daemon drains gracefully and exits 0.
-#[cfg(unix)]
-fn install_term_handler() {
-    extern "C" fn on_signal(sig: i32) {
-        dramstack::sim::request_interrupt_signal(sig);
-    }
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    unsafe {
-        signal(SIGTERM, on_signal as extern "C" fn(i32) as usize);
-        signal(SIGINT, on_signal as extern "C" fn(i32) as usize);
-    }
-}
-
-#[cfg(not(unix))]
-fn install_term_handler() {}
-
-/// Exit code for an interrupted run that checkpointed cleanly:
-/// 128 + the signal that fired (143 for SIGTERM, 130 for SIGINT).
-fn interrupt_exit_code() -> i32 {
-    128 + dramstack::sim::interrupt_signal().unwrap_or(15)
-}
-
-/// Human name of the interrupting signal, for the checkpoint message
-/// ("sigterm: checkpointed at cycle N" is grepped by CI).
-fn interrupt_name() -> &'static str {
+/// Name and exit code of the signal behind an interrupted run: the
+/// conventional 128 + signal, and the word CI greps for ("sigterm:
+/// checkpointed at cycle N").
+fn interrupt_signal() -> (&'static str, i32) {
     match dramstack::sim::interrupt_signal() {
-        Some(2) => "sigint",
-        _ => "sigterm",
+        Some(2) => ("sigint", 130),
+        _ => ("sigterm", 143),
     }
 }
 
-/// Runs the synthetic workload under a [`Campaign`]: periodic snapshots
-/// into `--checkpoint-dir` (binary delta chains by default, see
-/// `--snapshot-format` / `--snapshot-delta`), a manifest entry on
+/// Runs the synthetic workload as a job of `campaign`:
+/// periodic checkpoints into the directory, a manifest entry on
 /// completion, and (with `--resume`) skip-if-done /
-/// restore-if-interrupted semantics. Returns `None` when a SIGTERM
-/// arrived and the run stopped at a final checkpoint instead of
-/// finishing.
-fn run_synth_checkpointed(a: &SynthArgs, dir: &str) -> Result<Option<SimReport>, String> {
-    let mut cfg = SystemConfig::paper_default(a.cores);
-    cfg.ctrl.page_policy = a.policy;
-    cfg.ctrl.mapping = a.mapping;
-    cfg.validate().map_err(|e| e.to_string())?;
-    let campaign = Campaign::open(dir).map_err(|e| e.to_string())?;
-    let label = format!(
-        "synth-{}-{}c-{:?}-{:?}-{}us-{}st",
-        a.pattern, a.cores, a.policy, a.mapping, a.us, a.stores
-    );
-    let key = job_key(&cfg, &label);
+/// continue-if-interrupted semantics.
+fn run_synth_campaign(
+    a: &SynthArgs,
+    campaign: &Campaign,
+    spec: &JobSpec,
+    cancel: &JobCancel,
+) -> Result<SimReport, JobError> {
+    let (key, _) = spec.identity().map_err(JobError::Spec)?;
     if a.resume {
-        if let Some(r) = campaign.load_report(&key).map_err(|e| e.to_string())? {
+        if let Ok(Some(r)) = campaign.load_report(&key) {
             println!("resume: job {key} already complete, loaded recorded report");
-            return Ok(Some(r));
+            return Ok(r);
         }
-    }
-    install_term_handler();
-    let mut sim = Simulator::with_synthetic(cfg.clone(), synth_pattern(a));
-    if a.resume {
-        if let Some(loaded) = campaign.load_checkpoint_latest(&key) {
-            let at = loaded.snapshot.dram_cycle;
-            sim.restore(&loaded.snapshot).map_err(|e| e.to_string())?;
+        if let Some(loaded) = load_latest(campaign.dir(), &key) {
             println!(
-                "resumed from cycle {at} ({} checkpoint, {} delta(s) applied)",
-                loaded.format, loaded.deltas_applied
+                "resumed from cycle {} ({} checkpoint, {} delta(s) applied)",
+                loaded.snapshot.dram_cycle, loaded.format, loaded.deltas_applied
             );
         }
     }
-    let end = cfg.us_to_cycles(a.us);
-    let mut chain = campaign
-        .open_chain(&key, a.snapshot_format, a.snapshot_delta)
-        .map_err(|e| e.to_string())?;
-    if a.checkpoint_every > 0 {
-        // Manual boundary loop (not `advance_checkpointed`): delta
-        // capture advances dirty-tracking marks and therefore needs the
-        // simulator by `&mut`. Boundaries still land on exact multiples
-        // of `--checkpoint-every`, and checkpoints never perturb the
-        // simulation, so results stay bit-identical.
-        let every = a.checkpoint_every;
-        let mut next = (sim.now() / every + 1) * every;
-        while sim.now() < end {
-            sim.advance_to_cycle(end.min(next));
-            if sim.now() == next {
-                chain.checkpoint(&mut sim).map_err(|e| e.to_string())?;
-                next += every;
-            }
-            if dramstack::sim::interrupted() {
-                let at = sim.now();
-                chain.checkpoint(&mut sim).map_err(|e| e.to_string())?;
-                chain.finish().map_err(|e| e.to_string())?;
-                println!(
-                    "{}: checkpointed at cycle {at}; rerun with --resume to continue",
-                    interrupt_name()
-                );
-                return Ok(None);
-            }
-        }
-    } else {
-        sim.advance_to_cycle(end);
-    }
-    chain.finish().map_err(|e| e.to_string())?;
-    let r = sim.report();
-    campaign
-        .record_done(&key, &label, &r)
-        .map_err(|e| e.to_string())?;
+    let report = campaign.run_job(
+        spec,
+        a.checkpoint_every,
+        a.resume,
+        &JobPulse::default(),
+        cancel,
+        JobOptions::default(),
+    )?;
     println!(
-        "recorded job {key} in {dir}/manifest.json ({} finished)",
+        "recorded job {key} in {}/manifest.json ({} finished)",
+        campaign.dir().display(),
         campaign.jobs_done()
     );
-    Ok(Some(r))
+    Ok(report)
 }
 
 fn run_synth_cmd(a: &SynthArgs) -> Result<(), String> {
-    let r = if let Some(dir) = &a.checkpoint_dir {
-        if wants_telemetry(a) {
+    let spec = synth_spec(a);
+    let telemetry = synth_telemetry(a)?;
+    let cancel = JobCancel::on_interrupt();
+    let result = match &a.checkpoint_dir {
+        Some(_) if telemetry.is_some() || a.report_out.is_some() => {
             return Err(
                 "--checkpoint-dir cannot be combined with --live/--telemetry/--prom/--report"
                     .into(),
             );
         }
-        match run_synth_checkpointed(a, dir)? {
-            Some(r) => r,
-            // SIGTERM/SIGINT: the final checkpoint is on disk and the
-            // writer thread has been joined — nothing left to flush.
-            None => std::process::exit(interrupt_exit_code()),
+        Some(dir) => {
+            let campaign = Campaign::open(dir).map_err(|e| e.to_string())?;
+            run_synth_campaign(a, &campaign, &spec, &cancel)
         }
-    } else if wants_telemetry(a) {
-        run_synth_telemetry(a)?
-    } else {
-        run_synthetic(a.cores, synth_pattern(a), a.policy, a.mapping, a.us)
-            .map_err(|e| e.to_string())?
+        None => {
+            let opts = JobOptions {
+                telemetry,
+                ..JobOptions::default()
+            };
+            run_job(&spec, &JobPulse::default(), &cancel, opts)
+        }
     };
+    let r = match result {
+        Ok(r) => r,
+        Err(JobError::Cancelled {
+            cycle,
+            checkpointed,
+        }) => {
+            // The final checkpoint is on disk and the writer thread has
+            // been joined — nothing left to flush.
+            let (signal, code) = interrupt_signal();
+            if checkpointed {
+                println!(
+                    "{signal}: checkpointed at cycle {cycle}; rerun with --resume to continue"
+                );
+            } else {
+                println!("{signal}: stopped at cycle {cycle}");
+            }
+            std::process::exit(code);
+        }
+        Err(e) => return Err(e.to_string()),
+    };
+    for path in [&a.telemetry_out, &a.prom_out].into_iter().flatten() {
+        println!("wrote {path}");
+    }
     let label = format!("{} {}c", a.pattern, a.cores);
     println!(
         "{label}: {:.2} / {:.1} GB/s, read latency {:.1} ns, page-hit {:.1} %",
@@ -902,57 +772,45 @@ fn run_sweep_cmd(a: &SweepArgs) -> Result<bool, String> {
         Some(d) => Some(Campaign::open(d).map_err(|e| e.to_string())?),
         None => None,
     };
-    if campaign.is_some() {
-        // With a campaign attached SIGTERM becomes a cooperative stop:
-        // in-flight grid points flush a final checkpoint and abort, and
-        // the process exits 143 below instead of dying mid-write.
-        install_term_handler();
-    }
     let sup = SupervisorConfig {
         deadline: a.deadline_secs.map(std::time::Duration::from_secs_f64),
         max_retries: a.retries,
         ..SupervisorConfig::default()
     };
-    let inject = SweepInjection {
-        panic_at: a.inject_panic,
-        hang_at: a.inject_hang,
-    };
+    let mut grid = synthetic_grid(&a.cores, &a.policies, &a.mappings, a.stores, a.us);
+    let mut labels = Vec::new();
+    for spec in &grid {
+        let (policy, mapping) = (parse_policy(&spec.policy)?, parse_mapping(&spec.mapping)?);
+        labels.push(format!(
+            "{} {}c {policy:?} {mapping:?}",
+            spec.pattern, spec.cores
+        ));
+    }
+    if let Some(spec) = a.inject_panic.and_then(|i| grid.get_mut(i)) {
+        spec.inject_panic = true;
+    }
+    if let Some(spec) = a.inject_hang.and_then(|i| grid.get_mut(i)) {
+        spec.inject_hang = true;
+    }
+    // SIGTERM/SIGINT is a cooperative stop: in-flight grid points flush a
+    // final checkpoint (with a campaign attached) and return cancelled,
+    // and the process exits 143/130 below instead of dying mid-write.
+    let cancel = JobCancel::on_interrupt();
     let sweep = sweep_synthetic_supervised(
-        &a.cores,
-        &a.policies,
-        &a.mappings,
-        a.stores,
-        a.us,
+        grid,
         campaign.as_ref(),
-        SweepCheckpointing {
-            every: a.checkpoint_every,
-            format: a.snapshot_format,
-            delta: a.snapshot_delta,
-        },
+        a.checkpoint_every,
         a.resume,
         &sup,
-        inject,
+        &cancel,
     )
     .map_err(|e| e.to_string())?;
-    if dramstack::sim::interrupted() {
-        println!(
-            "{}: in-flight jobs checkpointed; rerun with --resume to continue",
-            interrupt_name()
-        );
-        std::process::exit(interrupt_exit_code());
+    if cancel.is_cancelled() {
+        let (signal, code) = interrupt_signal();
+        println!("{signal}: in-flight jobs checkpointed; rerun with --resume to continue");
+        std::process::exit(code);
     }
 
-    // Rebuild the grid labels in the same input order the sweep used.
-    let mut labels = Vec::new();
-    for pattern in ["seq", "rand"] {
-        for &n in &a.cores {
-            for &policy in &a.policies {
-                for &mapping in &a.mappings {
-                    labels.push(format!("{pattern} {n}c {policy:?} {mapping:?}"));
-                }
-            }
-        }
-    }
     let failures = &sweep.failures;
     for (i, point) in sweep.points.iter().enumerate() {
         if let Some(p) = point {
@@ -976,6 +834,9 @@ fn run_sweep_cmd(a: &SweepArgs) -> Result<bool, String> {
     for i in &failures.timed_out {
         println!("job {i:02} {}: TIMED OUT (watchdog)", labels[*i]);
     }
+    for (i, e) in &sweep.errors {
+        println!("job {i:02} {}: FAILED: {e}", labels[*i]);
+    }
     if a.resume && sweep.skipped > 0 {
         println!("resume: skipped {} finished job(s)", sweep.skipped);
     }
@@ -994,7 +855,7 @@ fn run_sweep_cmd(a: &SweepArgs) -> Result<bool, String> {
             c.jobs_done()
         );
     }
-    Ok(failures.none_lost())
+    Ok(sweep.complete())
 }
 
 /// Runs the simulation service until SIGTERM/SIGINT, then drains
@@ -1002,7 +863,7 @@ fn run_sweep_cmd(a: &SweepArgs) -> Result<bool, String> {
 /// either finished or were cancelled-with-checkpoint.
 fn run_serve_cmd(a: &ServeArgs) -> Result<(), String> {
     use dramstack::serve::{ServeConfig, Server};
-    install_term_handler();
+    dramstack::sim::catch_termination_signals();
     let cfg = ServeConfig {
         addr: a.addr.clone(),
         workers: a.workers,
@@ -1130,8 +991,13 @@ fn run_reqtrace_cmd(input: &str) -> Result<(), String> {
 }
 
 fn run_extrapolate_cmd(a: &SynthArgs, to: f64) -> Result<(), String> {
-    let r = run_synthetic(a.cores, synth_pattern(a), a.policy, a.mapping, a.us)
-        .map_err(|e| e.to_string())?;
+    let r = run_job(
+        &synth_spec(a),
+        &JobPulse::default(),
+        &JobCancel::new(),
+        JobOptions::default(),
+    )
+    .map_err(|e| e.to_string())?;
     let samples: Vec<_> = r.samples.iter().map(|s| s.bandwidth.clone()).collect();
     println!(
         "measured at {} core(s): {:.2} GB/s over {} samples",
@@ -1318,40 +1184,6 @@ mod tests {
         }
         // --resume without a directory to resume from is an error.
         assert!(parse_cli(&args("synth --resume")).is_err());
-    }
-
-    #[test]
-    fn parse_snapshot_format_flags() {
-        // Binary delta chains are the default for both commands.
-        let Cli::Synth(a) = parse_cli(&args("synth")).unwrap() else {
-            unreachable!()
-        };
-        assert_eq!(a.snapshot_format, SnapshotFormat::Binary);
-        assert!(a.snapshot_delta);
-        let cli = parse_cli(&args(
-            "synth --checkpoint-dir c --snapshot-format json --snapshot-delta off",
-        ))
-        .unwrap();
-        match cli {
-            Cli::Synth(a) => {
-                assert_eq!(a.snapshot_format, SnapshotFormat::Json);
-                assert!(!a.snapshot_delta);
-            }
-            other => panic!("{other:?}"),
-        }
-        let cli = parse_cli(&args(
-            "sweep --checkpoint-dir c --snapshot-format binary --snapshot-delta on",
-        ))
-        .unwrap();
-        match cli {
-            Cli::Sweep(a) => {
-                assert_eq!(a.snapshot_format, SnapshotFormat::Binary);
-                assert!(a.snapshot_delta);
-            }
-            other => panic!("{other:?}"),
-        }
-        assert!(parse_cli(&args("synth --snapshot-format msgpack")).is_err());
-        assert!(parse_cli(&args("sweep --snapshot-delta maybe")).is_err());
     }
 
     #[test]

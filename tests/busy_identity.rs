@@ -10,6 +10,7 @@
 
 use proptest::prelude::*;
 
+use dramstack::cpu::{InstrStream, VecStream};
 use dramstack::dram::TimingParams;
 use dramstack::memctrl::PagePolicy;
 use dramstack::sim::{SimReport, Simulator, SystemConfig};
@@ -89,6 +90,28 @@ fn busy_engine_bit_identical_across_preset_matrix() {
             }
         }
     }
+}
+
+/// The other skip engine, at its best case: with no instructions to run,
+/// everything except the refresh grid is idle, so the idle fast-forward
+/// must carry nearly the whole run — and change nothing in the report.
+#[test]
+fn idle_run_fast_forwards_over_nine_tenths_of_its_cycles_unchanged() {
+    let run = |fast_forward: bool| {
+        let idle: Vec<Box<dyn InstrStream>> = vec![Box::new(VecStream::new(Vec::new()))];
+        let mut sim = Simulator::new(SystemConfig::paper_default(1), idle);
+        sim.set_fast_forward(fast_forward);
+        sim.run_for_us(100.0)
+    };
+    let (on, off) = (run(true), run(false));
+    assert_eq!(on.strip_perf(), off.strip_perf());
+    assert_eq!(off.perf.fast_forwarded_cycles, 0);
+    assert!(
+        on.perf.fast_forwarded_cycles * 10 > on.sim_cycles * 9,
+        "only {} of {} idle cycles were fast-forwarded",
+        on.perf.fast_forwarded_cycles,
+        on.sim_cycles
+    );
 }
 
 fn arbitrary_pattern() -> impl Strategy<Value = SyntheticPattern> {

@@ -12,13 +12,17 @@
 //! delta chains — typed errors, never panics), and guards both on-disk
 //! formats with byte-pinned golden fixtures.
 
+mod common;
+
 use proptest::prelude::*;
 
 use dramstack::dram::TimingParams;
 use dramstack::memctrl::PagePolicy;
+use dramstack::sim::parallel::JobPulse;
 use dramstack::sim::{
-    ckpt, CheckpointChain, SimReport, Simulator, Snapshot, SnapshotDelta, SnapshotError,
-    SnapshotFormat, SystemConfig, SNAPSHOT_FORMAT_VERSION,
+    ckpt, run_job, CheckpointChain, JobCancel, JobCheckpoint, JobOptions, JobSpec, SimReport,
+    Simulator, Snapshot, SnapshotDelta, SnapshotError, SnapshotFormat, SystemConfig,
+    SNAPSHOT_FORMAT_VERSION,
 };
 use dramstack::workloads::{PatternKind, SyntheticPattern};
 
@@ -190,53 +194,67 @@ fn interrupt_and_resume_bit_identical_across_preset_matrix() {
     }
 }
 
-/// Periodic checkpointing composes with the idle/busy fast-forward paths:
-/// snapshots land exactly on the requested boundaries, the checkpointed
-/// run's report is unchanged, and resuming from the *last* emitted
-/// checkpoint finishes bit-identically.
+/// Periodic checkpointing through the run driver composes with the
+/// idle/busy fast-forward paths: checkpoints land exactly on the requested
+/// boundaries, the checkpointed run's report is unchanged, and resuming
+/// from the chain the run left on disk finishes bit-identically.
 #[test]
 fn periodic_checkpoints_land_on_boundaries_and_resume_cleanly() {
-    // 6us at the paper clock is ~7200 DRAM cycles, so this emits a
-    // handful of checkpoints per run.
+    // 6us at the paper clock is 7200 DRAM cycles, so this emits seven
+    // checkpoints per run: a base and six deltas.
     let every = 1_000;
-    for (pname, pattern) in shapes() {
-        let cfg = config(TimingParams::ddr4_3200(), 2, 1, PagePolicy::Open);
-        let total = cfg.us_to_cycles(6.0);
+    let dir = common::scratch_dir("periodic");
+    for (pattern, stores) in [("seq", 0.0), ("seq", 0.3), ("rand", 0.0), ("rand", 0.2)] {
+        let spec = JobSpec {
+            pattern: pattern.to_string(),
+            cores: 2,
+            stores,
+            us: 6.0,
+            ..JobSpec::default()
+        };
+        let key = format!("{pattern}-{stores}");
+        let run = |checkpoint: Option<JobCheckpoint>| {
+            let opts = JobOptions {
+                checkpoint,
+                ..JobOptions::default()
+            };
+            run_job(&spec, &JobPulse::default(), &JobCancel::new(), opts)
+                .expect("synthetic streams checkpoint")
+        };
+        let checkpoint = |resume| {
+            Some(JobCheckpoint {
+                dir: dir.clone(),
+                key: key.clone(),
+                every,
+                resume,
+            })
+        };
 
-        let mut snaps: Vec<Snapshot> = Vec::new();
-        let mut sim = build(&cfg, pattern);
-        let report = sim
-            .run_for_us_checkpointed(6.0, every, &mut |s| snaps.push(s.clone()))
-            .expect("synthetic streams checkpoint");
-
-        assert!(!snaps.is_empty(), "{pname}: no checkpoints were emitted");
-        for s in &snaps {
-            assert_eq!(
-                s.dram_cycle % every,
-                0,
-                "{pname}: checkpoint off-boundary at cycle {}",
-                s.dram_cycle
-            );
-            assert_eq!(s.version, SNAPSHOT_FORMAT_VERSION);
+        let report = run(checkpoint(false));
+        let cycles = common::on_disk_checkpoint_cycles(&dir, &key);
+        assert_eq!(cycles.len(), 7, "{key}: chain on disk is {cycles:?}");
+        for c in &cycles {
+            assert_eq!(c % every, 0, "{key}: checkpoint off-boundary at cycle {c}");
         }
 
-        let plain = uninterrupted(&cfg, pattern, 6.0);
+        let plain = run(None);
+        assert!(plain.ctrl_stats.reads_done > 0, "{key} did no work");
         assert_eq!(
             plain.strip_perf(),
             report.strip_perf(),
-            "{pname}: periodic checkpointing perturbed the run"
+            "{key}: periodic checkpointing perturbed the run"
         );
 
-        let last = snaps.last().expect("checked non-empty");
-        let mut resumed = build(&cfg, pattern);
-        resumed.restore(last).expect("restore accepts the blob");
-        resumed.advance_to_cycle(total);
+        // The chain's last link is cycle 7000; the resumed run simulates
+        // only the tail.
+        let resumed = run(checkpoint(true));
         assert_eq!(
             plain.strip_perf(),
-            resumed.report().strip_perf(),
-            "{pname}: resume from last checkpoint diverged"
+            resumed.strip_perf(),
+            "{key}: resume from last checkpoint diverged"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn arbitrary_pattern() -> impl Strategy<Value = SyntheticPattern> {
@@ -439,8 +457,8 @@ fn delta_chain_misuse_is_a_typed_error() {
 
 /// Satellite: `ckpt::load_latest` walks the on-disk chain and falls back
 /// to the last *complete* checkpoint when the tail is torn — and to the
-/// JSON blob when no binary chain exists — so `--resume` never needs a
-/// format flag and never trips over a crash-torn file.
+/// JSON blob when no binary chain exists — so a resume never trips over
+/// a crash-torn file.
 #[test]
 fn on_disk_resume_falls_back_to_last_complete_checkpoint() {
     let dir = std::env::temp_dir().join(format!("dramstack-negotiate-{}", std::process::id()));

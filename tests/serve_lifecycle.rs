@@ -276,6 +276,52 @@ fn hung_job_is_reclaimed_by_the_watchdog() {
 }
 
 #[test]
+fn finished_jobs_beyond_the_cap_are_forgotten_oldest_first_and_running_ones_kept() {
+    use dramstack::serve::MAX_FINISHED_JOBS;
+    let extra = 5;
+    let mut cfg = test_config();
+    cfg.queue_cap = MAX_FINISHED_JOBS + extra;
+    // The hanging job below must stay `running` for the whole test, then
+    // be cancelled promptly by drain.
+    cfg.job_stall_timeout = Duration::from_secs(600);
+    cfg.drain_grace = Duration::from_millis(50);
+    let (addr, handle, join) = spawn_server(cfg);
+    let client = Client::new(addr);
+
+    // The oldest id of all is never finished, so it must never go.
+    let running = client
+        .submit_job(r#"{"pattern":"seq","cores":1,"us":1,"inject_hang":true}"#)
+        .unwrap();
+    wait_running(&client, running);
+    // The other worker runs these in submission order.
+    let short: Vec<u64> = (0..MAX_FINISHED_JOBS + extra)
+        .map(|_| {
+            client
+                .submit_job(r#"{"pattern":"seq","cores":1,"us":1}"#)
+                .unwrap()
+        })
+        .collect();
+    let last = *short.last().unwrap();
+    let (status, _) = parse_status(&client.wait_job(last, Duration::from_secs(120)).unwrap());
+    assert_eq!(status, "done");
+
+    for id in &short[..extra] {
+        match client.job_status(*id) {
+            Err(ClientError::Status { code: 404, .. }) => {}
+            other => panic!("job {id} should have been forgotten, got {other:?}"),
+        }
+    }
+    for id in &short[extra..] {
+        let (status, _) = parse_status(&client.job_status(*id).unwrap());
+        assert_eq!(status, "done", "job {id} is within the cap");
+    }
+    let (status, _) = parse_status(&client.job_status(running).unwrap());
+    assert_eq!(status, "running");
+
+    drain_and_join(&handle, join);
+}
+
+#[test]
 fn slow_client_hits_read_deadline_without_stalling_others() {
     let (addr, handle, join) = spawn_server(test_config());
 
