@@ -7,7 +7,7 @@
 //! that dies mid-flight is *not* retried — the job may have been
 //! admitted.
 
-use std::io;
+use std::io::{self, ErrorKind, Read};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -114,8 +114,9 @@ impl Client {
         Err(last)
     }
 
-    /// One request/response round trip, no retry.
-    fn roundtrip(&self, method: &str, path: &str, body: Option<&str>) -> Result<Response, String> {
+    /// Connects and writes one request; the response is the caller's to
+    /// read.
+    fn send(&self, method: &str, path: &str, body: Option<&str>) -> Result<TcpStream, String> {
         let mut stream = self.connect().map_err(|e| format!("connect: {e}"))?;
         let payload = body.unwrap_or("");
         let head = format!(
@@ -133,22 +134,37 @@ impl Client {
             .write_all(head.as_bytes())
             .and_then(|()| stream.write_all(payload.as_bytes()))
             .map_err(|e| format!("send: {e}"))?;
+        Ok(stream)
+    }
+
+    /// One request/response round trip, no retry.
+    fn roundtrip(&self, method: &str, path: &str, body: Option<&str>) -> Result<Response, String> {
+        let mut stream = self.send(method, path, body)?;
         http::read_response(&mut stream).map_err(|e| format!("receive: {e}"))
+    }
+
+    /// Runs `attempt` until it succeeds, backing off between transport
+    /// failures, `retries + 1` times at most.
+    fn retrying<T>(
+        &self,
+        mut attempt: impl FnMut() -> Result<T, String>,
+    ) -> Result<T, ClientError> {
+        let mut last = String::new();
+        for n in 0..=self.retries {
+            match attempt() {
+                Ok(v) => return Ok(v),
+                Err(e) => last = e,
+            }
+            if n < self.retries {
+                std::thread::sleep(backoff_delay(self.backoff, n));
+            }
+        }
+        Err(ClientError::Io(last))
     }
 
     /// GET with transport-level retry (idempotent by definition here).
     fn get(&self, path: &str) -> Result<Response, ClientError> {
-        let mut last = String::new();
-        for attempt in 0..=self.retries {
-            match self.roundtrip("GET", path, None) {
-                Ok(resp) => return Ok(resp),
-                Err(e) => last = e,
-            }
-            if attempt < self.retries {
-                std::thread::sleep(backoff_delay(self.backoff, attempt));
-            }
-        }
-        Err(ClientError::Io(last))
+        self.retrying(|| self.roundtrip("GET", path, None))
     }
 
     fn expect_2xx(resp: Response) -> Result<Response, ClientError> {
@@ -250,30 +266,78 @@ impl Client {
         Self::expect_2xx(self.get(&format!("/jobs/{id}"))?).map(|r| r.text())
     }
 
-    /// Polls `GET /jobs/<id>` until the status leaves
-    /// `queued`/`running`, returning the final status JSON.
+    /// Waits for the job to finish and returns its final status JSON. The
+    /// server ends a job's stream only after publishing the terminal
+    /// status, so this follows `GET /jobs/<id>/stream` to its end (never
+    /// past `timeout`) and then asks `GET /jobs/<id>` once — no polling
+    /// interval to overshoot by. A job that already finished returns at
+    /// once.
     ///
     /// # Errors
     ///
     /// [`ClientError::WaitTimeout`] if the job is still live at the
-    /// deadline, or any transport/status error from polling.
+    /// deadline, or any transport/status error from either request (404
+    /// for an unknown or forgotten id included).
     pub fn wait_job(&self, id: u64, timeout: Duration) -> Result<String, ClientError> {
         let deadline = Instant::now() + timeout;
-        let mut last_status = "unknown".to_string();
         loop {
+            self.follow_stream(id, deadline)?;
             let body = self.job_status(id)?;
             let v: Value = serde_json::from_str(&body)
                 .map_err(|e| ClientError::Protocol(format!("status body: {e}")))?;
-            if let Some(status) = json_str(&v, "status") {
-                last_status = status.to_string();
-                if status != "queued" && status != "running" {
-                    return Ok(body);
+            let status = json_str(&v, "status").unwrap_or("unknown");
+            if status != "queued" && status != "running" {
+                return Ok(body);
+            }
+            // Still live: the deadline passed, or the stream was silent
+            // for a whole `io_timeout` (a long queue) and is followed anew.
+            if Instant::now() >= deadline {
+                return Err(ClientError::WaitTimeout {
+                    last_status: status.to_string(),
+                });
+            }
+        }
+    }
+
+    /// Reads `GET /jobs/<id>/stream` until the server ends it, `deadline`
+    /// passes or nothing arrives for `io_timeout`, keeping only enough of
+    /// the response to tell a refusal (404, 503) from a stream.
+    fn follow_stream(&self, id: u64, deadline: Instant) -> Result<(), ClientError> {
+        /// More than any error answer; a stream's own lines are discarded.
+        const KEEP: usize = 1024;
+        let path = format!("/jobs/{id}/stream");
+        let kept = self.retrying(|| {
+            let mut stream = self.send("GET", &path, None)?;
+            let mut kept = Vec::with_capacity(KEEP);
+            let mut chunk = [0u8; 8192];
+            loop {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return Ok(kept);
+                }
+                stream
+                    .set_read_timeout(Some(left.min(self.io_timeout)))
+                    .map_err(|e| format!("receive: {e}"))?;
+                match stream.read(&mut chunk) {
+                    Ok(0) => return Ok(kept),
+                    Ok(n) => kept.extend_from_slice(&chunk[..n.min(KEEP - kept.len())]),
+                    Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                        return Ok(kept)
+                    }
+                    Err(e) => return Err(format!("receive: {e}")),
                 }
             }
-            if Instant::now() >= deadline {
-                return Err(ClientError::WaitTimeout { last_status });
-            }
-            std::thread::sleep(Duration::from_millis(50));
+        })?;
+        let text = String::from_utf8_lossy(&kept);
+        match text.split(' ').nth(1).and_then(|c| c.parse::<u16>().ok()) {
+            Some(code) if !(200..300).contains(&code) => Err(ClientError::Status {
+                code,
+                body: text
+                    .split_once("\r\n\r\n")
+                    .map_or("", |(_, body)| body)
+                    .to_string(),
+            }),
+            _ => Ok(()),
         }
     }
 

@@ -4,9 +4,11 @@
 //! the worker's [`TelemetrySink`] pushes one JSONL record per sample
 //! window, any number of `/jobs/<id>/stream` connections block on
 //! [`StreamHub::wait_from`] and replay from whatever index they have
-//! reached. Closing the hub (job reached a terminal state) wakes every
-//! reader for the final drain. The bound turns a runaway job into a
-//! truncated stream instead of unbounded server memory.
+//! reached. Closing the hub wakes every reader for the final drain. Only
+//! the server closes it, after the job's terminal status is stored — never
+//! the sink at the end of telemetry, which comes first — so a reader that
+//! has seen the stream end finds the job finished. The bound turns a
+//! runaway job into a truncated stream instead of unbounded server memory.
 
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -53,7 +55,9 @@ impl StreamHub {
         self.cond.notify_all();
     }
 
-    /// Marks the stream finished and wakes readers. Idempotent.
+    /// Marks the stream finished and wakes readers. Idempotent. For a
+    /// job's hub the caller must have published the terminal status first
+    /// (see the module docs).
     pub fn close(&self) {
         let mut g = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         g.closed = true;
@@ -128,10 +132,6 @@ impl TelemetrySink for HubSink {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .ingest_window(sample);
-    }
-
-    fn finish(&mut self) {
-        self.hub.close();
     }
 }
 

@@ -24,8 +24,8 @@
 //! | Endpoint | Behavior |
 //! |---|---|
 //! | `POST /jobs` | Submit a [`JobSpec`](dramstack_sim::JobSpec) JSON body → 202 `{id}`, 400 typed, 429 shed, 503 draining |
-//! | `GET /jobs/<id>` | Status JSON (report inline once done); 404 once the job is among the finished ones beyond [`MAX_FINISHED_JOBS`] |
-//! | `GET /jobs/<id>/stream` | Chunked JSONL: one telemetry record per sample window |
+//! | `GET /jobs/<id>` | Status JSON (`elapsed_ms` = `queue_ms` + `run_ms`; report inline once done); 404 once the job is among the finished ones beyond [`MAX_FINISHED_JOBS`] |
+//! | `GET /jobs/<id>/stream` | Chunked JSONL: one telemetry record per sample window; ends only once the job's terminal status is readable |
 //! | `GET /healthz` | Liveness (always 200 while the loop runs) |
 //! | `GET /readyz` | Readiness (503 once draining) |
 //! | `GET /metrics` | Prometheus text: fleet-aggregated stacks + serve counters |

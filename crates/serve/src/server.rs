@@ -16,6 +16,16 @@
 //!    flag), stop accepting, shed the queue, give running jobs a grace
 //!    period, then cancel them cooperatively — cancelled jobs
 //!    checkpoint for resume when a checkpoint dir is configured.
+//!
+//! The request path waits on events, never on a timer: the accept loops
+//! block in `wait_readable` until a connection arrives (`ACCEPT_POLL`
+//! bounds only how late a stop flag is noticed), workers sleep on the
+//! queue's condvar, stream readers on their hub's. And **a job's stream
+//! ends only after its terminal status is published**: a hub is closed by
+//! the worker that ran the job (or by `drain`, for a job it sheds), after
+//! the final `JobState` is stored under the `jobs` lock, and by nobody
+//! else — so a client that reads `/jobs/<id>/stream` to its end needs one
+//! `GET /jobs/<id>`, not a polling loop.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read};
@@ -57,11 +67,11 @@ pub struct ServeStats {
     pub bad_requests: u64,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum JobState {
     Queued,
     Running,
-    Done(Box<SimReport>),
+    Done(Arc<SimReport>),
     Failed(String),
     TimedOut,
     Cancelled { checkpointed: bool },
@@ -94,6 +104,8 @@ struct JobEntry {
     cancel: JobCancel,
     hub: Arc<StreamHub>,
     submitted: Instant,
+    /// When a worker took the job off the queue (never, for a shed job).
+    started: Option<Instant>,
     finished: Option<Instant>,
 }
 
@@ -190,6 +202,55 @@ impl ServerHandle {
     }
 }
 
+/// How often the accept loops look at the stop flags while no connection
+/// arrives.
+const ACCEPT_POLL: Duration = Duration::from_millis(15);
+
+/// Blocks until `listener` has a connection to accept, a signal arrives or
+/// [`ACCEPT_POLL`] has passed, whichever is first. No `libc` dependency:
+/// `poll(2)` is declared the way `sim::ckpt` declares `signal(2)`.
+#[cfg(unix)]
+fn wait_readable(listener: &TcpListener) {
+    use std::ffi::{c_int, c_short};
+    use std::os::unix::io::AsRawFd;
+    #[repr(C)]
+    struct PollFd {
+        fd: c_int,
+        events: c_short,
+        revents: c_short,
+    }
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    type NfdsT = std::ffi::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    type NfdsT = std::ffi::c_uint;
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: c_int) -> c_int;
+    }
+    const POLLIN: c_short = 0x1;
+    let mut fd = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    // SAFETY: `poll` is the C library's own prototype; it is handed one
+    // valid, exclusively borrowed `pollfd` (same layout: an `int` and two
+    // `short`s) with a count of 1, and writes nothing but its `revents`.
+    // The descriptor stays open for the call because `listener` is
+    // borrowed across it.
+    let ready = unsafe { poll(&mut fd, 1, ACCEPT_POLL.as_millis() as c_int) };
+    // A wait that failed outright (not a signal: the caller wants to see
+    // its flag now) would return at once every time; keep the bound.
+    if ready < 0 && io::Error::last_os_error().kind() != io::ErrorKind::Interrupted {
+        thread::sleep(ACCEPT_POLL);
+    }
+}
+
+/// Without `poll(2)`: the timed sleep the readiness wait replaces.
+#[cfg(not(unix))]
+fn wait_readable(_listener: &TcpListener) {
+    thread::sleep(ACCEPT_POLL);
+}
+
 /// The bound-but-not-yet-serving daemon.
 pub struct Server {
     listener: TcpListener,
@@ -258,13 +319,7 @@ impl Server {
             if self.state.stop.load(Ordering::SeqCst) || dramstack_sim::interrupted() {
                 break;
             }
-            match self.listener.accept() {
-                Ok((stream, _)) => self.dispatch(stream),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(15));
-                }
-                Err(_) => thread::sleep(Duration::from_millis(15)),
-            }
+            self.accept_or_wait();
         }
         // Run the drain sequence on a helper thread and keep accepting
         // while it works: drain can last the whole grace period, and a
@@ -278,10 +333,7 @@ impl Server {
         {
             Ok(drainer) => {
                 while !drainer.is_finished() {
-                    match self.listener.accept() {
-                        Ok((stream, _)) => self.dispatch(stream),
-                        Err(_) => thread::sleep(Duration::from_millis(15)),
-                    }
+                    self.accept_or_wait();
                 }
                 let _ = drainer.join();
             }
@@ -291,6 +343,19 @@ impl Server {
             let _ = w.join();
         }
         self.state.stats()
+    }
+
+    /// Dispatches the next pending connection, or waits at most
+    /// [`ACCEPT_POLL`] for one to arrive.
+    fn accept_or_wait(&self) {
+        match self.listener.accept() {
+            Ok((stream, _)) => self.dispatch(stream),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => wait_readable(&self.listener),
+            // EMFILE and the like can persist while a connection is
+            // pending, which a readiness wait would report at once: back
+            // off on a timer so the loop cannot spin.
+            Err(_) => thread::sleep(ACCEPT_POLL),
+        }
     }
 
     fn dispatch(&self, mut stream: TcpStream) {
@@ -395,6 +460,7 @@ fn worker_loop(state: &Arc<State>) {
                     return None; // shed while queued
                 }
                 e.state = JobState::Running;
+                e.started = Some(Instant::now());
                 Some((e.spec.clone(), e.cancel.clone(), e.hub.clone()))
             })
         }) else {
@@ -448,7 +514,7 @@ fn worker_loop(state: &Arc<State>) {
                 result: Ok(report), ..
             } => {
                 state.ctr.completed.fetch_add(1, Ordering::Relaxed);
-                JobState::Done(Box::new(report))
+                JobState::Done(Arc::new(report))
             }
             JobOutcome::Ok(Err(e)) | JobOutcome::Retried { result: Err(e), .. } => match e {
                 JobError::Cancelled { checkpointed, .. } => {
@@ -481,6 +547,7 @@ fn worker_loop(state: &Arc<State>) {
             }
             evict_finished(&mut jobs);
         }
+        // Only now: a stream that has ended promises a terminal status.
         hub.close();
         state.running.fetch_sub(1, Ordering::SeqCst);
         state.jobs_cv.notify_all();
@@ -649,6 +716,7 @@ fn post_job(state: &Arc<State>, stream: &mut TcpStream, req: &Request) {
                 cancel: JobCancel::new(),
                 hub: Arc::new(StreamHub::new()),
                 submitted: Instant::now(),
+                started: None,
                 finished: None,
             },
         );
@@ -666,40 +734,54 @@ fn post_job(state: &Arc<State>, stream: &mut TcpStream, req: &Request) {
 }
 
 fn get_job(state: &Arc<State>, stream: &mut TcpStream, id: u64) {
-    let body = {
-        let jobs = lock(&state.jobs);
-        let Some(e) = jobs.get(&id) else {
-            drop(jobs);
-            let _ = http::write_json(stream, 404, &error_body("no such job"), &[]);
-            return;
-        };
-        let elapsed = e
-            .finished
-            .unwrap_or_else(Instant::now)
-            .duration_since(e.submitted);
-        let mut fields = vec![
-            ("id".to_string(), Value::Int(i128::from(id))),
-            ("status".to_string(), Value::Str(e.state.name().to_string())),
-            ("spec".to_string(), serde_json::to_value(&e.spec)),
-            (
-                "elapsed_ms".to_string(),
-                Value::Float(elapsed.as_secs_f64() * 1e3),
-            ),
-        ];
-        match &e.state {
-            JobState::Done(report) => {
-                fields.push(("report".to_string(), serde_json::to_value(report.as_ref())));
-            }
-            JobState::Failed(msg) => {
-                fields.push(("error".to_string(), Value::Str(msg.clone())));
-            }
-            JobState::Cancelled { checkpointed } => {
-                fields.push(("checkpointed".to_string(), Value::Bool(*checkpointed)));
-            }
-            _ => {}
-        }
-        serde_json::to_string(&Value::Map(fields)).unwrap_or_default()
+    // Copy out under the lock (the report is behind an `Arc`), serialise
+    // after it: a report is ~1 ms of JSON, during which no worker could
+    // publish a state and no other status read proceed.
+    let entry = lock(&state.jobs).get(&id).map(|e| {
+        (
+            e.spec.clone(),
+            e.state.clone(),
+            e.submitted,
+            e.started,
+            e.finished,
+        )
+    });
+    let Some((spec, job_state, submitted, started, finished)) = entry else {
+        let _ = http::write_json(stream, 404, &error_body("no such job"), &[]);
+        return;
     };
+    let end = finished.unwrap_or_else(Instant::now);
+    let run_from = started.unwrap_or(end);
+    let ms = |d: Duration| Value::Float(d.as_secs_f64() * 1e3);
+    let mut fields = vec![
+        ("id".to_string(), Value::Int(i128::from(id))),
+        (
+            "status".to_string(),
+            Value::Str(job_state.name().to_string()),
+        ),
+        ("spec".to_string(), serde_json::to_value(&spec)),
+        ("elapsed_ms".to_string(), ms(end.duration_since(submitted))),
+        // Submitted → dequeued by a worker, and dequeued → finished (or
+        // now); a job shed from the queue never ran.
+        (
+            "queue_ms".to_string(),
+            ms(run_from.duration_since(submitted)),
+        ),
+        ("run_ms".to_string(), ms(end.duration_since(run_from))),
+    ];
+    match &job_state {
+        JobState::Done(report) => {
+            fields.push(("report".to_string(), serde_json::to_value(report.as_ref())));
+        }
+        JobState::Failed(msg) => {
+            fields.push(("error".to_string(), Value::Str(msg.clone())));
+        }
+        JobState::Cancelled { checkpointed } => {
+            fields.push(("checkpointed".to_string(), Value::Bool(*checkpointed)));
+        }
+        _ => {}
+    }
+    let body = serde_json::to_string(&Value::Map(fields)).unwrap_or_default();
     let _ = http::write_json(stream, 200, &body, &[]);
 }
 

@@ -61,6 +61,14 @@ fn jstr<'a>(v: &'a Value, key: &str) -> Option<&'a str> {
     }
 }
 
+fn jf64(v: &Value, key: &str) -> f64 {
+    match jfield(v, key) {
+        Some(Value::Float(f)) => *f,
+        Some(Value::Int(i)) => *i as f64,
+        other => panic!("`{key}` is not a number: {other:?}"),
+    }
+}
+
 /// Parses a `GET /jobs/<id>` body and returns (status, whole value).
 fn parse_status(body: &str) -> (String, Value) {
     let v: Value = serde_json::from_str(body).expect("status body is JSON");
@@ -109,6 +117,15 @@ fn health_metrics_and_job_roundtrip() {
     assert_eq!(status, "done");
     let report = report_of(&v);
     assert!(report.achieved_gbps() > 0.0);
+    // Where the job's time went, from the daemon's own stamps: waiting
+    // for a worker and running are disjoint parts of the whole.
+    let (queue_ms, run_ms) = (jf64(&v, "queue_ms"), jf64(&v, "run_ms"));
+    assert!(queue_ms >= 0.0 && run_ms > 0.0, "{queue_ms} {run_ms}");
+    assert!(
+        queue_ms + run_ms <= jf64(&v, "elapsed_ms") + 1.0,
+        "queue {queue_ms} + run {run_ms} exceed elapsed {}",
+        jf64(&v, "elapsed_ms")
+    );
 
     // The stream replays the job's telemetry as JSONL even after the
     // job finished, and every line is an object with the stack fields.
@@ -144,6 +161,85 @@ fn health_metrics_and_job_roundtrip() {
     }
 
     drain_and_join(&handle, join);
+}
+
+#[test]
+fn idle_daemon_answers_when_the_request_arrives_not_at_a_poll_tick() {
+    let (addr, handle, join) = spawn_server(test_config());
+    let client = Client::new(addr);
+
+    // Back-to-back requests used to wait out the accept loop's 15 ms
+    // sleep, each of them; a readiness wait dispatches on arrival.
+    let mut rtt: Vec<Duration> = (0..20)
+        .map(|_| {
+            let t0 = Instant::now();
+            assert_eq!(client.healthz().unwrap().trim(), "ok");
+            t0.elapsed()
+        })
+        .collect();
+    rtt.sort();
+    assert!(
+        rtt[rtt.len() / 2] < Duration::from_millis(5),
+        "median /healthz round trip {:?} of {rtt:?}",
+        rtt[rtt.len() / 2]
+    );
+
+    drain_and_join(&handle, join);
+}
+
+#[test]
+fn idle_daemon_with_no_client_notices_drain() {
+    let (_addr, handle, join) = spawn_server(test_config());
+    let (tx, rx) = std::sync::mpsc::channel();
+    thread::spawn(move || tx.send(join.join()));
+    // Nothing connects, so only the readiness wait's own bound can end it.
+    handle.drain();
+    rx.recv_timeout(Duration::from_secs(1))
+        .expect("serve() returns within 1 s of drain()")
+        .expect("serve loop exits cleanly");
+}
+
+#[test]
+fn a_stream_that_ended_promises_a_terminal_status() {
+    let mut cfg = test_config();
+    cfg.workers = 1;
+    // Not about the watchdog: on a loaded box a debug-build job can go
+    // the test config's 700 ms without a heartbeat.
+    cfg.job_stall_timeout = Duration::from_secs(60);
+    let (addr, handle, join) = spawn_server(cfg);
+    let client = Client::new(addr);
+    // One status read, no polling: the daemon closes a job's stream only
+    // after it has stored how the job ended.
+    let status_after_stream = |id: u64| {
+        client.stream_lines(id).unwrap();
+        parse_status(&client.job_status(id).unwrap()).0
+    };
+
+    for i in 0..30 {
+        let id = client
+            .submit_job(r#"{"pattern":"seq","cores":1,"us":20}"#)
+            .unwrap();
+        assert_eq!(status_after_stream(id), "done", "job {i}");
+    }
+    let bad = client
+        .submit_job(r#"{"pattern":"seq","cores":1,"us":5,"inject_panic":true}"#)
+        .unwrap();
+    assert_eq!(status_after_stream(bad), "failed");
+
+    // A job still queued when drain starts is shed, by the drain thread
+    // rather than a worker; reads are served for as long as the job ahead
+    // of it keeps running.
+    let inflight = client
+        .submit_job(r#"{"pattern":"seq","cores":1,"us":200}"#)
+        .unwrap();
+    wait_running(&client, inflight);
+    let queued = client
+        .submit_job(r#"{"pattern":"seq","cores":1,"us":5}"#)
+        .unwrap();
+    handle.drain();
+    assert_eq!(status_after_stream(queued), "shed");
+
+    join.join().expect("serve loop exits after drain");
 }
 
 #[test]
