@@ -738,21 +738,20 @@ fn get_job(state: &Arc<State>, stream: &mut TcpStream, id: u64) {
     // after it: a report is ~1 ms of JSON, during which no worker could
     // publish a state and no other status read proceed.
     let entry = lock(&state.jobs).get(&id).map(|e| {
-        (
-            e.spec.clone(),
-            e.state.clone(),
-            e.submitted,
-            e.started,
-            e.finished,
-        )
+        let end = e.finished.unwrap_or_else(Instant::now);
+        // A job shed from the queue never ran.
+        let run_from = e.started.unwrap_or(end);
+        let stamps = [
+            ("elapsed_ms", end.duration_since(e.submitted)),
+            ("queue_ms", run_from.duration_since(e.submitted)),
+            ("run_ms", end.duration_since(run_from)),
+        ];
+        (e.spec.clone(), e.state.clone(), stamps)
     });
-    let Some((spec, job_state, submitted, started, finished)) = entry else {
+    let Some((spec, job_state, stamps)) = entry else {
         let _ = http::write_json(stream, 404, &error_body("no such job"), &[]);
         return;
     };
-    let end = finished.unwrap_or_else(Instant::now);
-    let run_from = started.unwrap_or(end);
-    let ms = |d: Duration| Value::Float(d.as_secs_f64() * 1e3);
     let mut fields = vec![
         ("id".to_string(), Value::Int(i128::from(id))),
         (
@@ -760,24 +759,15 @@ fn get_job(state: &Arc<State>, stream: &mut TcpStream, id: u64) {
             Value::Str(job_state.name().to_string()),
         ),
         ("spec".to_string(), serde_json::to_value(&spec)),
-        ("elapsed_ms".to_string(), ms(end.duration_since(submitted))),
-        // Submitted → dequeued by a worker, and dequeued → finished (or
-        // now); a job shed from the queue never ran.
-        (
-            "queue_ms".to_string(),
-            ms(run_from.duration_since(submitted)),
-        ),
-        ("run_ms".to_string(), ms(end.duration_since(run_from))),
     ];
-    match &job_state {
+    fields.extend(stamps.map(|(name, d)| (name.to_string(), Value::Float(d.as_secs_f64() * 1e3))));
+    match job_state {
         JobState::Done(report) => {
             fields.push(("report".to_string(), serde_json::to_value(report.as_ref())));
         }
-        JobState::Failed(msg) => {
-            fields.push(("error".to_string(), Value::Str(msg.clone())));
-        }
+        JobState::Failed(msg) => fields.push(("error".to_string(), Value::Str(msg))),
         JobState::Cancelled { checkpointed } => {
-            fields.push(("checkpointed".to_string(), Value::Bool(*checkpointed)));
+            fields.push(("checkpointed".to_string(), Value::Bool(checkpointed)));
         }
         _ => {}
     }

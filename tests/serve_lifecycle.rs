@@ -62,11 +62,9 @@ fn jstr<'a>(v: &'a Value, key: &str) -> Option<&'a str> {
 }
 
 fn jf64(v: &Value, key: &str) -> f64 {
-    match jfield(v, key) {
-        Some(Value::Float(f)) => *f,
-        Some(Value::Int(i)) => *i as f64,
-        other => panic!("`{key}` is not a number: {other:?}"),
-    }
+    jfield(v, key)
+        .and_then(Value::as_f64)
+        .unwrap_or_else(|| panic!("`{key}` is not a number in {v:?}"))
 }
 
 /// Parses a `GET /jobs/<id>` body and returns (status, whole value).
