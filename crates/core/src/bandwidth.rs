@@ -123,7 +123,7 @@ impl BandwidthAccountant {
     /// Accounts `span` fully idle cycles — bit-identical to
     /// `account_span(&CycleView::idle(n_banks), span)` but without
     /// touching (or needing) a view at all. This is the branch-free fast
-    /// path behind the simulator's idle-cycle fast-forward.
+    /// path for skipped spans whose frozen view is all idle.
     #[inline]
     pub fn account_idle(&mut self, span: u64) {
         self.total_cycles += span;

@@ -264,8 +264,8 @@ impl StackSampler {
     /// Accounts `n` fully idle cycles in bulk — bit-identical to calling
     /// [`account`](Self::account) `n` times with [`CycleView::idle`],
     /// including any window rolls inside the span, but at O(windows)
-    /// instead of O(cycles) cost. This is the sampler half of the
-    /// event-skip fast-forward.
+    /// instead of O(cycles) cost. This is what
+    /// [`account_span`](Self::account_span) does with an all-idle view.
     pub fn account_idle(&mut self, mut n: u64) {
         while n > 0 {
             let take = n.min(self.period - self.accounted);
@@ -283,9 +283,9 @@ impl StackSampler {
     /// Accounts `n` identical cycles of `view` in bulk — bit-identical to
     /// calling [`account`](Self::account) `n` times with the same view,
     /// including window rolls inside the span. This is the sampler half of
-    /// the *busy* event-horizon skip: a stalled-but-busy controller span
-    /// (saturated bus backlog, tRFC shadow, write drain) has a constant
-    /// view, so its whole stretch classifies in O(windows).
+    /// the event-horizon skip: a stalled controller span (saturated bus
+    /// backlog, tRFC shadow, write drain, or nothing queued at all) has a
+    /// constant view, so its whole stretch classifies in O(windows).
     ///
     /// The span must not contain CAS issues (`view.cas_hit` is `None`); a
     /// CAS would end the stall that made the span skippable.

@@ -158,17 +158,6 @@ impl Bank {
         self.open_row.is_none() && now >= self.pre_done_at && self.auto_pre_at.is_none()
     }
 
-    /// Whether the bank has reached a steady state at `now`: no precharge,
-    /// activate, burst or auto-precharge in flight. A settled bank's
-    /// [`state`](Self::state) is `Precharged` or `Open` and stays that way
-    /// until a new command arrives — the bank-local condition for the
-    /// idle-cycle fast-forward in the simulator's drive loop.
-    pub fn is_settled(&self, now: Cycle) -> bool {
-        self.auto_pre_at.is_none()
-            && now >= self.pre_done_at
-            && (self.open_row.is_none() || (now >= self.act_done_at && now >= self.burst_end_at))
-    }
-
     /// Earliest cycle an ACT may issue to this bank (bank-local constraints
     /// only: tRP after PRE, tRC after the previous ACT).
     pub fn earliest_activate(&self, timing: &TimingParams) -> Cycle {

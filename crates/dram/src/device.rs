@@ -963,33 +963,6 @@ impl DramDevice {
         self.ranks[rank as usize].refresh_end()
     }
 
-    /// Conservative horizon for the idle-cycle fast-forward: `Some(h)` means
-    /// that, absent new commands, nothing observable happens on this device
-    /// in `[now, h)` — no burst occupies the bus, no bank changes state, no
-    /// refresh is due or in progress. `h` is the earliest upcoming refresh
-    /// deadline. Returns `None` whenever anything is (or may soon be) in
-    /// flight; callers must then step cycle-by-cycle.
-    ///
-    /// The invariant `next_event` must never overshoot: for every cycle `t`
-    /// in `[now, h)`, the device's observable state (bus activity, bank
-    /// states, refresh status) at `t` equals its state at `now`.
-    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        if self.bus.busy_at_or_after(now) {
-            return None;
-        }
-        if self.banks.iter().any(|b| !b.is_settled(now)) {
-            return None;
-        }
-        let mut horizon = Cycle::MAX;
-        for (r, rank) in self.ranks.iter().enumerate() {
-            if rank.refresh_due(now) || self.is_refreshing(r as u32, now) {
-                return None;
-            }
-            horizon = horizon.min(rank.next_refresh_at());
-        }
-        (horizon > now).then_some(horizon)
-    }
-
     /// Number of refreshes performed on `rank`.
     pub fn refreshes_done(&self, rank: u32) -> u64 {
         self.ranks[rank as usize].refreshes_done()

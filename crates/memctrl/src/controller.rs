@@ -204,7 +204,7 @@ impl MemoryController {
     /// Toggles the busy-path event engine (on by default). Forwarded to
     /// the device's timing memoization so one switch covers the whole
     /// stack. Reports are bit-identical with the engine on or off; the
-    /// off position is the A/B baseline for `busy_speedup` benchmarks.
+    /// off position is the oracle the identity tests compare against.
     pub fn set_busy_engine(&mut self, on: bool) {
         self.busy_engine = on;
         self.device.set_memoize(on);
@@ -379,36 +379,15 @@ impl MemoryController {
         out.append(&mut self.completions);
     }
 
-    /// Conservative horizon for the idle-cycle fast-forward: `Some(h)`
-    /// means this controller provably does nothing but idle in `[now, h)` —
-    /// no queued or in-flight request, no undelivered completion, no write
-    /// drain or refresh drain in progress, no probe observing cycles, and
-    /// the device itself is settled until its next refresh deadline `h`.
-    ///
-    /// The `CycleView` this controller would produce for every cycle in
-    /// `[now, h)` is exactly [`CycleView::idle`], so callers may account
-    /// those cycles in bulk without ticking.
-    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        if !self.is_idle()
-            || !self.completions.is_empty()
-            || self.drain_mode
-            || self.refresh_draining
-            || (self.probe_active && self.probe.wants_ticks())
-        {
-            return None;
-        }
-        self.device.next_event(now)
-    }
-
     /// Busy-path stall horizon: called with `now` = the last ticked cycle,
     /// returns `Some(h)` when ticks at every cycle `t` in `(now, h)` are
     /// provably pure bookkeeping — no command issues, no completion lands,
     /// no refresh or drain threshold trips, and the `CycleView` equals the
     /// one the tick at `now` produced. Those ticks can then be replayed in
     /// bulk by [`apply_stall_span`](Self::apply_stall_span) plus span-based
-    /// sampler accounting, extending the idle fast-forward to
-    /// stalled-but-busy spans (saturated bus backlog, tRFC shadows, tFAW
-    /// windows, write-drain turnarounds).
+    /// sampler accounting — stalled-but-busy spans (saturated bus backlog,
+    /// tRFC shadows, tFAW windows, write-drain turnarounds) and, with
+    /// nothing queued, the idle stretch up to the next refresh.
     ///
     /// `h` is capped by every cycle at which the frozen state could act:
     /// the next in-flight completion, refresh deadline or refresh end,

@@ -29,9 +29,9 @@ pub enum SimPhase {
     Pump,
     /// Through-time sampling / window rolling.
     Sampling,
-    /// Bulk idle-cycle fast-forwarding (event-skip spans).
+    /// Bulk skipping of spans with no request pending (idle machine).
     FastForward,
-    /// Bulk stalled-but-busy span skipping (busy event horizon).
+    /// Bulk skipping of spans with requests pending (stalled but busy).
     BusyForward,
 }
 
@@ -179,26 +179,26 @@ impl PhaseTimers {
         })
     }
 
-    /// Records `n` simulated cycles skipped by the event-skip fast-forward
+    /// Records `n` simulated cycles skipped with no request pending
     /// (tracked regardless of whether wall-clock profiling is enabled).
     #[inline]
     pub fn add_fast_forwarded(&mut self, n: u64) {
         self.ff_cycles += n;
     }
 
-    /// Simulated cycles skipped by fast-forward so far.
+    /// Simulated cycles skipped with no request pending so far.
     pub fn fast_forwarded(&self) -> u64 {
         self.ff_cycles
     }
 
-    /// Records `n` simulated cycles covered by a stalled-but-busy span
-    /// skip (tracked regardless of whether wall profiling is enabled).
+    /// Records `n` simulated cycles skipped with requests pending
+    /// (tracked regardless of whether wall profiling is enabled).
     #[inline]
     pub fn add_busy_forwarded(&mut self, n: u64) {
         self.busy_ff_cycles += n;
     }
 
-    /// Simulated cycles covered by busy-horizon skips so far.
+    /// Simulated cycles skipped with requests pending so far.
     pub fn busy_forwarded(&self) -> u64 {
         self.busy_ff_cycles
     }
@@ -273,11 +273,11 @@ pub struct PerfReport {
     pub sim_cycles: u64,
     /// Simulation speed in simulated cycles per host second.
     pub sim_cycles_per_second: f64,
-    /// Simulated cycles covered by the event-skip fast-forward rather than
-    /// per-cycle stepping (recorded even when wall profiling is off).
+    /// Simulated cycles skipped with no request pending rather than
+    /// stepped (recorded even when wall profiling is off).
     pub fast_forwarded_cycles: u64,
-    /// Simulated cycles covered by stalled-but-busy horizon skips rather
-    /// than per-cycle stepping (recorded even when wall profiling is off).
+    /// Simulated cycles skipped with requests pending rather than
+    /// stepped (recorded even when wall profiling is off).
     pub busy_forwarded_cycles: u64,
     /// `(phase name, seconds)` per drive-loop phase, in loop order.
     pub phases: Vec<(String, f64)>,

@@ -80,10 +80,10 @@ pub trait Probe: std::fmt::Debug {
     /// Whether this probe needs the per-cycle [`tick`](Self::tick) hook
     /// even across provably inert spans.
     ///
-    /// The controller's idle fast-forward skips cycles in which nothing
-    /// observable happens; the only probe hook those cycles would have
-    /// fired is `tick`. A probe that returns `false` here (e.g. an
-    /// event-driven auditor) keeps fast-forwarding enabled; the default
+    /// The simulator's event-horizon skip passes over cycles in which
+    /// nothing observable happens; the only probe hook those cycles would
+    /// have fired is `tick`. A probe that returns `false` here (e.g. an
+    /// event-driven auditor) keeps the skip enabled; the default
     /// `true` is conservative and disables it while the probe is
     /// attached. Either way results are bit-identical — probes observe,
     /// they never steer.

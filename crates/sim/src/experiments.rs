@@ -413,56 +413,11 @@ pub struct SweepPoint {
     pub report: SimReport,
 }
 
-/// Sweeps the cross product of cores × policies × mappings for both
-/// synthetic patterns — the grid behind "which configuration is best for
-/// this workload?" questions. Runs `len(cores) × len(policies) ×
-/// len(mappings) × 2` simulations.
-///
-/// # Errors
-///
-/// Every grid point is validated *before* the parallel fan-out, so a bad
-/// sweep axis (e.g. zero cores) fails fast with a [`ConfigError`] instead
-/// of burning worker time first.
-pub fn sweep_synthetic(
-    cores: &[usize],
-    policies: &[PagePolicy],
-    mappings: &[MappingScheme],
-    store_fraction: f64,
-    us: f64,
-) -> Result<Vec<SweepPoint>, ConfigError> {
-    for &n in cores {
-        SystemConfig::paper_default(n).validate()?;
-    }
-    let mut jobs = Vec::new();
-    for (name, pattern) in [
-        ("seq", SyntheticPattern::sequential(store_fraction)),
-        ("rand", SyntheticPattern::random(store_fraction)),
-    ] {
-        for &n in cores {
-            for &policy in policies {
-                for &mapping in mappings {
-                    jobs.push((name, pattern, n, policy, mapping));
-                }
-            }
-        }
-    }
-    parallel::map(jobs, |(name, pattern, n, policy, mapping)| {
-        run_synthetic(n, pattern, policy, mapping, us).map(|report| SweepPoint {
-            pattern: name.to_string(),
-            cores: n,
-            policy,
-            mapping,
-            report,
-        })
-    })
-    .into_iter()
-    .collect()
-}
-
-/// The grid [`sweep_synthetic`] covers, one [`JobSpec`] per point in the
-/// same order: both patterns × cores × policies × mappings. A caller can
-/// mark points before handing the grid to [`sweep_synthetic_supervised`]
-/// (e.g. set `inject_panic` on one to prove salvage end to end).
+/// The grid behind "which configuration is best for this workload?"
+/// questions, one [`JobSpec`] per point: both patterns × cores × policies
+/// × mappings, in that nesting order. A caller can mark points before
+/// handing the grid to [`sweep_synthetic_supervised`] (e.g. set
+/// `inject_panic` on one to prove salvage end to end).
 pub fn synthetic_grid(
     cores: &[usize],
     policies: &[PagePolicy],
@@ -513,7 +468,7 @@ impl SupervisedSweep {
     }
 }
 
-/// [`sweep_synthetic`] hardened for long campaigns: every grid point is
+/// Runs a [`synthetic_grid`], hardened for long campaigns: every point is
 /// one [`run_job`] call under [`parallel::supervised_map`] (panic
 /// isolation, watchdog, bounded retry), all sharing `cancel`. With a
 /// [`Campaign`] attached the sweep becomes resumable — with `resume` set,
@@ -528,8 +483,8 @@ impl SupervisedSweep {
 ///
 /// # Errors
 ///
-/// Like [`sweep_synthetic`], the grid is validated before any fan-out: a
-/// point that does not resolve is a [`JobError::Spec`].
+/// The grid is validated before any fan-out: a point that does not
+/// resolve (e.g. zero cores) is a [`JobError::Spec`].
 pub fn sweep_synthetic_supervised(
     grid: Vec<JobSpec>,
     campaign: Option<&Campaign>,
@@ -589,19 +544,6 @@ pub fn sweep_synthetic_supervised(
         failures,
         errors,
     })
-}
-
-/// The sweep point with the highest achieved bandwidth for a pattern.
-pub fn best_of<'a>(points: &'a [SweepPoint], pattern: &str) -> Option<&'a SweepPoint> {
-    points
-        .iter()
-        .filter(|p| p.pattern == pattern)
-        .max_by(|a, b| {
-            a.report
-                .achieved_gbps()
-                .partial_cmp(&b.report.achieved_gbps())
-                .expect("bandwidths are finite")
-        })
 }
 
 /// One bar group of Fig. 9.
@@ -721,73 +663,25 @@ mod tests {
     }
 
     #[test]
-    fn sweep_covers_the_grid_and_best_of_picks_sanely() {
-        let points = sweep_synthetic(
-            &[1, 2],
-            &[PagePolicy::Open, PagePolicy::Closed],
-            &[MappingScheme::RowBankColumn],
-            0.0,
-            5.0,
-        )
-        .unwrap();
-        assert_eq!(points.len(), 2 * 2 * 2);
-        let best_seq = best_of(&points, "seq").unwrap();
-        // For the read-only sequential pattern the open policy wins.
-        assert_eq!(best_seq.policy, PagePolicy::Open);
-        assert_eq!(best_seq.cores, 2);
-        assert!(best_of(&points, "nope").is_none());
-    }
-
-    #[test]
-    fn parallel_sweep_matches_serial_order_and_results() {
-        // The sweep fans out over worker threads; results must be
-        // bit-identical to an inline serial loop over the same grid, in
-        // the same order (modulo `perf`, which records wall-clock time).
-        let points = sweep_synthetic(
-            &[1, 2],
-            &[PagePolicy::Open],
-            &[MappingScheme::RowBankColumn],
-            0.0,
-            5.0,
-        )
-        .unwrap();
-        let mut expect = Vec::new();
-        for (name, pattern) in [
-            ("seq", SyntheticPattern::sequential(0.0)),
-            ("rand", SyntheticPattern::random(0.0)),
-        ] {
-            for n in [1usize, 2] {
-                let report = run_synthetic(
-                    n,
-                    pattern,
-                    PagePolicy::Open,
-                    MappingScheme::RowBankColumn,
-                    5.0,
-                )
-                .unwrap();
-                expect.push((name, n, report.strip_perf()));
-            }
-        }
-        assert_eq!(points.len(), expect.len());
-        for (p, (name, n, r)) in points.iter().zip(&expect) {
-            assert_eq!(&p.pattern, name);
-            assert_eq!(p.cores, *n);
-            assert_eq!(&p.report.strip_perf(), r);
-        }
-    }
-
-    #[test]
     fn invalid_configurations_fail_fast_with_typed_errors() {
         // A zero-core sweep axis is rejected before any worker spawns.
-        let e = sweep_synthetic(
+        let grid = synthetic_grid(
             &[0],
             &[PagePolicy::Open],
             &[MappingScheme::RowBankColumn],
             0.0,
             1.0,
+        );
+        let e = sweep_synthetic_supervised(
+            grid,
+            None,
+            0,
+            false,
+            &parallel::SupervisorConfig::default(),
+            &JobCancel::new(),
         )
         .unwrap_err();
-        assert_eq!(e, ConfigError::NoCores);
+        assert!(matches!(e, JobError::Spec(_)), "{e}");
         assert!(run_synthetic(
             0,
             SyntheticPattern::sequential(0.0),

@@ -10,8 +10,8 @@
 //! milliseconds, while keeping results bit-identical (modulo `perf`
 //! timings) to a straight
 //! [`run_synthetic`](crate::experiments::run_synthetic) call — the
-//! fast-forward paths clamp to the slice horizon, and to a checkpoint
-//! boundary, exactly like they clamp to the end of a run.
+//! event-horizon skip clamps to the slice horizon, and to a checkpoint
+//! boundary, exactly like it clamps to the end of a run.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -27,7 +27,7 @@ use dramstack_workloads::SyntheticPattern;
 
 use crate::campaign::job_key;
 use crate::ckpt::{self, CheckpointChain, CkptError, SnapshotFormat};
-use crate::config::{ConfigError, SystemConfig};
+use crate::config::SystemConfig;
 use crate::parallel::JobPulse;
 use crate::report::SimReport;
 use crate::system::Simulator;
@@ -324,8 +324,6 @@ pub struct JobOptions {
 pub enum JobError {
     /// The spec did not resolve to a runnable configuration.
     Spec(String),
-    /// The resolved configuration failed validation.
-    Config(ConfigError),
     /// The cancellation token fired; `checkpointed` says whether state
     /// was saved for resume.
     Cancelled {
@@ -352,7 +350,6 @@ impl fmt::Display for JobError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             JobError::Spec(msg) => write!(f, "invalid job spec: {msg}"),
-            JobError::Config(e) => write!(f, "invalid configuration: {e}"),
             JobError::Cancelled {
                 cycle,
                 checkpointed,

@@ -6,7 +6,7 @@
 //! samplers (including the open, partially filled window), the armed
 //! auditors' bookkeeping, and the cycle counters. It deliberately does
 //! *not* capture attachments (probes, telemetry, heartbeat, log sink,
-//! profiling timers) or tuning knobs (fast-forward, busy engine) — those
+//! profiling timers) or the tuning knob (busy engine) — those
 //! belong to the process hosting the simulator, not to the simulated
 //! machine, and are preserved on the restore target.
 //!

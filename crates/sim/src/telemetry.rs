@@ -4,7 +4,7 @@
 //! A [`Telemetry`] instance attached via
 //! [`Simulator::enable_telemetry`](crate::Simulator::enable_telemetry)
 //! receives every completed sample window as it rolls (including windows
-//! rolled inside the idle fast-forward). It
+//! rolled inside a skipped span). It
 //!
 //! * retains a bounded-memory [`StackSeries`] of [`TimeSample`]s (pairwise
 //!   downsampling keeps arbitrarily long runs resident),

@@ -1,5 +1,7 @@
 //! Controller and cpu-layer work per tick on the six refbench
-//! configurations.
+//! configurations, plus an instruction-less run (`idle_1c`) whose
+//! `ctrl_ticks` are exactly what the skip engine leaves to step around
+//! each refresh.
 //!
 //! Prints `SimReport::perf`'s deterministic work counters — `ctrl_ticks`,
 //! `timing_queries`, `queue_entries_visited`, then `core_ticks`,
@@ -82,6 +84,12 @@ fn main() {
             synth(2, SyntheticPattern::sequential(0.3), seed, 2000.0),
         ),
         ("serve_closed_2c", serve),
+        (
+            "idle_1c",
+            Simulator::with_traces(SystemConfig::paper_default(1), vec![Vec::new()])
+                .run_for_us(1000.0)
+                .perf,
+        ),
     ];
     println!("| config | ctrl_ticks | timing_queries/tick | queue_entries_visited/tick |");
     println!("|---|---|---|---|");

@@ -1,16 +1,18 @@
-//! Bit-identity of the busy-path event engine across DDR4 presets and
-//! synthetic traffic shapes.
+//! Bit-identity of the busy-path event engine across DDR4 presets,
+//! synthetic traffic shapes and the skip scenarios.
 //!
-//! The busy engine (timing memoization, dirty-bank tracking, event-horizon
-//! stepping) must be a pure performance optimization: with it on or off,
-//! `SimReport::strip_perf()` is identical field for field, and the shadow
-//! auditor — armed by default in test builds — still sees every command
-//! and stays clean. This file pins that deterministically across the full
-//! five-preset matrix and over a bounded random sample of configurations.
+//! The busy engine (timing memoization, dirty-bank tracking, parked
+//! cores, the event-horizon skip) must be a pure performance
+//! optimization: with it on or off, `SimReport::strip_perf()` is identical
+//! field for field, and the shadow auditor — armed by default in test
+//! builds — still sees every command and stays clean. This file pins that
+//! deterministically across the full five-preset matrix, over one row per
+//! skip scenario (idle, idle tails, saturated, multi-channel, a mid-run
+//! switch) and over a bounded random sample of configurations.
 
 use proptest::prelude::*;
 
-use dramstack::cpu::{InstrStream, VecStream};
+use dramstack::cpu::Instr;
 use dramstack::dram::TimingParams;
 use dramstack::memctrl::PagePolicy;
 use dramstack::sim::{SimReport, Simulator, SystemConfig};
@@ -92,26 +94,144 @@ fn busy_engine_bit_identical_across_preset_matrix() {
     }
 }
 
-/// The other skip engine, at its best case: with no instructions to run,
-/// everything except the refresh grid is idle, so the idle fast-forward
-/// must carry nearly the whole run — and change nothing in the report.
+/// `cores` copies of `n` loads at `stride` over `channels` channels, with
+/// the engine set.
+fn loads(cores: usize, channels: usize, n: u64, stride: u64, engine: bool) -> Simulator {
+    let mut cfg = SystemConfig::paper_default(cores);
+    cfg.channels = channels;
+    let trace: Vec<Instr> = (0..n).map(|i| Instr::Load { addr: i * stride }).collect();
+    let mut sim = Simulator::with_traces(cfg, vec![trace; cores]);
+    sim.set_busy_engine(engine);
+    sim
+}
+
+fn synth(cores: usize, pattern: SyntheticPattern, engine: bool) -> Simulator {
+    let mut sim = Simulator::with_synthetic(SystemConfig::paper_default(cores), pattern);
+    sim.set_busy_engine(engine);
+    sim
+}
+
+/// The skip at its best case: with no instructions to run, everything
+/// except the refresh grid is idle, so nearly the whole run is skipped —
+/// as spans with no request pending — and nothing in the report changes.
 #[test]
 fn idle_run_fast_forwards_over_nine_tenths_of_its_cycles_unchanged() {
-    let run = |fast_forward: bool| {
-        let idle: Vec<Box<dyn InstrStream>> = vec![Box::new(VecStream::new(Vec::new()))];
-        let mut sim = Simulator::new(SystemConfig::paper_default(1), idle);
-        sim.set_fast_forward(fast_forward);
-        sim.run_for_us(100.0)
-    };
-    let (on, off) = (run(true), run(false));
+    let run = |us: f64, engine: bool| loads(1, 1, 0, 0, engine).run_for_us(us);
+    let (on, off) = (run(100.0, true), run(100.0, false));
     assert_eq!(on.strip_perf(), off.strip_perf());
     assert_eq!(off.perf.fast_forwarded_cycles, 0);
+    // Over a long run only the ticks around each refresh are stepped.
+    let long = run(20_000.0, true);
+    assert_eq!(long.perf.busy_forwarded_cycles, 0);
     assert!(
-        on.perf.fast_forwarded_cycles * 10 > on.sim_cycles * 9,
+        long.perf.fast_forwarded_cycles * 1000 >= long.sim_cycles * 999,
         "only {} of {} idle cycles were fast-forwarded",
-        on.perf.fast_forwarded_cycles,
-        on.sim_cycles
+        long.perf.fast_forwarded_cycles,
+        long.sim_cycles
     );
+}
+
+/// What a scenario's engine-on run must show in its skip counters.
+enum Skips {
+    Any,
+    /// Spans of either kind cover over nine tenths of the run.
+    NineTenths,
+    /// Some span had no request pending (an idle tail).
+    Fast,
+    /// Some span had requests pending.
+    Busy,
+}
+
+/// One row per skip scenario: a run taking the engine position, and what
+/// its counters must show with the engine on.
+type Scenario = (&'static str, fn(bool) -> SimReport, Skips);
+
+const SCENARIOS: [Scenario; 10] = [
+    (
+        "empty workload",
+        |e| loads(1, 1, 0, 0, e).run_for_us(100.0),
+        Skips::NineTenths,
+    ),
+    (
+        "64 loads, idle tail",
+        |e| loads(1, 1, 64, 8192, e).run_for_us(100.0),
+        Skips::Fast,
+    ),
+    (
+        "128 loads, idle tail",
+        |e| loads(1, 1, 128, 4096, e).run_for_us(100.0),
+        Skips::Fast,
+    ),
+    (
+        "2 cores x 2 channels, idle tail",
+        |e| loads(2, 2, 32, 8192, e).run_for_us(60.0),
+        Skips::Any,
+    ),
+    (
+        "seq 8c saturated",
+        |e| synth(8, SyntheticPattern::sequential(0.0), e).run_for_us(30.0),
+        Skips::Busy,
+    ),
+    (
+        "rand 2c",
+        |e| synth(2, SyntheticPattern::random(0.0), e).run_for_us(30.0),
+        Skips::Any,
+    ),
+    (
+        "seq 0.3 4c",
+        |e| synth(4, SyntheticPattern::sequential(0.3), e).run_for_us(30.0),
+        Skips::Any,
+    ),
+    (
+        "seq 0.4 8c",
+        |e| synth(8, SyntheticPattern::sequential(0.4), e).run_for_us(30.0),
+        Skips::Any,
+    ),
+    (
+        "2 cores x 2 channels to completion",
+        |e| loads(2, 2, 256, 64, e).run_to_completion(5_000_000),
+        Skips::Any,
+    ),
+    // The engine-on run switches the engine off half way, while cores are
+    // parked: the switch itself must put them back on the step loop.
+    (
+        "seq 8c, engine switched off mid-run",
+        |e| {
+            let mut sim = synth(8, SyntheticPattern::sequential(0.0), e);
+            sim.advance_for_us(15.0);
+            if e {
+                assert!(sim.parked_cores() > 0, "no core parked at the switch");
+                sim.set_busy_engine(false);
+                assert_eq!(sim.parked_cores(), 0);
+            }
+            sim.run_for_us(15.0)
+        },
+        Skips::Any,
+    ),
+];
+
+/// Every skip scenario against `set_busy_engine(false)` stepping from
+/// cycle 0, which ticks every core and controller every cycle.
+#[test]
+fn skip_engine_matches_stepping_on_every_scenario() {
+    for (name, run, skips) in SCENARIOS {
+        let (on, off) = (run(true), run(false));
+        assert_eq!(on.strip_perf(), off.strip_perf(), "{name}");
+        assert_eq!(off.perf.fast_forwarded_cycles, 0, "{name}");
+        assert_eq!(off.perf.busy_forwarded_cycles, 0, "{name}");
+        let fast = on.perf.fast_forwarded_cycles;
+        let busy = on.perf.busy_forwarded_cycles;
+        match skips {
+            Skips::Any => {}
+            Skips::NineTenths => assert!(
+                (fast + busy) * 10 > on.sim_cycles * 9,
+                "{name}: only {fast} + {busy} of {} cycles skipped",
+                on.sim_cycles
+            ),
+            Skips::Fast => assert!(fast > 0, "{name}: the idle tail was stepped"),
+            Skips::Busy => assert!(busy > 0, "{name}: no busy span was skipped"),
+        }
+    }
 }
 
 fn arbitrary_pattern() -> impl Strategy<Value = SyntheticPattern> {

@@ -34,6 +34,11 @@ const CORES: usize = 2;
 
 /// The two specs every path is checked on, with the direct report of each.
 fn specs() -> Vec<(JobSpec, SimReport)> {
+    specs_for(CORES)
+}
+
+/// The `seq` and `rand` specs at `cores` cores, with their direct reports.
+fn specs_for(cores: usize) -> Vec<(JobSpec, SimReport)> {
     [
         ("seq", SyntheticPattern::sequential(STORES)),
         ("rand", SyntheticPattern::random(STORES)),
@@ -42,14 +47,14 @@ fn specs() -> Vec<(JobSpec, SimReport)> {
     .map(|(name, pattern)| {
         let spec = JobSpec::synthetic(
             name,
-            CORES,
+            cores,
             STORES,
             US,
             PagePolicy::Open,
             MappingScheme::RowBankColumn,
         );
         let direct = run_synthetic(
-            CORES,
+            cores,
             pattern,
             PagePolicy::Open,
             MappingScheme::RowBankColumn,
@@ -208,18 +213,22 @@ fn a_job_cancelled_from_another_thread_resumes_from_its_chain_identically() {
 fn a_campaign_sweep_salvages_around_a_panic_and_a_hang_and_resumes_from_the_manifest() {
     let dir = scratch_dir("run-paths-sweep");
     let campaign = Campaign::open(&dir).unwrap();
-    let grid = || {
+    let grid_over = |policies: &[PagePolicy]| {
         synthetic_grid(
             &[1, CORES],
-            &[PagePolicy::Open],
+            policies,
             &[MappingScheme::RowBankColumn],
             STORES,
             US,
         )
     };
+    // Grid size: both patterns x every value of every axis.
+    assert_eq!(grid_over(&[PagePolicy::Open, PagePolicy::Closed]).len(), 8);
+    let grid = || grid_over(&[PagePolicy::Open]);
     // Grid order: seq 1c, seq 2c, rand 1c, rand 2c. The 1-core points
     // misbehave; the 2-core ones are the specs every other test checks.
     let mut chaos = grid();
+    assert_eq!(chaos.len(), 4);
     chaos[0].inject_panic = true;
     chaos[2].inject_hang = true;
     // A healthy point beats once per slice, well inside five seconds even
@@ -263,11 +272,16 @@ fn a_campaign_sweep_salvages_around_a_panic_and_a_hang_and_resumes_from_the_mani
     assert!(sweep.complete(), "{:?} {:?}", sweep.failures, sweep.errors);
     assert_eq!(sweep.skipped, 2);
     assert_eq!(reopened.jobs_done(), 4);
-    for (idx, (_, direct)) in [1usize, 3].into_iter().zip(&healthy) {
-        let point = sweep.points[idx]
-            .as_ref()
-            .expect("loaded from the manifest");
-        assert_eq!(&point.report.strip_perf(), direct, "manifest point {idx}");
+    // Every point, loaded from the manifest or run now, sits at its grid
+    // position and equals the direct run.
+    let one_core = specs_for(1);
+    let expect = [&one_core[0], &healthy[0], &one_core[1], &healthy[1]];
+    assert_eq!(sweep.points.len(), expect.len());
+    for (point, (spec, direct)) in sweep.points.iter().zip(expect) {
+        let point = point.as_ref().expect("complete sweep");
+        assert_eq!(point.pattern, spec.pattern);
+        assert_eq!(point.cores, spec.cores);
+        assert_eq!(&point.report.strip_perf(), direct, "{}", spec.pattern);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
