@@ -53,7 +53,7 @@ impl Probe for AuditProbe {
         self.inner.borrow_mut().auditor.observe(now, cmd);
     }
 
-    /// The auditor is purely event-driven, so idle fast-forwarding stays
+    /// The auditor is purely event-driven, so the event-horizon skip stays
     /// enabled while it is armed.
     fn wants_ticks(&self) -> bool {
         false

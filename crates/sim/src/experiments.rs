@@ -1,9 +1,9 @@
 //! Drivers for every experiment (figure) in the paper.
 //!
 //! Each function reproduces the configuration sweep behind one figure and
-//! returns structured rows; the `dramstack-bench` crate renders them as
-//! tables/CSV/SVG. Sizes are parameterized by [`ExperimentScale`] so the
-//! same code serves fast CI checks and full figure regeneration.
+//! returns structured rows; the root package's `dramstack::figures`
+//! renders them as tables/CSV/SVG. Sizes are parameterized by
+//! [`ExperimentScale`]: full for `results/`, quick for tests.
 
 use serde::{Deserialize, Serialize};
 
@@ -39,8 +39,8 @@ pub struct ExperimentScale {
 }
 
 impl ExperimentScale {
-    /// Figure-regeneration size (used by `cargo bench` and the `fig*`
-    /// binaries). The graph's ~5 MB footprint is several times the
+    /// Figure-regeneration size (what `dramstack-cli figures` writes to
+    /// `results/`). The graph's ~5 MB footprint is several times the
     /// GAP-scaled 1 MB LLC, keeping the kernels memory-bound as in the
     /// paper.
     pub fn full() -> Self {
@@ -57,7 +57,7 @@ impl ExperimentScale {
         }
     }
 
-    /// Small size for tests.
+    /// Small size for tests (the figure goldens in `tests/figures.rs`).
     pub fn quick() -> Self {
         ExperimentScale {
             synth_us: 25.0,

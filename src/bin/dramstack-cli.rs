@@ -7,14 +7,18 @@
 //! dramstack-cli trace --input cmds.trace --cycles 100000
 //! dramstack-cli extrapolate --pattern rand --to 8
 //! dramstack-cli diff --before a.json --after b.json
+//! dramstack-cli figures fig2 fig9
 //! ```
 
 use std::process::ExitCode;
 
+use dramstack::figures;
 use dramstack::live::{auto_mode, env_requests_live, LiveSink};
 use dramstack::memctrl::{MappingScheme, PagePolicy};
 use dramstack::sim::ckpt::load_latest;
-use dramstack::sim::experiments::{run_gap, sweep_synthetic_supervised, synthetic_grid};
+use dramstack::sim::experiments::{
+    run_gap, sweep_synthetic_supervised, synthetic_grid, ExperimentScale,
+};
 use dramstack::sim::jobs::{parse_mapping, parse_policy};
 use dramstack::sim::parallel::{JobPulse, SupervisorConfig};
 use dramstack::sim::{
@@ -37,6 +41,7 @@ enum Cli {
     Extrapolate { pattern: SynthArgs, to: f64 },
     Diff(DiffArgs),
     Serve(ServeArgs),
+    Figures(Vec<String>),
     Help,
 }
 
@@ -204,6 +209,8 @@ USAGE:
                       [--max-body-kb N] [--job-deadline-secs F|0]
                       [--job-stall-secs F] [--drain-grace-secs F]
                       [--checkpoint-dir DIR]         # simulation service
+  dramstack-cli figures [fig2|fig3|fig4|fig6|fig7|fig8|fig9 ...]
+                      # the paper's figures at full scale into results/
   dramstack-cli help
 
 Live telemetry (synth): --live draws the terminal stack dashboard on
@@ -477,6 +484,14 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         }
         "sweep" => Ok(Cli::Sweep(parse_sweep_args(&args[1..])?)),
         "serve" => Ok(Cli::Serve(parse_serve_args(&args[1..])?)),
+        "figures" => {
+            let names = args[1..].to_vec();
+            let known: Vec<&str> = figures::ALL.iter().map(|&(f, _)| f).collect();
+            if let Some(bad) = names.iter().find(|n| !known.contains(&n.as_str())) {
+                return Err(format!("unknown figure `{bad}` ({})", known.join("|")));
+            }
+            Ok(Cli::Figures(names))
+        }
         "gap" => {
             let mut out = GapArgs::default();
             let mut it = args[1..].iter();
@@ -1017,6 +1032,26 @@ fn run_extrapolate_cmd(a: &SynthArgs, to: f64) -> Result<(), String> {
     Ok(())
 }
 
+/// Renders the named figures (every figure when none is named) at full
+/// scale and writes their files into the repository's `results/`.
+fn run_figures_cmd(names: &[String]) -> Result<(), String> {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
+    std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    for (name, render) in figures::ALL {
+        if !names.is_empty() && !names.iter().any(|n| n == name) {
+            continue;
+        }
+        let figure = render(&ExperimentScale::full()).map_err(|e| e.to_string())?;
+        println!("{}", figure.text);
+        for (file, contents) in &figure.files {
+            let path = dir.join(file);
+            std::fs::write(&path, contents).map_err(|e| format!("{}: {e}", path.display()))?;
+            println!("wrote {}", path.display());
+        }
+    }
+    Ok(())
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cli = match parse_cli(&args) {
@@ -1051,6 +1086,7 @@ fn main() -> ExitCode {
         Cli::Extrapolate { pattern, to } => run_extrapolate_cmd(pattern, *to),
         Cli::Diff(a) => run_diff_cmd(a),
         Cli::Serve(a) => run_serve_cmd(a),
+        Cli::Figures(names) => run_figures_cmd(names),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -1264,6 +1300,17 @@ mod tests {
         assert!(parse_cli(&args("gap --scale 30")).is_err());
         assert!(parse_cli(&args("frobnicate")).is_err());
         assert!(parse_cli(&args("extrapolate --to 0.5")).is_err());
+    }
+
+    #[test]
+    fn parse_figures() {
+        assert_eq!(parse_cli(&args("figures")).unwrap(), Cli::Figures(vec![]));
+        assert_eq!(
+            parse_cli(&args("figures fig2 fig9")).unwrap(),
+            Cli::Figures(vec!["fig2".into(), "fig9".into()])
+        );
+        assert!(parse_cli(&args("figures fig5")).is_err());
+        assert!(parse_cli(&args("figures --quick")).is_err());
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //!   admission control, backpressure, graceful drain.
 //! * [`viz`] — ASCII/SVG/CSV renderings of stacks.
 //!
-//! plus one module of its own: [`live`], which bridges the simulator's
-//! streaming telemetry to the terminal stack dashboard.
+//! plus two modules of its own: [`live`] (streaming telemetry on the
+//! terminal stack dashboard) and [`figures`] (the paper's figures).
 //!
 //! # Quickstart
 //!
@@ -44,6 +44,7 @@
 //! assert!(bw.achieved_gbps() < bw.peak_gbps());
 //! ```
 
+pub mod figures;
 pub mod live;
 
 pub use dramstack_audit as audit;

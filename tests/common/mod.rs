@@ -1,5 +1,7 @@
-//! Helpers shared by the integration tests that look at checkpoint chains
-//! on disk.
+//! Helpers shared by the integration tests: scratch directories,
+//! checkpoint chains on disk and the golden-fixture switch. Each test
+//! binary uses some of them.
+#![allow(dead_code)]
 
 use std::path::{Path, PathBuf};
 
@@ -32,4 +34,10 @@ pub fn on_disk_checkpoint_cycles(dir: &Path, key: &str) -> Vec<Cycle> {
         cycles.push(delta.dram_cycle);
     }
     cycles
+}
+
+/// Whether this run rewrites golden fixtures instead of comparing with
+/// them (`DRAMSTACK_REGEN_GOLDEN=1`).
+pub fn regen_golden() -> bool {
+    std::env::var("DRAMSTACK_REGEN_GOLDEN").as_deref() == Ok("1")
 }

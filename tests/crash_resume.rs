@@ -539,10 +539,6 @@ fn golden_snapshot() -> Snapshot {
     sim.snapshot().expect("synthetic streams checkpoint")
 }
 
-fn regen_golden() -> bool {
-    std::env::var("DRAMSTACK_REGEN_GOLDEN").as_deref() == Ok("1")
-}
-
 /// Satellite: any change to the serialized shape of the snapshot (or of
 /// any component state embedded in it) without a version bump fails this
 /// test loudly. Regenerate the fixture with
@@ -552,7 +548,7 @@ fn regen_golden() -> bool {
 fn golden_snapshot_format_is_stable() {
     let fresh = golden_snapshot().to_json();
 
-    if regen_golden() {
+    if common::regen_golden() {
         std::fs::write(GOLDEN_PATH, &fresh).expect("write golden fixture");
         eprintln!("regenerated {GOLDEN_PATH}");
         return;
@@ -600,7 +596,7 @@ fn golden_binary_snapshot_format_is_stable() {
     let snap = golden_snapshot();
     let fresh = snap.to_binary();
 
-    if regen_golden() {
+    if common::regen_golden() {
         std::fs::write(GOLDEN_BIN_PATH, &fresh).expect("write golden binary fixture");
         eprintln!("regenerated {GOLDEN_BIN_PATH}");
         return;

@@ -1,10 +1,14 @@
 //! Cross-crate integration tests asserting the paper's headline
-//! qualitative results at reduced scale.
+//! qualitative results at reduced scale, and the design ablations of
+//! DESIGN.md §4: scheduler policy, accounting split, DDR4 speed grade.
 
-use dramstack::memctrl::{MappingScheme, PagePolicy};
+use dramstack::dram::{CycleView, DeviceConfig};
+use dramstack::memctrl::{
+    CtrlConfig, MappingScheme, MemoryController, PagePolicy, SchedulerPolicy,
+};
 use dramstack::sim::experiments::run_synthetic;
 use dramstack::sim::{Simulator, SystemConfig};
-use dramstack::stacks::{BwComponent, LatComponent};
+use dramstack::stacks::{BandwidthAccountant, BwComponent, FirstCauseAccountant, LatComponent};
 use dramstack::workloads::SyntheticPattern;
 
 const US: f64 = 25.0;
@@ -162,4 +166,71 @@ fn refresh_fraction_matches_trfc_over_trefi() {
         (frac - 420.0 / 9360.0).abs() < 0.01,
         "refresh fraction {frac}"
     );
+}
+
+/// Achieved bandwidth of `US` simulated microseconds of `pattern` on
+/// `cfg`, sampled in 10 µs windows.
+fn ablation_run(mut cfg: SystemConfig, pattern: SyntheticPattern) -> f64 {
+    cfg.sample_period = 12_000;
+    Simulator::with_synthetic(cfg, pattern)
+        .run_for_us(US)
+        .achieved_gbps()
+}
+
+#[test]
+fn frfcfs_never_loses_to_fcfs_on_random_traffic() {
+    let run = |scheduler| {
+        let mut cfg = SystemConfig::paper_default(4);
+        cfg.ctrl.scheduler = scheduler;
+        ablation_run(cfg, SyntheticPattern::random(0.2))
+    };
+    let (frfcfs, fcfs) = (run(SchedulerPolicy::FrFcfs), run(SchedulerPolicy::Fcfs));
+    assert!(
+        frfcfs >= 0.95 * fcfs,
+        "FR-FCFS {frfcfs:.2} GB/s vs FCFS {fcfs:.2} GB/s"
+    );
+}
+
+#[test]
+fn ddr4_3200_lifts_the_saturated_sequential_plateau() {
+    let run = |device| {
+        let mut cfg = SystemConfig::paper_default(8);
+        cfg.ctrl.device = device;
+        ablation_run(cfg, SyntheticPattern::sequential(0.0))
+    };
+    let (slow, fast) = (
+        run(DeviceConfig::ddr4_2400()),
+        run(DeviceConfig::ddr4_3200()),
+    );
+    assert!(
+        fast > slow,
+        "DDR4-3200 {fast:.2} GB/s vs DDR4-2400 {slow:.2} GB/s"
+    );
+}
+
+#[test]
+fn split_accounting_shows_bank_idle_that_first_cause_hides() {
+    // One controller, no cores: a row-hit stream of one read every 12
+    // cycles, classified by the paper's 1/n per-bank split and by the
+    // whole-cycle-to-first-cause alternative side by side.
+    let mut ctrl = MemoryController::new(CtrlConfig::paper_default());
+    let mut view = CycleView::idle(ctrl.total_banks());
+    let peak = ctrl.config().device.peak_bandwidth_gbps();
+    let mut split = BandwidthAccountant::new(ctrl.total_banks(), peak);
+    let mut first = FirstCauseAccountant::new(ctrl.total_banks(), peak);
+    let mut next_addr = 0u64;
+    for now in 0..12_000 {
+        if now % 12 == 0 && ctrl.can_accept_read() {
+            ctrl.enqueue_read(next_addr, 0);
+            next_addr += 64;
+        }
+        ctrl.tick(now, &mut view);
+        split.account(&view);
+        first.account(&view);
+        ctrl.drain_completions().for_each(drop);
+    }
+    let split = split.stack().gbps(BwComponent::BankIdle);
+    let first = first.stack().gbps(BwComponent::BankIdle);
+    assert!(split > 0.0, "split bank-idle {split:.2} GB/s");
+    assert_eq!(first, 0.0, "first-cause bank-idle {first:.2} GB/s");
 }
