@@ -43,7 +43,7 @@ pub(crate) fn run(ctx: &mut KernelCtx<'_>, cfg: &GapConfig) {
                     let v = frontier[i as usize];
                     ctx.t.load(core, queue_arr.addr(i));
                     let neigh = ctx.scan_neighbors(core, v);
-                    for u in neigh {
+                    for &u in neigh {
                         ctx.t.load(core, depth_arr.addr(u64::from(u)));
                         if depth[u as usize] == u32::MAX {
                             depth[u as usize] = d + 1;
@@ -77,7 +77,7 @@ pub(crate) fn run(ctx: &mut KernelCtx<'_>, cfg: &GapConfig) {
                     ctx.t.load(core, queue_arr.addr(i));
                     let neigh = ctx.scan_neighbors(core, v);
                     let mut acc = 0.0;
-                    for u in neigh {
+                    for &u in neigh {
                         ctx.t.load(core, depth_arr.addr(u64::from(u)));
                         if depth[u as usize] == d as u32 + 1 {
                             ctx.t.load(core, sigma_arr.addr(u64::from(u)));

@@ -35,7 +35,7 @@ pub(crate) fn run(ctx: &mut KernelCtx<'_>, cfg: &GapConfig) {
                     let v = frontier[i as usize];
                     ctx.t.load(core, front_arr.addr(i));
                     let neigh = ctx.scan_neighbors(core, v);
-                    for u in neigh {
+                    for &u in neigh {
                         ctx.t.load(core, parent_arr.addr(u64::from(u)));
                         let claim = parent[u as usize] == u32::MAX;
                         ctx.t.branch(

@@ -20,7 +20,7 @@ pub(crate) fn run(ctx: &mut KernelCtx<'_>, cfg: &GapConfig) {
             for v in r {
                 ctx.t.load(core, comp_arr.addr(v));
                 let neigh = ctx.scan_neighbors(core, v as u32);
-                for u in neigh {
+                for &u in neigh {
                     ctx.t.load(core, comp_arr.addr(u64::from(u)));
                     if comp[u as usize] < comp[v as usize] {
                         comp[v as usize] = comp[u as usize];

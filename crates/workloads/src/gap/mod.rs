@@ -149,14 +149,14 @@ impl<'g> KernelCtx<'g> {
         (self.g.offsets[v as usize], self.g.offsets[v as usize + 1])
     }
 
-    /// Emits the loads scanning `v`'s adjacency list and returns a copy of
-    /// the neighbors.
-    pub fn scan_neighbors(&mut self, core: usize, v: u32) -> Vec<u32> {
+    /// Emits the loads scanning `v`'s adjacency list and returns the
+    /// neighbors.
+    pub fn scan_neighbors(&mut self, core: usize, v: u32) -> &'g [u32] {
         let (lo, hi) = self.load_offsets(core, v);
         for idx in lo..hi {
             self.t.load(core, self.tgts.addr(u64::from(idx)));
         }
-        self.g.neighbors(v).to_vec()
+        self.g.neighbors(v)
     }
 }
 

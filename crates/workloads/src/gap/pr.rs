@@ -2,6 +2,8 @@
 //! neighbors — mostly-random reads of the score array plus a sequential
 //! CSR scan, the classic memory-bound graph kernel.
 
+use dramstack_cpu::Instr;
+
 use crate::gap::{GapConfig, KernelCtx};
 
 const DAMPING: f64 = 0.85;
@@ -11,6 +13,17 @@ pub(crate) fn run(ctx: &mut KernelCtx<'_>, cfg: &GapConfig) {
     let cores = ctx.t.cores();
     let scores_arr = ctx.alloc(n, 8);
     let scores_new_arr = ctx.alloc(n, 8);
+    let (g, offs, tgts, t) = (ctx.g, ctx.offs, ctx.tgts, &mut ctx.t);
+
+    // Each vertex emits 4 + 4·degree instructions; every iteration ends in
+    // two barriers around core 0's convergence check.
+    for core in 0..cores {
+        let r = t.chunk(n, core);
+        let edges = u64::from(g.offsets[r.end as usize] - g.offsets[r.start as usize]);
+        let per_iter = 4 * (r.end - r.start + edges) + 2 + u64::from(core == 0);
+        let len = per_iter * u64::from(cfg.pr_iterations);
+        t.core_mut(core).reserve_exact(len as usize);
+    }
 
     let mut scores = vec![1.0 / n as f64; n as usize];
     let base = (1.0 - DAMPING) / n as f64;
@@ -18,27 +31,34 @@ pub(crate) fn run(ctx: &mut KernelCtx<'_>, cfg: &GapConfig) {
     for _iter in 0..cfg.pr_iterations {
         let mut scores_new = vec![0.0f64; n as usize];
         for core in 0..cores {
-            let r = ctx.t.chunk(n, core);
+            let r = t.chunk(n, core);
+            let out = t.core_mut(core);
+            let load = |addr| Instr::Load { addr };
             for v in r {
-                let neigh = ctx.scan_neighbors(core, v as u32);
+                let (lo, hi) = (g.offsets[v as usize], g.offsets[v as usize + 1]);
+                out.push(load(offs.addr(v)));
+                out.push(load(offs.addr(v + 1)));
+                out.extend((lo..hi).map(|idx| load(tgts.addr(u64::from(idx)))));
                 let mut sum = 0.0;
-                for u in neigh {
+                for &u in g.neighbors(v as u32) {
                     // Contribution needs the neighbor's score and degree.
-                    ctx.t.load(core, scores_arr.addr(u64::from(u)));
-                    ctx.t.load(core, ctx.offs.addr(u64::from(u)));
-                    sum += scores[u as usize] / f64::from(ctx.g.degree(u).max(1));
-                    ctx.t.compute(core, 2);
+                    out.push(load(scores_arr.addr(u64::from(u))));
+                    out.push(load(offs.addr(u64::from(u))));
+                    sum += scores[u as usize] / f64::from(g.degree(u).max(1));
+                    out.push(Instr::Compute { count: 2 });
                 }
                 scores_new[v as usize] = base + DAMPING * sum;
-                ctx.t.store(core, scores_new_arr.addr(v));
-                ctx.t.compute(core, 2);
+                out.push(Instr::Store {
+                    addr: scores_new_arr.addr(v),
+                });
+                out.push(Instr::Compute { count: 2 });
             }
         }
         scores = scores_new;
-        ctx.t.barrier();
+        t.barrier();
         // Core 0: swap buffers / convergence check.
-        ctx.t.compute(0, 16);
-        ctx.t.barrier();
+        t.compute(0, 16);
+        t.barrier();
     }
 }
 
@@ -61,6 +81,16 @@ mod tests {
             .filter(|i| matches!(i, Instr::Store { .. }))
             .count() as u32;
         assert_eq!(stores, 2 * g.n);
+    }
+
+    #[test]
+    fn pr_traces_are_sized_exactly() {
+        let g = Graph::kronecker(9, 6, 2);
+        for cores in [1, 3, 8] {
+            for t in GapKernel::Pr.trace(&g, cores, &GapConfig::default()) {
+                assert_eq!(t.capacity(), t.len(), "{cores} cores");
+            }
+        }
     }
 
     #[test]

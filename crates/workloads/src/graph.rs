@@ -6,7 +6,7 @@
 //! are sorted, as GAP's builder does.
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// An undirected graph in compressed-sparse-row form.
@@ -36,32 +36,44 @@ pub struct Graph {
 
 impl Graph {
     /// Builds a graph from an edge list, symmetrizing and sorting.
+    ///
+    /// Two stable counting passes, by target and then by source, leave
+    /// every adjacency list sorted without a sort.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint is not below `n` or if the `2 × edges.len()`
+    /// directed copies overflow the `u32` CSR offsets.
     pub fn from_edges(n: u32, edges: &[(u32, u32)]) -> Self {
-        let mut deg = vec![0u32; n as usize + 1];
+        assert_offsets_fit(edges.len() as u64);
+        let mut offsets = vec![0u32; n as usize + 1];
         for &(u, v) in edges {
-            if u == v {
-                continue;
+            if u != v {
+                offsets[u as usize + 1] += 1;
+                offsets[v as usize + 1] += 1;
             }
-            deg[u as usize + 1] += 1;
-            deg[v as usize + 1] += 1;
         }
-        let mut offsets = deg;
         for i in 1..offsets.len() {
             offsets[i] += offsets[i - 1];
         }
+        // Symmetric, so the source degrees also size the target buckets.
         let mut cursor = offsets.clone();
-        let mut targets = vec![0u32; offsets[n as usize] as usize];
+        let mut sources = vec![0u32; offsets[n as usize] as usize];
         for &(u, v) in edges {
-            if u == v {
-                continue;
+            if u != v {
+                sources[cursor[v as usize] as usize] = u;
+                cursor[v as usize] += 1;
+                sources[cursor[u as usize] as usize] = v;
+                cursor[u as usize] += 1;
             }
-            targets[cursor[u as usize] as usize] = v;
-            cursor[u as usize] += 1;
-            targets[cursor[v as usize] as usize] = u;
-            cursor[v as usize] += 1;
         }
-        for v in 0..n as usize {
-            targets[offsets[v] as usize..offsets[v + 1] as usize].sort_unstable();
+        cursor.copy_from_slice(&offsets);
+        let mut targets = vec![0u32; sources.len()];
+        for t in 0..n {
+            for &s in &sources[offsets[t as usize] as usize..offsets[t as usize + 1] as usize] {
+                targets[cursor[s as usize] as usize] = t;
+                cursor[s as usize] += 1;
+            }
         }
         Graph {
             n,
@@ -73,37 +85,46 @@ impl Graph {
     /// A Kronecker (RMAT) graph with `2^scale` vertices and
     /// `degree × 2^scale` directed edges before symmetrization, using
     /// GAP's (A,B,C) = (0.57, 0.19, 0.19).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `scale < 32` and the `2 × degree × 2^scale` directed
+    /// copies fit the `u32` CSR offsets.
     pub fn kronecker(scale: u32, degree: u32, seed: u64) -> Self {
+        assert!(scale < 32, "kronecker scale {scale} must be below 32");
         let n = 1u32 << scale;
         let m = u64::from(n) * u64::from(degree);
+        assert_offsets_fit(m);
+        // A uniform draw `(x >> 11) · 2^-53` is below p exactly when
+        // `x >> 11 < ceil(p · 2^53)`: pick each quadrant without a branch.
+        let [a, b, c] = [0.57, 0.76, 0.95].map(|p: f64| (p * (1u64 << 53) as f64).ceil() as u64);
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut edges = Vec::with_capacity(m as usize);
-        for _ in 0..m {
-            let (mut u, mut v) = (0u32, 0u32);
-            for _ in 0..scale {
-                u <<= 1;
-                v <<= 1;
-                let r: f64 = rng.gen();
-                if r < 0.57 {
-                    // quadrant A: (0,0)
-                } else if r < 0.76 {
-                    v |= 1; // B
-                } else if r < 0.95 {
-                    u |= 1; // C
-                } else {
-                    u |= 1;
-                    v |= 1; // D
+        let edges: Vec<_> = (0..m)
+            .map(|_| {
+                let (mut u, mut v) = (0u32, 0u32);
+                for _ in 0..scale {
+                    let r = rng.next_u64() >> 11;
+                    let (ra, rb, rc) = (u32::from(r >= a), u32::from(r >= b), u32::from(r >= c));
+                    // A = (0,0), B = (0,1), C = (1,0), D = (1,1).
+                    u = (u << 1) | rb;
+                    v = (v << 1) | (ra ^ rb ^ rc);
                 }
-            }
-            edges.push((u, v));
-        }
+                (u, v)
+            })
+            .collect();
         Self::from_edges(n, &edges)
     }
 
     /// A uniform random graph with `n` vertices and `n × degree` edges.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the `2 × degree × n` directed copies do not fit the `u32`
+    /// CSR offsets.
     pub fn uniform(n: u32, degree: u32, seed: u64) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed);
         let m = u64::from(n) * u64::from(degree);
+        assert_offsets_fit(m);
         let edges: Vec<_> = (0..m)
             .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
             .collect();
@@ -130,6 +151,14 @@ impl Graph {
     pub fn max_degree_vertex(&self) -> u32 {
         (0..self.n).max_by_key(|&v| self.degree(v)).unwrap_or(0)
     }
+}
+
+/// Panics unless `m` edges, stored in both directions, fit the `u32` offsets.
+fn assert_offsets_fit(m: u64) {
+    assert!(
+        m <= u64::from(u32::MAX / 2),
+        "{m} edges overflow the u32 CSR offsets"
+    );
 }
 
 #[cfg(test)]
@@ -168,6 +197,24 @@ mod tests {
             f64::from(max_deg) < 4.0 * avg,
             "uniform: max {max_deg}, avg {avg}"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "must be below 32")]
+    fn kronecker_rejects_scale_32() {
+        Graph::kronecker(32, 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow the u32 CSR offsets")]
+    fn kronecker_rejects_edges_past_the_u32_offsets() {
+        Graph::kronecker(30, 2, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow the u32 CSR offsets")]
+    fn uniform_rejects_edges_past_the_u32_offsets() {
+        Graph::uniform(1 << 20, 2048, 0);
     }
 
     #[test]

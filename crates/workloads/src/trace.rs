@@ -5,7 +5,7 @@
 //! OpenMP static-schedule model: vertices are split into contiguous
 //! chunks, one per core, with a global barrier at region end.
 
-use dramstack_cpu::{Instr, VecStream};
+use dramstack_cpu::Instr;
 
 /// Builds one instruction trace per core.
 #[derive(Debug, Clone)]
@@ -60,6 +60,11 @@ impl TraceBuilder {
         self.cores[core].push(Instr::Branch { mispredict });
     }
 
+    /// The trace of `core`, for a kernel that emits or reserves in bulk.
+    pub fn core_mut(&mut self, core: usize) -> &mut Vec<Instr> {
+        &mut self.cores[core]
+    }
+
     /// Emits a global barrier across all cores.
     pub fn barrier(&mut self) {
         let id = self.next_barrier;
@@ -73,21 +78,6 @@ impl TraceBuilder {
     /// OpenMP static scheduling.
     pub fn chunk(&self, total: u64, core: usize) -> std::ops::Range<u64> {
         chunk_of(total, self.cores(), core)
-    }
-
-    /// Total instructions emitted on `core`.
-    pub fn len(&self, core: usize) -> usize {
-        self.cores[core].len()
-    }
-
-    /// Whether no instruction was emitted anywhere.
-    pub fn is_empty(&self) -> bool {
-        self.cores.iter().all(Vec::is_empty)
-    }
-
-    /// Finishes the build, returning one stream per core.
-    pub fn into_streams(self) -> Vec<VecStream> {
-        self.cores.into_iter().map(VecStream::new).collect()
     }
 
     /// Finishes the build, returning the raw instruction vectors.
@@ -121,7 +111,7 @@ pub fn hash_bit(v: u64, p_num: u64, p_den: u64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dramstack_cpu::InstrStream;
+    use dramstack_cpu::{InstrStream, VecStream};
 
     #[test]
     fn chunks_partition_exactly() {
@@ -160,7 +150,7 @@ mod tests {
         t.compute(0, 3);
         t.compute(0, 0); // elided
         t.branch(0, false);
-        let mut s = t.into_streams().remove(0);
+        let mut s = VecStream::new(t.into_traces().remove(0));
         assert_eq!(s.next_instr(), Some(Instr::Load { addr: 64 }));
         assert_eq!(s.next_instr(), Some(Instr::Compute { count: 3 }));
         assert_eq!(s.next_instr(), Some(Instr::Branch { mispredict: false }));

@@ -199,7 +199,7 @@ USAGE:
                       [--resume] [--deadline-secs F] [--retries N]
   dramstack-cli gap   [--kernel bc|bfs|cc|pr|sssp|tc] [--cores N]
                       [--scale N] [--degree N] [--policy open|closed]
-                      [--mapping def|int]
+                      [--mapping def|int]            # scale <= 20, degree <= 64
   dramstack-cli trace --input FILE [--cycles N]      # DRAM command trace
   dramstack-cli reqtrace --input FILE                # memory request trace
   dramstack-cli extrapolate [synth options] [--to K]
@@ -525,6 +525,9 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             }
             if out.scale > 20 {
                 return Err("--scale above 20 is impractical for cycle simulation".into());
+            }
+            if out.degree > 64 {
+                return Err("--degree above 64 is impractical for cycle simulation".into());
             }
             Ok(Cli::Gap(out))
         }
@@ -1298,6 +1301,7 @@ mod tests {
         assert!(parse_cli(&args("synth --cores 0")).is_err());
         assert!(parse_cli(&args("gap --kernel quicksort")).is_err());
         assert!(parse_cli(&args("gap --scale 30")).is_err());
+        assert!(parse_cli(&args("gap --scale 20 --degree 5000")).is_err());
         assert!(parse_cli(&args("frobnicate")).is_err());
         assert!(parse_cli(&args("extrapolate --to 0.5")).is_err());
     }
