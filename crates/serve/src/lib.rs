@@ -66,7 +66,7 @@ pub use server::{ServeStats, Server, ServerHandle, MAX_FINISHED_JOBS};
 /// Everything tunable about the daemon. The defaults are production-ish;
 /// tests shrink the timeouts and caps to provoke every failure path
 /// quickly.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Bind address (`"127.0.0.1:0"` for an OS-assigned port).
     pub addr: String,

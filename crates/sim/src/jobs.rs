@@ -548,6 +548,9 @@ mod tests {
         spec.us = 1.0;
         spec.pattern = "zigzag".to_string();
         assert!(spec.resolve().unwrap_err().contains("unknown pattern"));
+        spec.pattern = "seq".to_string();
+        spec.cores = 100_000;
+        assert!(spec.resolve().unwrap_err().contains("at most 64 cores"));
     }
 
     #[test]
