@@ -81,4 +81,10 @@ fn main() {
         base.latency_stack.ns(LatComponent::PreAct),
         fixed.latency_stack.ns(LatComponent::PreAct),
     );
+    assert!(
+        gain > 0.0
+            && fixed.latency_stack.ns(LatComponent::PreAct)
+                > base.latency_stack.ns(LatComponent::PreAct),
+        "interleaving must raise both bandwidth and pre/act latency"
+    );
 }

@@ -6,7 +6,7 @@
 //! cargo run --release --example fig1_timeline
 //! ```
 
-use dramstack::dram::{CycleView, DeviceConfig};
+use dramstack::dram::{CommandKind, CycleView, DeviceConfig};
 use dramstack::memctrl::{CtrlConfig, MemoryController};
 use dramstack::stacks::offline::stack_from_trace;
 use dramstack::viz::{ascii, timeline};
@@ -43,6 +43,17 @@ fn main() {
     for t in &trace {
         println!("  cycle {:>4}: {}", t.at, t.cmd);
     }
+
+    let pre = trace
+        .iter()
+        .position(|t| t.cmd.kind == CommandKind::Precharge)
+        .expect("the row conflict issues a PRE");
+    assert!(
+        trace[pre..]
+            .iter()
+            .any(|t| t.cmd.kind == CommandKind::Activate && t.cmd.row == 1),
+        "the PRE must be followed by an ACT of row 1"
+    );
 
     // The same cycles, accounted into a bandwidth stack (offline, straight
     // from the trace).

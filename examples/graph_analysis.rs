@@ -64,6 +64,11 @@ fn main() {
         "\nbfs spends {:.0} % of core cycles waiting on DRAM -> memory bound, as the paper observes",
         dram_frac * 100.0
     );
+    let idle = report.cycle_stack.fraction(CycleComponent::Idle);
+    assert!(
+        dram_frac > 1.0 - idle - dram_frac,
+        "bfs must wait on DRAM more than it does anything else"
+    );
 
     println!(
         "\n-- through-time bandwidth ({} samples) --",

@@ -10,6 +10,7 @@ use dramstack::viz::ascii;
 use dramstack::workloads::SyntheticPattern;
 
 fn main() {
+    let mut runs = Vec::new();
     for channels in [1usize, 2] {
         let mut cfg = SystemConfig::paper_default(8);
         cfg.channels = channels;
@@ -28,7 +29,13 @@ fn main() {
         // Note: the aggregate bar is normalized to the *system* peak,
         // the channel bars to the per-channel peak.
         println!("{}", ascii::bandwidth_chart(&rows));
+        runs.push((r.achieved_gbps(), r.avg_read_latency_ns()));
     }
+    let ((one_gbps, one_ns), (two_gbps, two_ns)) = (runs[0], runs[1]);
+    assert!(
+        two_gbps > one_gbps && two_ns < one_ns,
+        "a second channel must add bandwidth and cut read latency"
+    );
     println!(
         "same cores, same workload: the second channel roughly doubles the saturated\n\
          bandwidth and cuts the queueing latency — exactly what the per-channel stacks\n\

@@ -55,4 +55,10 @@ fn main() {
         r.latency_histogram.percentile(99.0) as f64,
         r.latency_histogram.count(),
     );
+    assert!(
+        r.latency_stack.ns(LatComponent::PreAct) > 0.0
+            && r.latency_stack.ns(LatComponent::Queue) == 0.0
+            && r.latency_histogram.percentile(50.0) == r.latency_histogram.percentile(99.0),
+        "every pointer-chase read must pay the same act/pre and never queue"
+    );
 }
