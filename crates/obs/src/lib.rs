@@ -28,8 +28,6 @@
 //!   hysteresis, emitting typed [`Diagnosis`] records.
 //! * [`DeltaStack`] — A/B differential stacks with a significance
 //!   threshold, powering `dramstack diff`.
-//! * [`LogSink`] — one mutex-serialized writer for heartbeats, dashboard
-//!   frames and plain logs, so terminal output never interleaves.
 //!
 //! The contract: attaching any probe or enabling any profiling must leave
 //! simulation results bit-identical. Probes observe; they never steer.
@@ -44,15 +42,13 @@ pub mod metrics;
 pub mod perf;
 mod probe;
 pub mod series;
-pub mod sink;
 pub mod window;
 
 pub use advisor::{Advisor, AdvisorConfig, BottleneckClass, Diagnosis, WindowObservation};
 pub use chrome::{ChromeTrace, ChromeTraceHandle, ChromeTraceProbe, TraceEvent, TraceEventKind};
 pub use diff::{ComponentDelta, DeltaStack};
 pub use metrics::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
-pub use perf::{Heartbeat, PerfReport, PhaseTimers, SimPhase};
+pub use perf::{PerfReport, PhaseTimers, SimPhase};
 pub use probe::{NullProbe, Probe, TeeProbe};
 pub use series::{StackSeries, WindowMerge};
-pub use sink::LogSink;
 pub use window::CtrlWindowStats;

@@ -5,8 +5,8 @@
 //! the cache hierarchy and cores, the workload RNG streams, the stack
 //! samplers (including the open, partially filled window), the armed
 //! auditors' bookkeeping, and the cycle counters. It deliberately does
-//! *not* capture attachments (probes, telemetry, heartbeat, log sink,
-//! profiling timers) or the tuning knob (busy engine) — those
+//! *not* capture attachments (probes, telemetry, profiling timers) or
+//! the tuning knob (busy engine) — those
 //! belong to the process hosting the simulator, not to the simulated
 //! machine, and are preserved on the restore target.
 //!
