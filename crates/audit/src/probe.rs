@@ -109,16 +109,6 @@ impl AuditHandle {
         }
     }
 
-    /// Records an externally detected conservation failure (window or
-    /// aggregate checks run by the simulator at report time).
-    pub fn record_conservation(&self, f: ConservationFailure) {
-        let mut s = self.inner.borrow_mut();
-        s.conservation_total += 1;
-        if s.conservation.len() < MAX_RECORDED {
-            s.conservation.push(f);
-        }
-    }
-
     /// Captures the full audit state (shadow bookkeeping + conservation
     /// counters) for a simulator snapshot.
     pub fn snapshot_state(&self) -> AuditState {

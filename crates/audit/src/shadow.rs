@@ -79,7 +79,7 @@ pub struct ShadowTiming {
 
 impl ShadowTiming {
     /// Copies the raw parameter values out of a device configuration.
-    pub fn from_config(cfg: &DeviceConfig) -> Self {
+    fn from_config(cfg: &DeviceConfig) -> Self {
         let t = &cfg.timing;
         ShadowTiming {
             cl: t.cl,

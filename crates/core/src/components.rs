@@ -61,11 +61,6 @@ impl BwComponent {
         }
     }
 
-    /// Whether this component counts as achieved (useful) bandwidth.
-    pub fn is_useful(self) -> bool {
-        matches!(self, BwComponent::Read | BwComponent::Write)
-    }
-
     /// Whether this component represents unused capacity that shrinks as
     /// traffic grows (dropped by the stack extrapolation).
     pub fn is_idle_kind(self) -> bool {
@@ -151,9 +146,6 @@ mod tests {
 
     #[test]
     fn classification_flags() {
-        assert!(BwComponent::Read.is_useful());
-        assert!(BwComponent::Write.is_useful());
-        assert!(!BwComponent::Refresh.is_useful());
         assert!(BwComponent::Idle.is_idle_kind());
         assert!(BwComponent::BankIdle.is_idle_kind());
         assert!(!BwComponent::Constraints.is_idle_kind());

@@ -87,7 +87,8 @@ impl BandwidthStack {
     /// Aggregates per-channel stacks into one system-level stack whose
     /// peak is the sum of the channel peaks (the paper: "we construct one
     /// stack per memory controller/channel, which can be aggregated
-    /// afterwards").
+    /// afterwards"). Takes references so stacks that live inside larger
+    /// structures (e.g. per-channel `TimeSample` windows) need no clone.
     ///
     /// Component fractions are averaged over channels, so `gbps()` yields
     /// system-level GB/s and the stack still sums to the (system) peak.
@@ -96,19 +97,6 @@ impl BandwidthStack {
     ///
     /// Panics if `stacks` is empty or the channels disagree on peak
     /// bandwidth or cycle count.
-    pub fn aggregate_channels(stacks: &[BandwidthStack]) -> BandwidthStack {
-        let refs: Vec<&BandwidthStack> = stacks.iter().collect();
-        Self::aggregate_channel_refs(&refs)
-    }
-
-    /// By-reference variant of [`aggregate_channels`](Self::aggregate_channels)
-    /// — lets callers aggregate stacks that live inside larger structures
-    /// (e.g. per-channel `TimeSample` windows) without cloning each stack
-    /// first.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as `aggregate_channels`.
     pub fn aggregate_channel_refs(stacks: &[&BandwidthStack]) -> BandwidthStack {
         assert!(!stacks.is_empty(), "need at least one channel stack");
         let first = stacks[0];
@@ -211,18 +199,15 @@ mod tests {
         let mut b = BandwidthStack::empty(19.2);
         b.weights[BwComponent::Idle.index()] = 1000.0;
         b.total_cycles = 1000;
-        let sys = BandwidthStack::aggregate_channels(&[a.clone(), b]);
+        let sys = BandwidthStack::aggregate_channel_refs(&[&a, &b]);
         assert!((sys.peak_gbps() - 38.4).abs() < 1e-9);
         // System read bandwidth = channel A's 9.6 GB/s.
         assert!((sys.gbps(BwComponent::Read) - 9.6).abs() < 1e-9);
         assert!((sys.total_gbps() - 38.4).abs() < 1e-9);
         assert!(sys.is_consistent());
         // Single-channel aggregation is the identity.
-        let same = BandwidthStack::aggregate_channels(&[a.clone()]);
+        let same = BandwidthStack::aggregate_channel_refs(&[&a]);
         assert_eq!(same, a);
-        // The by-ref variant agrees with the by-value one.
-        let by_ref = BandwidthStack::aggregate_channel_refs(&[&a]);
-        assert_eq!(by_ref, a);
     }
 
     #[test]
@@ -231,7 +216,7 @@ mod tests {
         let a = BandwidthStack::empty(19.2);
         let mut b = BandwidthStack::empty(19.2);
         b.total_cycles = 5;
-        let _ = BandwidthStack::aggregate_channels(&[a, b]);
+        let _ = BandwidthStack::aggregate_channel_refs(&[&a, &b]);
     }
 
     #[test]

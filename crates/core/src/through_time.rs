@@ -173,13 +173,6 @@ pub struct SamplerDelta {
     metrics: MetricsRegistry,
 }
 
-impl SamplerDelta {
-    /// Number of windows rolled since the base snapshot.
-    pub fn appended_len(&self) -> usize {
-        self.appended.len()
-    }
-}
-
 /// Samples bandwidth and latency stacks every fixed number of cycles.
 #[derive(Debug, Clone)]
 pub struct StackSampler {

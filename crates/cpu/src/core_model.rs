@@ -340,11 +340,6 @@ impl CoreModel {
         self.retired
     }
 
-    /// Current ROB occupancy.
-    pub fn rob_occupancy(&self) -> usize {
-        self.rob.instrs
-    }
-
     /// The cycle stack accumulated so far.
     pub fn stack(&self) -> &CycleStack {
         &self.stack
@@ -972,7 +967,7 @@ mod tests {
         let mut stream = VecStream::new(vec![Instr::Compute { count: 100 }]);
         let mut h = hierarchy();
         core.tick(&mut stream, &mut h, 0);
-        assert!(core.rob_occupancy() <= 8);
+        assert!(core.rob.instrs <= 8);
     }
 
     #[test]

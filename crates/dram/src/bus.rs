@@ -101,16 +101,6 @@ impl DataBus {
             .unwrap_or(self.last_read_end)
     }
 
-    /// End cycle of the most recent write burst scheduled so far.
-    pub fn last_write_end(&self) -> Cycle {
-        self.bursts
-            .iter()
-            .rev()
-            .find(|b| b.kind == BurstKind::Write)
-            .map(|b| b.end)
-            .unwrap_or(self.last_write_end)
-    }
-
     /// Reserves `[start, start + len)` for a burst.
     ///
     /// # Panics
@@ -213,7 +203,7 @@ mod tests {
         bus.retire_before(20);
         assert_eq!(bus.pending(), 0);
         assert_eq!(bus.last_read_end(), 4);
-        assert_eq!(bus.last_write_end(), 12);
+        assert_eq!(bus.last_write_end, 12);
         assert!(!bus.busy_at_or_after(20));
     }
 

@@ -75,7 +75,7 @@ impl DramGeometry {
     }
 
     /// Total banks per rank.
-    pub fn banks_per_rank(&self) -> u32 {
+    fn banks_per_rank(&self) -> u32 {
         self.bank_groups * self.banks_per_group
     }
 
@@ -85,7 +85,7 @@ impl DramGeometry {
     }
 
     /// Row size in bytes (the page-buffer size).
-    pub fn row_bytes(&self) -> u64 {
+    fn row_bytes(&self) -> u64 {
         u64::from(self.columns) * u64::from(self.line_bytes)
     }
 

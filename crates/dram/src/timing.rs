@@ -243,26 +243,10 @@ impl TimingParams {
         1000.0 / f64::from(self.freq_mhz)
     }
 
-    /// Converts a cycle count to nanoseconds.
-    pub fn cycles_to_ns(&self, cycles: Cycle) -> f64 {
-        cycles as f64 * self.cycle_ns()
-    }
-
     /// Peak channel bandwidth in GB/s for a bus of `bus_bytes` width:
     /// `bus_bytes × 2 transfers/cycle × freq`.
     pub fn peak_bandwidth_gbps(&self, bus_bytes: u32) -> f64 {
         f64::from(bus_bytes) * 2.0 * f64::from(self.freq_mhz) / 1000.0
-    }
-
-    /// Bytes moved across the bus per command-clock cycle at peak
-    /// (double data rate: two transfers per cycle).
-    pub fn bytes_per_cycle(&self, bus_bytes: u32) -> u32 {
-        bus_bytes * 2
-    }
-
-    /// Fraction of all cycles consumed by refresh: `t_rfc / t_refi`.
-    pub fn refresh_fraction(&self) -> f64 {
-        self.t_rfc as f64 / self.t_refi as f64
     }
 
     /// Minimum read latency in cycles: CL plus the burst itself (the
@@ -320,8 +304,8 @@ mod tests {
         ];
         for w in grades.windows(2) {
             assert!(w[1].peak_bandwidth_gbps(8) > w[0].peak_bandwidth_gbps(8));
-            let ns0 = w[0].cycles_to_ns(w[0].cl);
-            let ns1 = w[1].cycles_to_ns(w[1].cl);
+            let ns0 = w[0].cl as f64 * w[0].cycle_ns();
+            let ns1 = w[1].cl as f64 * w[1].cycle_ns();
             assert!(
                 (ns0 - ns1).abs() < 2.0,
                 "CAS latency stays ~14 ns: {ns0} vs {ns1}"
@@ -334,12 +318,12 @@ mod tests {
         let t = TimingParams::ddr4_2400();
         // 2400 MT/s × 8 B = 19.2 GB/s, as in the paper's introduction.
         assert!((t.peak_bandwidth_gbps(8) - 19.2).abs() < 1e-9);
-        assert_eq!(t.bytes_per_cycle(8), 16);
     }
 
     #[test]
     fn refresh_fraction_is_a_few_percent() {
-        let f = TimingParams::ddr4_2400().refresh_fraction();
+        let t = TimingParams::ddr4_2400();
+        let f = t.t_rfc as f64 / t.t_refi as f64;
         assert!(f > 0.02 && f < 0.08, "refresh fraction {f}");
     }
 
@@ -347,7 +331,7 @@ mod tests {
     fn cycle_ns_ddr4_2400() {
         let t = TimingParams::ddr4_2400();
         assert!((t.cycle_ns() - 0.8333).abs() < 1e-3);
-        assert!((t.cycles_to_ns(1200) - 1000.0).abs() < 1e-6);
+        assert!((1200.0 * t.cycle_ns() - 1000.0).abs() < 1e-6);
     }
 
     #[test]

@@ -305,16 +305,6 @@ impl MemoryController {
         self.write_q.len() < self.cfg.write_queue_cap
     }
 
-    /// Reads waiting or in flight.
-    pub fn pending_reads(&self) -> usize {
-        self.read_q.len() + self.in_flight.len()
-    }
-
-    /// Writes waiting.
-    pub fn pending_writes(&self) -> usize {
-        self.write_q.len()
-    }
-
     /// Whether anything is queued or in flight.
     pub fn is_idle(&self) -> bool {
         self.read_q.is_empty() && self.write_q.is_empty() && self.in_flight.is_empty()

@@ -105,12 +105,12 @@ impl DeltaStack {
     }
 
     /// Sum of baseline components.
-    pub fn before_total(&self) -> f64 {
+    fn before_total(&self) -> f64 {
         self.components.iter().map(|c| c.before).sum()
     }
 
     /// Sum of candidate components.
-    pub fn after_total(&self) -> f64 {
+    fn after_total(&self) -> f64 {
         self.components.iter().map(|c| c.after).sum()
     }
 

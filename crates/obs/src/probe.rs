@@ -115,11 +115,6 @@ impl TeeProbe {
     pub fn new(a: Box<dyn Probe>, b: Box<dyn Probe>) -> Self {
         TeeProbe { a, b }
     }
-
-    /// Splits the tee back into its parts.
-    pub fn into_parts(self) -> (Box<dyn Probe>, Box<dyn Probe>) {
-        (self.a, self.b)
-    }
 }
 
 impl Probe for TeeProbe {

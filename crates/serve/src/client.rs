@@ -359,7 +359,7 @@ impl Client {
 }
 
 /// Pulls a `u64` field out of a JSON object value.
-pub fn json_u64(v: &Value, key: &str) -> Option<u64> {
+fn json_u64(v: &Value, key: &str) -> Option<u64> {
     match v {
         Value::Map(entries) => entries.iter().find(|(k, _)| k == key).and_then(|(_, v)| {
             if let Value::Int(i) = v {
@@ -373,7 +373,7 @@ pub fn json_u64(v: &Value, key: &str) -> Option<u64> {
 }
 
 /// Pulls a string field out of a JSON object value.
-pub fn json_str<'a>(v: &'a Value, key: &str) -> Option<&'a str> {
+fn json_str<'a>(v: &'a Value, key: &str) -> Option<&'a str> {
     match v {
         Value::Map(entries) => entries.iter().find(|(k, _)| k == key).and_then(|(_, v)| {
             if let Value::Str(s) = v {

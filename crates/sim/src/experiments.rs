@@ -78,12 +78,12 @@ impl ExperimentScale {
     }
 
     /// The (smaller) evaluation graph for triangle counting.
-    pub fn build_tc_graph(&self) -> Graph {
+    fn build_tc_graph(&self) -> Graph {
         Graph::kronecker(self.tc_graph_scale, self.graph_degree, GRAPH_SEED)
     }
 
     /// The graph a given kernel is evaluated on.
-    pub fn graph_for(&self, kernel: GapKernel) -> Graph {
+    fn graph_for(&self, kernel: GapKernel) -> Graph {
         if kernel == GapKernel::Tc {
             self.build_tc_graph()
         } else {

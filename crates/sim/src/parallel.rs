@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 /// Default worker count: the `DRAMSTACK_THREADS` environment variable
 /// when set to a positive integer, otherwise the machine's available
 /// parallelism (1 if unknown).
-pub fn available_threads() -> usize {
+fn available_threads() -> usize {
     if let Ok(v) = std::env::var("DRAMSTACK_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {
             if n > 0 {
@@ -50,8 +50,8 @@ pub fn available_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Maps `f` over `items` on [`available_threads`] workers, preserving
-/// input order in the output.
+/// Maps `f` over `items` on one worker per available CPU (or
+/// `DRAMSTACK_THREADS`), preserving input order in the output.
 pub fn map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -68,7 +68,7 @@ where
 /// A panicking job does not abort the map: every other job still runs to
 /// completion, then the first panic (in input order) is re-raised on the
 /// caller. Use [`supervised_map`] to capture panics as values instead.
-pub fn map_with_threads<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
+fn map_with_threads<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
@@ -169,7 +169,8 @@ impl JobPulse {
 /// Watchdog and retry policy for [`supervised_map`].
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
-    /// Worker threads (`0` ⇒ [`available_threads`]).
+    /// Worker threads (`0` ⇒ one per available CPU, or
+    /// `DRAMSTACK_THREADS`).
     pub threads: usize,
     /// Per-attempt wall-clock deadline; `None` disables it.
     pub deadline: Option<Duration>,
@@ -242,7 +243,7 @@ impl<R> JobOutcome<R> {
     }
 
     /// Consumes the outcome into its result, if any.
-    pub fn into_result(self) -> Option<R> {
+    fn into_result(self) -> Option<R> {
         match self {
             JobOutcome::Ok(r) | JobOutcome::Retried { result: r, .. } => Some(r),
             _ => None,
@@ -307,11 +308,6 @@ impl<R> SweepOutcome<R> {
             }
         }
         f
-    }
-
-    /// Whether every job produced a result.
-    pub fn all_ok(&self) -> bool {
-        self.outcomes.iter().all(JobOutcome::is_ok)
     }
 
     /// Salvages the sweep: every completed slot (in input order, `None`
@@ -676,7 +672,6 @@ mod tests {
         let cfg = SupervisorConfig::default();
         let out: SweepOutcome<u32> = supervised_map(Vec::<u32>::new(), &cfg, |_p, x| x);
         assert!(out.outcomes.is_empty());
-        assert!(out.all_ok());
         assert!(out.failures().none_lost());
     }
 }

@@ -141,16 +141,6 @@ impl Telemetry {
         self.windows
     }
 
-    /// The most recent window's advisor projection.
-    pub fn last_observation(&self) -> Option<&WindowObservation> {
-        self.last.as_ref()
-    }
-
-    /// The advisor's currently sustained bottleneck class, if any.
-    pub fn current_diagnosis(&self) -> Option<BottleneckClass> {
-        self.advisor.current()
-    }
-
     /// Ingests one system-level sample window. Called by the simulator's
     /// drive loop whenever a sampler window rolls.
     pub(crate) fn publish(&mut self, sample: &TimeSample) {
@@ -499,7 +489,6 @@ mod tests {
         for i in 0..6 {
             t.publish(&sample(i * 100));
         }
-        assert_eq!(t.current_diagnosis(), Some(BottleneckClass::Saturated));
-        assert!(t.last_observation().is_some());
+        assert_eq!(t.advisor.current(), Some(BottleneckClass::Saturated));
     }
 }

@@ -75,11 +75,6 @@ impl LiveDashboard {
         self.frames
     }
 
-    /// Whether this dashboard emits ANSI redraw sequences.
-    pub fn is_ansi(&self) -> bool {
-        self.ansi
-    }
-
     /// Renders one frame. The returned string is written verbatim to the
     /// terminal: in ANSI mode it begins with the cursor-up + clear
     /// sequence that erases the previous frame.

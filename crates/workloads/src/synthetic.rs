@@ -78,7 +78,7 @@ impl SyntheticPattern {
     }
 
     /// Base physical address of `core`'s private region.
-    pub fn region_base(&self, core: usize) -> u64 {
+    fn region_base(&self, core: usize) -> u64 {
         0x1000_0000 + core as u64 * self.footprint_bytes.next_power_of_two()
     }
 
@@ -86,7 +86,7 @@ impl SyntheticPattern {
     /// Cores start 17 DRAM rows apart so concurrent streams land on
     /// different banks *and* rows — lockstep streams on the same bank
     /// would serialize unrealistically.
-    pub fn start_offset(&self, core: usize) -> u64 {
+    fn start_offset(&self, core: usize) -> u64 {
         (core as u64 * 17 * 8192) % self.footprint_bytes
     }
 
