@@ -5,7 +5,7 @@
 //! offset). The cache returns evicted dirty lines so the hierarchy can
 //! cascade writebacks.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Sink, Value};
 
 /// Geometry and latency of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -143,36 +143,51 @@ impl PartialEq for Cache {
 /// codec's run-length encoding collapses to a few bytes. Set-major order
 /// interleaves the ways and destroys those runs.
 impl Serialize for Cache {
-    fn to_value(&self) -> Value {
-        let n = self.tags.len();
+    fn serialize(&self, out: &mut dyn Sink) {
         let sets = self.valid.len();
-        let mut tags = Vec::with_capacity(n);
-        let mut lru = Vec::with_capacity(n);
-        let words = n.div_ceil(64);
-        let mut valid = vec![0u64; words];
-        let mut dirty = vec![0u64; words];
-        for w in 0..self.ways {
-            for s in 0..sets {
-                let j = tags.len();
-                tags.push(Value::Int(i128::from(self.tags[s * self.ways + w])));
-                lru.push(Value::Int(i128::from(self.lru[s * self.ways + w])));
-                valid[j / 64] |= (self.valid[s] >> w & 1) << (j % 64);
-                dirty[j / 64] |= (self.dirty[s] >> w & 1) << (j % 64);
+        let n = self.tags.len();
+        // Way-major column of one per-slot array.
+        let column = |out: &mut dyn Sink, slots: &[u64]| {
+            out.seq(n);
+            for w in 0..self.ways {
+                for s in 0..sets {
+                    slots[s * self.ways + w].serialize(out);
+                }
             }
-        }
-        let bits =
-            |v: Vec<u64>| Value::Seq(v.into_iter().map(|w| Value::Int(i128::from(w))).collect());
-        Value::Map(vec![
-            ("cfg".to_string(), self.cfg.to_value()),
-            ("set_shift".to_string(), self.set_shift.to_value()),
-            ("set_mask".to_string(), self.set_mask.to_value()),
-            ("clock".to_string(), self.clock.to_value()),
-            ("stats".to_string(), self.stats.to_value()),
-            ("tags".to_string(), Value::Seq(tags)),
-            ("lru".to_string(), Value::Seq(lru)),
-            ("valid".to_string(), bits(valid)),
-            ("dirty".to_string(), bits(dirty)),
-        ])
+            out.end();
+        };
+        // Way-major bitset words of one per-set bit mask array.
+        let bits = |out: &mut dyn Sink, masks: &[u64]| {
+            out.seq(n.div_ceil(64));
+            for first in (0..n).step_by(64) {
+                let mut word = 0u64;
+                for j in first..n.min(first + 64) {
+                    word |= (masks[j % sets] >> (j / sets) & 1) << (j % 64);
+                }
+                word.serialize(out);
+            }
+            out.end();
+        };
+        out.map(9);
+        out.key("cfg");
+        self.cfg.serialize(out);
+        out.key("set_shift");
+        self.set_shift.serialize(out);
+        out.key("set_mask");
+        self.set_mask.serialize(out);
+        out.key("clock");
+        self.clock.serialize(out);
+        out.key("stats");
+        self.stats.serialize(out);
+        out.key("tags");
+        column(out, &self.tags);
+        out.key("lru");
+        column(out, &self.lru);
+        out.key("valid");
+        bits(out, &self.valid);
+        out.key("dirty");
+        bits(out, &self.dirty);
+        out.end();
     }
 }
 
@@ -262,36 +277,46 @@ pub struct CacheDelta {
 }
 
 impl Serialize for CacheDelta {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, out: &mut dyn Sink) {
         let per_set = self.sets.first().map_or(0, |p| p.tags.len());
         let n = self.sets.len();
-        let mut sets = Vec::with_capacity(n);
-        let mut valid = Vec::with_capacity(n);
-        let mut dirty = Vec::with_capacity(n);
-        for p in &self.sets {
-            debug_assert_eq!(p.tags.len(), per_set, "ragged patch in CacheDelta");
-            sets.push(Value::Int(i128::from(p.set)));
-            valid.push(Value::Int(i128::from(p.valid)));
-            dirty.push(Value::Int(i128::from(p.dirty)));
-        }
-        let mut tags = Vec::with_capacity(n * per_set);
-        let mut lru = Vec::with_capacity(n * per_set);
-        for w in 0..per_set {
+        // One entry per patch.
+        let per_patch = |out: &mut dyn Sink, field: fn(&SetPatch) -> u64| {
+            out.seq(n);
             for p in &self.sets {
-                tags.push(Value::Int(i128::from(p.tags[w])));
-                lru.push(Value::Int(i128::from(p.lru[w])));
+                field(p).serialize(out);
             }
-        }
-        Value::Map(vec![
-            ("clock".to_string(), self.clock.to_value()),
-            ("stats".to_string(), self.stats.to_value()),
-            ("ways".to_string(), (per_set as u64).to_value()),
-            ("sets".to_string(), Value::Seq(sets)),
-            ("tags".to_string(), Value::Seq(tags)),
-            ("lru".to_string(), Value::Seq(lru)),
-            ("valid".to_string(), Value::Seq(valid)),
-            ("dirty".to_string(), Value::Seq(dirty)),
-        ])
+            out.end();
+        };
+        // Way-major column of one per-way array.
+        let column = |out: &mut dyn Sink, field: fn(&SetPatch) -> &[u64]| {
+            out.seq(n * per_set);
+            for w in 0..per_set {
+                for p in &self.sets {
+                    debug_assert_eq!(field(p).len(), per_set, "ragged patch in CacheDelta");
+                    field(p)[w].serialize(out);
+                }
+            }
+            out.end();
+        };
+        out.map(8);
+        out.key("clock");
+        self.clock.serialize(out);
+        out.key("stats");
+        self.stats.serialize(out);
+        out.key("ways");
+        (per_set as u64).serialize(out);
+        out.key("sets");
+        per_patch(out, |p| p.set);
+        out.key("tags");
+        column(out, |p| &p.tags);
+        out.key("lru");
+        column(out, |p| &p.lru);
+        out.key("valid");
+        per_patch(out, |p| p.valid);
+        out.key("dirty");
+        per_patch(out, |p| p.dirty);
+        out.end();
     }
 }
 

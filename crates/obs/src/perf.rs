@@ -12,7 +12,7 @@
 
 use std::time::Instant;
 
-use serde::{get_field, Deserialize, Serialize, Value};
+use serde::{get_field, Deserialize, Serialize, Sink, Value};
 
 /// A phase of the simulator's per-cycle drive loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -290,26 +290,8 @@ pub struct PerfReport {
 }
 
 impl Serialize for PerfReport {
-    fn to_value(&self) -> Value {
-        let mut m = vec![
-            ("enabled".to_string(), self.enabled.to_value()),
-            ("wall_seconds".to_string(), self.wall_seconds.to_value()),
-            ("sim_cycles".to_string(), self.sim_cycles.to_value()),
-            (
-                "sim_cycles_per_second".to_string(),
-                self.sim_cycles_per_second.to_value(),
-            ),
-            (
-                "fast_forwarded_cycles".to_string(),
-                self.fast_forwarded_cycles.to_value(),
-            ),
-            (
-                "busy_forwarded_cycles".to_string(),
-                self.busy_forwarded_cycles.to_value(),
-            ),
-            ("phases".to_string(), self.phases.to_value()),
-        ];
-        for (key, count) in [
+    fn serialize(&self, out: &mut dyn Sink) {
+        let counters = [
             ("ctrl_ticks", self.ctrl_ticks),
             ("timing_queries", self.timing_queries),
             ("queue_entries_visited", self.queue_entries_visited),
@@ -318,12 +300,29 @@ impl Serialize for PerfReport {
             ("hier_accesses", self.hier_accesses),
             ("memo_hits", self.memo_hits),
             ("memo_refolds", self.memo_refolds),
-        ] {
+        ];
+        out.map(7 + counters.iter().filter(|(_, count)| *count != 0).count());
+        out.key("enabled");
+        self.enabled.serialize(out);
+        out.key("wall_seconds");
+        self.wall_seconds.serialize(out);
+        out.key("sim_cycles");
+        self.sim_cycles.serialize(out);
+        out.key("sim_cycles_per_second");
+        self.sim_cycles_per_second.serialize(out);
+        out.key("fast_forwarded_cycles");
+        self.fast_forwarded_cycles.serialize(out);
+        out.key("busy_forwarded_cycles");
+        self.busy_forwarded_cycles.serialize(out);
+        out.key("phases");
+        self.phases.serialize(out);
+        for (key, count) in counters {
             if count != 0 {
-                m.push((key.to_string(), count.to_value()));
+                out.key(key);
+                count.serialize(out);
             }
         }
-        Value::Map(m)
+        out.end();
     }
 }
 

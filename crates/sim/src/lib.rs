@@ -21,7 +21,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod binary;
+pub mod binary;
 pub mod campaign;
 pub mod ckpt;
 mod config;

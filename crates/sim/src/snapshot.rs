@@ -124,7 +124,7 @@ impl Snapshot {
     /// on-disk checkpoint format (several times smaller and faster to
     /// encode than the JSON blob, describing the identical state).
     pub fn to_binary(&self) -> Vec<u8> {
-        binary::encode(&self.to_value(), binary::KIND_FULL, SNAPSHOT_FORMAT_VERSION)
+        binary::encode(self, binary::KIND_FULL, SNAPSHOT_FORMAT_VERSION)
     }
 
     /// Parses a full snapshot from the binary container, with typed
@@ -262,11 +262,7 @@ pub struct SnapshotDelta {
 impl SnapshotDelta {
     /// Serializes to the compact binary `.dsnp` container (delta kind).
     pub fn to_binary(&self) -> Vec<u8> {
-        binary::encode(
-            &self.to_value(),
-            binary::KIND_DELTA,
-            SNAPSHOT_FORMAT_VERSION,
-        )
+        binary::encode(self, binary::KIND_DELTA, SNAPSHOT_FORMAT_VERSION)
     }
 
     /// Parses a delta from the binary container (same typed errors as

@@ -1,0 +1,400 @@
+//! Checkpoint encoding: its memory, and its bytes against the tree encoder.
+//!
+//! `Snapshot::to_binary` and `SnapshotDelta::to_binary` stream the
+//! serialization events straight into the `.dsnp` container. A counting
+//! allocator checks that the heap they need stays within a small multiple
+//! of the bytes they produce: an encoder that first lowers the state into a
+//! `serde::Value` tree needs about 13 times the encoded length, because the
+//! tree spends 32 bytes on every integer of the cache columns.
+//!
+//! [`reference`] is that tree encoder, the one the container format was
+//! defined by. The streamed bytes must equal its bytes on snapshots and
+//! deltas of random configurations and on arbitrary `Value` trees, and
+//! `decode` must give each tree back.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use proptest::prelude::*;
+use proptest::test_runner::TestRng;
+use serde::{Serialize, Value};
+
+use dramstack::sim::binary::{self, KIND_DELTA, KIND_FULL};
+use dramstack::sim::{Simulator, SystemConfig, SNAPSHOT_FORMAT_VERSION};
+use dramstack::workloads::SyntheticPattern;
+
+/// The tree encoder the container was defined by: lower everything to a
+/// `Value`, then write the tree.
+mod reference {
+    use std::collections::HashMap;
+
+    use serde::Value;
+
+    struct StringTable {
+        strings: Vec<String>,
+        ids: HashMap<String, u64>,
+    }
+
+    impl StringTable {
+        fn intern(&mut self, s: &str) -> u64 {
+            if let Some(&id) = self.ids.get(s) {
+                return id;
+            }
+            let id = self.strings.len() as u64;
+            self.strings.push(s.to_string());
+            self.ids.insert(s.to_string(), id);
+            id
+        }
+    }
+
+    fn put_varint(out: &mut Vec<u8>, mut v: u128) {
+        loop {
+            let byte = (v & 0x7f) as u8;
+            v >>= 7;
+            if v == 0 {
+                out.push(byte);
+                return;
+            }
+            out.push(byte | 0x80);
+        }
+    }
+
+    fn zigzag(v: i128) -> u128 {
+        ((v << 1) ^ (v >> 127)) as u128
+    }
+
+    fn run_eq(a: &Value, b: &Value) -> bool {
+        match (a, b) {
+            (Value::Null, Value::Null) => true,
+            (Value::Bool(x), Value::Bool(y)) => x == y,
+            (Value::Int(x), Value::Int(y)) => x == y,
+            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+            (Value::Str(x), Value::Str(y)) => x == y,
+            _ => false,
+        }
+    }
+
+    fn encode_value(v: &Value, out: &mut Vec<u8>, table: &mut StringTable) {
+        match v {
+            Value::Null => out.push(0),
+            Value::Bool(false) => out.push(1),
+            Value::Bool(true) => out.push(2),
+            Value::Int(i) => {
+                out.push(3);
+                put_varint(out, zigzag(*i));
+            }
+            Value::Float(f) => {
+                out.push(4);
+                out.extend_from_slice(&f.to_bits().to_le_bytes());
+            }
+            Value::Str(s) => {
+                out.push(5);
+                let id = table.intern(s);
+                put_varint(out, u128::from(id));
+            }
+            Value::Seq(items) => {
+                out.push(6);
+                put_varint(out, items.len() as u128);
+                let mut i = 0;
+                while i < items.len() {
+                    let mut run = 1;
+                    while i + run < items.len() && run_eq(&items[i], &items[i + run]) {
+                        run += 1;
+                    }
+                    put_varint(out, run as u128);
+                    encode_value(&items[i], out, table);
+                    i += run;
+                }
+            }
+            Value::Map(entries) => {
+                out.push(7);
+                put_varint(out, entries.len() as u128);
+                for (k, val) in entries {
+                    let id = table.intern(k);
+                    put_varint(out, u128::from(id));
+                    encode_value(val, out, table);
+                }
+            }
+        }
+    }
+
+    pub fn encode(value: &Value, kind: u8, format_version: u32) -> Vec<u8> {
+        let Value::Map(fields) = value else {
+            panic!("binary container encodes struct maps only");
+        };
+        let mut table = StringTable {
+            strings: Vec::new(),
+            ids: HashMap::new(),
+        };
+        let sections: Vec<(u64, Vec<u8>)> = fields
+            .iter()
+            .map(|(name, v)| {
+                let id = table.intern(name);
+                let mut payload = Vec::new();
+                encode_value(v, &mut payload, &mut table);
+                (id, payload)
+            })
+            .collect();
+        let mut out = Vec::new();
+        out.extend_from_slice(b"DSNP");
+        out.extend_from_slice(&1u32.to_le_bytes());
+        out.push(kind);
+        out.extend_from_slice(&format_version.to_le_bytes());
+        put_varint(&mut out, table.strings.len() as u128);
+        for s in &table.strings {
+            put_varint(&mut out, s.len() as u128);
+            out.extend_from_slice(s.as_bytes());
+        }
+        put_varint(&mut out, sections.len() as u128);
+        for (id, payload) in &sections {
+            put_varint(&mut out, u128::from(*id));
+            put_varint(&mut out, payload.len() as u128);
+        }
+        for (_, payload) in &sections {
+            out.extend_from_slice(payload);
+        }
+        out
+    }
+}
+
+/// Tree equality with floats compared by bit pattern (so NaN equals
+/// itself and `-0.0` differs from `0.0`).
+fn same_tree(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        (Value::Seq(x), Value::Seq(y)) => {
+            x.len() == y.len() && x.iter().zip(y).all(|(a, b)| same_tree(a, b))
+        }
+        (Value::Map(x), Value::Map(y)) => {
+            x.len() == y.len()
+                && x.iter()
+                    .zip(y)
+                    .all(|((ka, va), (kb, vb))| ka == kb && same_tree(va, vb))
+        }
+        _ => a == b,
+    }
+}
+
+/// Streams `value` and checks the bytes against the reference encoder and
+/// the decoded tree against `value`'s own.
+fn assert_streams_like_the_tree<T: Serialize + ?Sized>(value: &T, kind: u8, what: &str) {
+    let streamed = binary::encode(value, kind, SNAPSHOT_FORMAT_VERSION);
+    let tree = value.to_value();
+    let expected = reference::encode(&tree, kind, SNAPSHOT_FORMAT_VERSION);
+    assert!(
+        streamed == expected,
+        "{what}: streamed {} bytes differ from the tree encoder's {}",
+        streamed.len(),
+        expected.len()
+    );
+    let decoded = binary::decode(&streamed).expect("streamed container decodes");
+    assert_eq!(
+        (decoded.kind, decoded.format_version),
+        (kind, SNAPSHOT_FORMAT_VERSION)
+    );
+    assert!(
+        same_tree(&decoded.value, &tree),
+        "{what}: decode does not give the tree back"
+    );
+}
+
+// -- heap accounting ---------------------------------------------------------
+
+thread_local! {
+    /// Bytes this thread has allocated and not freed, and the most that
+    /// were live since the last reset (the tests of this file run on
+    /// threads of their own, so one test never counts another's).
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
+
+fn grow(by: isize) {
+    LIVE.with(|live| {
+        let now = live.get() + by;
+        live.set(now);
+        PEAK.with(|peak| peak.set(peak.get().max(now)));
+    });
+}
+
+struct Counting;
+
+// SAFETY: defers to `System` for every operation; the counters are
+// const-initialised thread-local `Cell`s without destructors, so touching
+// them from the allocator neither allocates nor runs after thread teardown.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        grow(layout.size() as isize);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        grow(-(layout.size() as isize));
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        grow(new_size as isize - layout.size() as isize);
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Runs `f` and returns its result with the most heap it held live at
+/// once beyond what was live before it started.
+fn peak_growth<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(before));
+    let out = f();
+    let peak = PEAK.with(Cell::get);
+    (out, (peak - before) as usize)
+}
+
+fn assert_heap_near_length(what: &str, bytes: &[u8], peak: usize) {
+    let bound = 3 * bytes.len() + (1 << 20);
+    assert!(
+        peak <= bound,
+        "{what}: encoding {} bytes held {peak} heap bytes at its peak, over 3x + 1 MB = {bound}",
+        bytes.len()
+    );
+}
+
+/// The benchmark's checkpoint workload in miniature: two cores streaming
+/// with 30 % stores over the paper's full-size caches, a base snapshot and
+/// a delta taken after more traffic.
+#[test]
+fn to_binary_heap_peak_stays_near_the_encoded_length() {
+    let cfg = SystemConfig::paper_default(2);
+    let mut sim = Simulator::with_synthetic(cfg, SyntheticPattern::sequential(0.3));
+    sim.advance_for_us(10.0);
+    let base = sim.snapshot_base().expect("synthetic streams checkpoint");
+    let (bytes, peak) = peak_growth(|| base.to_binary());
+    assert!(
+        bytes.len() > 100_000,
+        "a paper-scale snapshot, not {} bytes",
+        bytes.len()
+    );
+    assert_heap_near_length("full snapshot", &bytes, peak);
+
+    sim.advance_for_us(10.0);
+    let delta = sim.snapshot_delta().expect("delta capture");
+    let (bytes, peak) = peak_growth(|| delta.to_binary());
+    assert!(
+        bytes.len() > 10_000,
+        "a delta with dirtied sets, not {} bytes",
+        bytes.len()
+    );
+    assert_heap_near_length("delta", &bytes, peak);
+}
+
+// -- streamed bytes against the tree encoder ---------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Full snapshots, bases and deltas of random machines, with the
+    /// auditor armed so its state is in the stream too.
+    #[test]
+    fn snapshots_stream_the_tree_encoders_bytes(
+        cores in 1usize..=4,
+        channels in prop_oneof![Just(1usize), Just(2usize)],
+        random in any::<bool>(),
+        store_pct in 0u32..=100,
+        seed in any::<u64>(),
+        us in 1u32..=4,
+    ) {
+        let mut cfg = SystemConfig::paper_default(cores);
+        cfg.channels = channels;
+        cfg.hierarchy.l2.size_bytes = 64 << 10;
+        cfg.hierarchy.llc.size_bytes = 256 << 10;
+        cfg.hierarchy.llc.ways = 16;
+        let stores = f64::from(store_pct) / 100.0;
+        let mut pattern = if random {
+            SyntheticPattern::random(stores)
+        } else {
+            SyntheticPattern::sequential(stores)
+        };
+        pattern.seed = seed;
+        let mut sim = Simulator::with_synthetic(cfg, pattern);
+        sim.set_audit(true);
+        sim.advance_for_us(f64::from(us));
+        let base = sim.snapshot_base().expect("synthetic streams checkpoint");
+        assert_streams_like_the_tree(&base, KIND_FULL, "base");
+        for _ in 0..2 {
+            sim.advance_for_us(0.5);
+            let delta = sim.snapshot_delta().expect("delta capture");
+            assert_streams_like_the_tree(&delta, KIND_DELTA, "delta");
+        }
+        let full = sim.snapshot().expect("synthetic streams checkpoint");
+        assert_streams_like_the_tree(&full, KIND_FULL, "full snapshot");
+    }
+}
+
+/// Arbitrary `Value` trees under a top-level map: few distinct scalars so
+/// that sequences hold runs, floats that equality would confuse (`-0.0`,
+/// NaNs with different payloads), empty and nested seqs and maps.
+struct ArbTree;
+
+fn scalar(rng: &mut TestRng) -> Value {
+    const FLOATS: [f64; 6] = [0.0, -0.0, 1.5, f64::INFINITY, f64::NAN, -f64::NAN];
+    match rng.below(6) {
+        0 => Value::Null,
+        1 => Value::Bool(rng.below(2) == 1),
+        2 => Value::Int(rng.below(4) as i128 - 1),
+        3 => Value::Int(i128::MIN + rng.below(2) as i128),
+        4 => Value::Float(FLOATS[rng.below(FLOATS.len() as u128) as usize]),
+        _ => Value::Str(["", "a", "b", "snapshot"][rng.below(4) as usize].to_string()),
+    }
+}
+
+fn tree(rng: &mut TestRng, depth: u32) -> Value {
+    match rng.below(if depth == 0 { 1 } else { 4 }) {
+        0 => scalar(rng),
+        1 => {
+            let len = rng.below(5) as usize;
+            let entries = (0..len)
+                .map(|_| {
+                    let key = ["a", "b", "key", ""][rng.below(4) as usize].to_string();
+                    (key, tree(rng, depth - 1))
+                })
+                .collect();
+            Value::Map(entries)
+        }
+        _ => {
+            let mut items = Vec::new();
+            for _ in 0..rng.below(6) {
+                let item = tree(rng, depth - 1);
+                for _ in 0..=rng.below(4) {
+                    items.push(item.clone());
+                }
+            }
+            Value::Seq(items)
+        }
+    }
+}
+
+impl Strategy for ArbTree {
+    type Value = Value;
+
+    fn generate(&self, rng: &mut TestRng) -> Value {
+        let sections = rng.below(5) as usize;
+        let fields = (0..sections)
+            .map(|i| (format!("s{}", i % 3), tree(rng, 4)))
+            .collect();
+        Value::Map(fields)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    #[test]
+    fn value_trees_stream_the_tree_encoders_bytes(v in ArbTree, delta in any::<bool>()) {
+        let kind = if delta { KIND_DELTA } else { KIND_FULL };
+        assert_streams_like_the_tree(&v, kind, "value tree");
+    }
+}
