@@ -107,32 +107,6 @@ impl SamplerState {
         self.samples.len()
     }
 
-    /// Captures a [`SamplerDelta`] relative to a base state that held
-    /// `base_len` rolled windows. The rolled-sample list is append-only
-    /// while a simulation advances, so the delta carries only the windows
-    /// rolled since the base plus the (small) open-window bookkeeping.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base_len` exceeds the current sample count — that means
-    /// the caller's base bookkeeping is stale, not a recoverable input.
-    pub fn delta_since(&self, base_len: usize) -> SamplerDelta {
-        assert!(
-            base_len <= self.samples.len(),
-            "sampler shrank from {base_len} to {} windows — samples are append-only",
-            self.samples.len()
-        );
-        SamplerDelta {
-            bw: self.bw.clone(),
-            lat: self.lat,
-            window_start: self.window_start,
-            accounted: self.accounted,
-            base_len: base_len as u64,
-            appended: self.samples[base_len..].to_vec(),
-            metrics: self.metrics.clone(),
-        }
-    }
-
     /// Replays a [`SamplerDelta`] onto this (base) state.
     ///
     /// # Errors
@@ -160,7 +134,7 @@ impl SamplerState {
 /// Dirty-state patch for one sampler: the full open-window bookkeeping
 /// (accountants, per-window metrics — all small) plus only the windows
 /// rolled since the base snapshot. Produced by
-/// [`SamplerState::delta_since`], replayed by
+/// [`StackSampler::delta_since`], replayed by
 /// [`SamplerState::apply_delta`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SamplerDelta {
@@ -370,9 +344,8 @@ impl StackSampler {
     }
 
     /// Captures a [`SamplerDelta`] directly from the live sampler against
-    /// a base that held `base_len` rolled windows — same result as
-    /// `snapshot_state().delta_since(base_len)` without cloning the whole
-    /// rolled-window series first.
+    /// a base that held `base_len` rolled windows: the (small) open-window
+    /// bookkeeping plus only the windows rolled since the base.
     ///
     /// # Panics
     ///

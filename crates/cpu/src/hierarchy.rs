@@ -363,25 +363,16 @@ impl Hierarchy {
         self.prefetch_buf = buf;
     }
 
-    /// Next read for the memory controller, if any. `peek`-style: only call
-    /// when the controller can accept.
+    /// Next read for the memory controller, if any. Take it only once
+    /// [`peek_read`](Self::peek_read) shows the controller can accept it.
     pub fn pop_read(&mut self) -> Option<OutboundRead> {
         self.outbound_reads.pop_front()
     }
 
-    /// Puts back a read the controller could not accept.
-    pub fn unpop_read(&mut self, r: OutboundRead) {
-        self.outbound_reads.push_front(r);
-    }
-
-    /// Next writeback for the memory controller, if any.
+    /// Next writeback for the memory controller, if any (see
+    /// [`peek_write`](Self::peek_write)).
     pub fn pop_write(&mut self) -> Option<u64> {
         self.outbound_writes.pop_front()
-    }
-
-    /// Puts back a write the controller could not accept.
-    pub fn unpop_write(&mut self, line: u64) {
-        self.outbound_writes.push_front(line);
     }
 
     /// Head of the outbound read queue without removing it — the request
@@ -694,17 +685,6 @@ mod tests {
         // Prefetched lines make later demand accesses hit.
         let (l1, l2, _) = h.cache_stats();
         assert!(l1.hits + l2.hits > 0);
-    }
-
-    #[test]
-    fn unpop_preserves_order() {
-        let mut h = small_hierarchy(1);
-        h.access(0, 0x1000, false, 0);
-        h.access(0, 0x9000, false, 0);
-        let first = h.pop_read().unwrap();
-        h.unpop_read(first);
-        assert_eq!(h.pop_read().unwrap().line, 0x1000);
-        assert_eq!(h.pop_read().unwrap().line, 0x9000);
     }
 
     /// Cache sets a delta patches, across every level.

@@ -210,11 +210,6 @@ impl MemoryController {
         self.device.set_memoize(on);
     }
 
-    /// Whether the busy-path event engine is on.
-    pub fn busy_engine(&self) -> bool {
-        self.busy_engine
-    }
-
     /// Attaches an observation probe; it receives every controller event
     /// until [`take_probe`](Self::take_probe). Attaching a probe never
     /// changes simulation results.
@@ -391,7 +386,15 @@ impl MemoryController {
     /// candidate that lost only the one-command-per-cycle arbitration is
     /// free again at `now + 1`.
     pub fn stall_horizon(&self, now: Cycle) -> Option<Cycle> {
-        if self.stall_blocked() {
+        // O(1) disqualifiers first: the engine is off, a refresh drain is
+        // on, a completion is undelivered, `now` issued a command, or a
+        // probe watches every tick.
+        if !self.busy_engine
+            || self.refresh_draining
+            || !self.completions.is_empty()
+            || self.issued_this_cycle
+            || (self.probe_active && self.probe.wants_ticks())
+        {
             return None;
         }
         debug_assert!(self.cas_this_cycle.is_none());
@@ -445,18 +448,6 @@ impl MemoryController {
             })
         });
         in_time.then_some(h)
-    }
-
-    /// Cheap O(1) disqualifiers of a busy span at the current tick. When
-    /// true, [`stall_horizon`](Self::stall_horizon) is `None` without
-    /// scanning anything, so drive loops can use this as a free pre-gate
-    /// (and only pay the full scan — or count a backoff — when it passes).
-    pub fn stall_blocked(&self) -> bool {
-        !self.busy_engine
-            || self.refresh_draining
-            || !self.completions.is_empty()
-            || self.issued_this_cycle
-            || (self.probe_active && self.probe.wants_ticks())
     }
 
     /// Bulk replay of the per-tick bookkeeping for the `n` skipped cycles

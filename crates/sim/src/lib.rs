@@ -28,6 +28,7 @@ mod config;
 pub mod experiments;
 pub mod jobs;
 pub mod parallel;
+mod parking;
 pub mod replay;
 mod report;
 mod snapshot;

@@ -6,7 +6,7 @@ use dramstack_core::{
     through_time::{aggregate_bandwidth, aggregate_latency},
     BandwidthStack, LatencyHistogram, LatencyStack, StackSampler, TimeSample,
 };
-use dramstack_cpu::{CoreModel, CycleStack, Hierarchy, InstrStream, StallKind, VecStream};
+use dramstack_cpu::{CoreModel, CycleStack, Hierarchy, InstrStream, VecStream};
 use dramstack_dram::{Cycle, CycleView, SeededFault};
 use dramstack_memctrl::{CompletedRead, CtrlSnapshot, MemoryController};
 use dramstack_obs::{
@@ -16,6 +16,7 @@ use dramstack_obs::{
 use dramstack_workloads::SyntheticPattern;
 
 use crate::config::{ConfigError, SystemConfig};
+use crate::parking::Parking;
 use crate::report::SimReport;
 use crate::snapshot::{Snapshot, SnapshotDelta, SnapshotError, SNAPSHOT_FORMAT_VERSION};
 use crate::telemetry::{Telemetry, TelemetryConfig};
@@ -58,12 +59,6 @@ pub struct Simulator {
     views_valid_at: Option<Cycle>,
     /// Which cores are parked (off the step loop) and which `step` ticks.
     parking: Parking,
-    /// Busy-forward attempt throttle: after a full horizon scan fails, the
-    /// next scan is deferred to this cycle (backoff doubles per miss, so a
-    /// workload whose spans never materialize stops paying the scan).
-    busy_attempt_after: Cycle,
-    /// Current backoff length in cycles (0 after a successful span).
-    busy_backoff: Cycle,
     /// Scratch buffer for draining controller completions without a
     /// per-cycle allocation.
     completion_buf: Vec<CompletedRead>,
@@ -78,113 +73,6 @@ pub struct Simulator {
     /// [`snapshot_delta`](Self::snapshot_delta), cleared by
     /// [`restore`](Self::restore). `None` until a base is taken.
     ckpt_marks: Option<CkptMarks>,
-}
-
-/// A core taken off the step loop: ticking it at any core cycle in
-/// `[since, until)` would only add one `kind` cycle to its stack (the
-/// contract of [`CoreModel::stall_horizon`]), so nobody does, and the
-/// cycles are added in bulk when the core wakes or its stack is read.
-#[derive(Debug, Clone, Copy)]
-struct Parked {
-    /// First core cycle not yet accrued.
-    since: u64,
-    kind: StallKind,
-    /// First core cycle the core must tick again (`u64::MAX`: only a line
-    /// completion or a barrier release ends the stall).
-    until: u64,
-}
-
-/// Which cores are parked. Every method that needs the cores takes them
-/// as an argument, so a caller can hold other parts of the [`Simulator`]
-/// (the hierarchy's completion iterator) at the same time.
-struct Parking {
-    /// Per core: `Some` while parked.
-    parked: Vec<Option<Parked>>,
-    /// The cores `step` ticks, ascending: the tick order within a core
-    /// cycle is part of the model.
-    awake: Vec<usize>,
-    /// Lower bound on the earliest `until` of any parked core.
-    next_wake: u64,
-    /// `CoreModel::stall_horizon` evaluations made (for `SimReport::perf`).
-    polls: u64,
-}
-
-impl Parking {
-    fn new(n_cores: usize) -> Self {
-        Parking {
-            parked: vec![None; n_cores],
-            awake: (0..n_cores).collect(),
-            next_wake: u64::MAX,
-            polls: 0,
-        }
-    }
-
-    /// Asks core `c` (not in `awake`, or about to be dropped from it by
-    /// the caller) whether it is stalled from core cycle `from` on, and
-    /// parks it there if so.
-    fn try_park(&mut self, cores: &[CoreModel], c: usize, from: u64) -> bool {
-        self.polls += 1;
-        let Some((until, kind)) = cores[c].stall_horizon(from) else {
-            return false;
-        };
-        self.parked[c] = Some(Parked {
-            since: from,
-            kind,
-            until,
-        });
-        self.next_wake = self.next_wake.min(until);
-        true
-    }
-
-    /// Adds the stall cycles core `c` owes up to core cycle `to`, if it is
-    /// parked.
-    fn settle(&mut self, cores: &mut [CoreModel], c: usize, to: u64) {
-        if let Some(p) = &mut self.parked[c] {
-            cores[c].add_stall_cycles(p.since, to - p.since, p.kind);
-            p.since = to;
-        }
-    }
-
-    /// Settles every parked core up to core cycle `to`: the cycle stacks
-    /// are about to be read.
-    fn settle_all(&mut self, cores: &mut [CoreModel], to: u64) {
-        for c in 0..cores.len() {
-            self.settle(cores, c, to);
-        }
-    }
-
-    /// Puts core `c` back on the step loop; its next tick is at `now`.
-    fn wake(&mut self, cores: &mut [CoreModel], c: usize, now: u64) {
-        if self.parked[c].is_some() {
-            self.settle(cores, c, now);
-            self.parked[c] = None;
-            let at = self.awake.partition_point(|&a| a < c);
-            self.awake.insert(at, c);
-        }
-    }
-
-    /// Wakes every parked core whose stall ends by core cycle `now` and
-    /// recomputes `next_wake`.
-    fn wake_due(&mut self, cores: &mut [CoreModel], now: u64) {
-        self.next_wake = u64::MAX;
-        for c in 0..cores.len() {
-            match self.parked[c] {
-                Some(p) if p.until <= now => self.wake(cores, c, now),
-                Some(p) => self.next_wake = self.next_wake.min(p.until),
-                None => {}
-            }
-        }
-    }
-
-    /// Wakes every parked core; their next tick is at `now`.
-    fn wake_all(&mut self, cores: &mut [CoreModel], now: u64) {
-        if self.awake.len() < cores.len() {
-            for c in 0..cores.len() {
-                self.wake(cores, c, now);
-            }
-            self.next_wake = u64::MAX;
-        }
-    }
 }
 
 /// Bookkeeping for delta checkpoints: everything needed to decide what
@@ -280,8 +168,6 @@ impl Simulator {
             busy_engine: true,
             views_valid_at: None,
             parking: Parking::new(cfg.n_cores),
-            busy_attempt_after: 0,
-            busy_backoff: 0,
             completion_buf: Vec::new(),
             core_ticks: 0,
             audits: vec![None; cfg.channels],
@@ -309,19 +195,26 @@ impl Simulator {
     /// disarm before attaching probes you want to keep.
     pub fn set_audit(&mut self, on: bool) {
         for ch in 0..self.ctrls.len() {
-            if on && self.audits[ch].is_none() {
-                let (probe, handle) = audit_channel(&self.cfg.ctrl.device);
-                if self.ctrls[ch].probe_attached() {
-                    let user = self.ctrls[ch].take_probe();
-                    self.ctrls[ch].attach_probe(Box::new(TeeProbe::new(user, Box::new(probe))));
-                } else {
-                    self.ctrls[ch].attach_probe(Box::new(probe));
-                }
-                self.audits[ch] = Some(handle);
-            } else if !on && self.audits[ch].take().is_some() {
-                let _ = self.ctrls[ch].take_probe();
-            }
+            self.set_channel_audit(ch, on);
         }
+    }
+
+    /// Arms (teed with any user probe already attached) or disarms the
+    /// shadow auditor of channel `ch`; returns its handle while armed.
+    fn set_channel_audit(&mut self, ch: usize, on: bool) -> Option<&AuditHandle> {
+        if on && self.audits[ch].is_none() {
+            let (probe, handle) = audit_channel(&self.cfg.ctrl.device);
+            let probe: Box<dyn Probe> = if self.ctrls[ch].probe_attached() {
+                Box::new(TeeProbe::new(self.ctrls[ch].take_probe(), Box::new(probe)))
+            } else {
+                Box::new(probe)
+            };
+            self.ctrls[ch].attach_probe(probe);
+            self.audits[ch] = Some(handle);
+        } else if !on && self.audits[ch].take().is_some() {
+            let _ = self.ctrls[ch].take_probe();
+        }
+        self.audits[ch].as_ref()
     }
 
     /// Corrupts the *effective* timing enforcement of `channel`'s DRAM
@@ -359,11 +252,6 @@ impl Simulator {
         for ctrl in &mut self.ctrls {
             ctrl.set_busy_engine(on);
         }
-    }
-
-    /// Whether the busy-path event engine is enabled.
-    pub fn busy_engine(&self) -> bool {
-        self.busy_engine
     }
 
     /// Turns on wall-clock self-profiling of the drive loop; the
@@ -503,29 +391,48 @@ impl Simulator {
         ((line >> 6) / self.cfg.channels as u64) << 6
     }
 
-    /// Advances the system by one DRAM cycle.
+    /// Advances the system by one DRAM cycle: one stage per [`SimPhase`],
+    /// in order. Phase timing chains through `mark` — one clock read per
+    /// phase boundary instead of an end/begin pair. The stages are
+    /// inlined: splitting them out costs the per-cycle path nothing.
     pub fn step(&mut self) {
         let now = self.dram_cycle;
-        let mult = u64::from(self.cfg.core_clock_mult);
-        let c0 = now * mult;
-
-        // 1. Memory controllers + DRAM + bandwidth-stack accounting.
-        //    Phase timing chains through `mark` — one clock read per phase
-        //    boundary instead of an end/begin pair.
+        let c0 = now * u64::from(self.cfg.core_clock_mult);
         let t = self.timers.begin_step();
+        self.tick_controllers(now);
+        let t = self.timers.mark(SimPhase::Ctrl, t);
+        self.deliver_completions(c0);
+        let t = self.timers.mark(SimPhase::Completions, t);
+        self.tick_cores(c0);
+        let t = self.timers.mark(SimPhase::Cores, t);
+        self.pump();
+        let t = self.timers.mark(SimPhase::Pump, t);
+        self.advance_clock(now + 1);
+        self.timers.mark(SimPhase::Sampling, t);
+        if self.telemetry.is_some() {
+            self.publish_windows();
+        }
+    }
+
+    /// Memory controllers + DRAM + bandwidth-stack accounting for cycle
+    /// `now`.
+    #[inline(always)]
+    fn tick_controllers(&mut self, now: Cycle) {
         for ch in 0..self.ctrls.len() {
             self.ctrls[ch].tick(now, &mut self.views[ch]);
             self.samplers[ch].account(&self.views[ch]);
         }
         self.views_valid_at = Some(now);
-        let t = self.timers.mark(SimPhase::Ctrl, t);
+    }
 
-        // 2. Completions propagate up: latency stack, cache fills, cores.
-        //    `meta` carries the original (pre-strip) line address. A
-        //    completion is one of the two events that can end a parked
-        //    core's stall, so such a core is settled, told, and asked
-        //    again: it stays parked (a line other than the one its ROB
-        //    head waits for) or wakes and ticks from `c0` on.
+    /// Completions propagate up: latency stack, cache fills, cores.
+    /// `meta` carries the original (pre-strip) line address. A completion
+    /// is one of the two events that can end a parked core's stall, so
+    /// such a core is settled, told, and asked again: it stays parked (a
+    /// line other than the one its ROB head waits for) or wakes and ticks
+    /// from core cycle `c0` on.
+    #[inline(always)]
+    fn deliver_completions(&mut self, c0: u64) {
         let mut buf = std::mem::take(&mut self.completion_buf);
         for ch in 0..self.ctrls.len() {
             self.ctrls[ch].take_completions_into(&mut buf);
@@ -548,13 +455,17 @@ impl Simulator {
             }
         }
         self.completion_buf = buf;
-        let t = self.timers.mark(SimPhase::Completions, t);
+    }
 
-        // 3. The awake cores run `core_clock_mult` cycles per DRAM cycle,
-        // in core order. With the busy engine on, a core whose tick says
-        // it may be stalled is asked for its stall horizon and parked from
-        // the next cycle on; a parked core provably never touches the
-        // shared hierarchy, so the others see what they would have seen.
+    /// The awake cores run `core_clock_mult` cycles from core cycle `c0`,
+    /// in core order, then the barrier releases if every unfinished core
+    /// waits at it. With the busy engine on, a core whose tick says it may
+    /// be stalled is asked for its stall horizon and parked from the next
+    /// cycle on; a parked core provably never touches the shared
+    /// hierarchy, so the others see what they would have seen.
+    #[inline(always)]
+    fn tick_cores(&mut self, c0: u64) {
+        let mult = u64::from(self.cfg.core_clock_mult);
         for core_now in c0..c0 + mult {
             if core_now >= self.parking.next_wake {
                 self.parking.wake_due(&mut self.cores, core_now);
@@ -576,48 +487,50 @@ impl Simulator {
             }
             self.parking.awake.truncate(kept);
         }
-
-        // 4. Barrier release: when every unfinished core is parked.
         self.release_barriers(c0 + mult);
-        let t = self.timers.mark(SimPhase::Cores, t);
-
-        // 5. Pump hierarchy ⇄ controllers (head-of-line per direction).
-        while let Some(r) = self.hier.pop_read() {
-            let ch = self.channel_of(r.line);
-            if self.ctrls[ch].can_accept_read() {
-                let stripped = self.strip_channel(r.line);
-                self.ctrls[ch].enqueue_read(stripped, r.line);
-            } else {
-                self.hier.unpop_read(r);
-                break;
-            }
-        }
-        while let Some(line) = self.hier.pop_write() {
-            let ch = self.channel_of(line);
-            if self.ctrls[ch].can_accept_write() {
-                let stripped = self.strip_channel(line);
-                self.ctrls[ch].enqueue_write(stripped);
-            } else {
-                self.hier.unpop_write(line);
-                break;
-            }
-        }
-        let t = self.timers.mark(SimPhase::Pump, t);
-
-        // 6. Through-time CPU cycle-stack sampling.
-        self.dram_cycle += 1;
-        if self.dram_cycle == self.next_cycle_sample {
-            self.roll_cycle_window();
-        }
-        self.timers.mark(SimPhase::Sampling, t);
-
-        self.after_advance();
     }
 
-    /// Telemetry, after `dram_cycle` moved.
-    fn after_advance(&mut self) {
-        if self.telemetry.is_some() {
-            self.publish_windows();
+    /// Moves requests from the hierarchy into the controller queues, head
+    /// of line per direction.
+    #[inline(always)]
+    fn pump(&mut self) {
+        while let Some(line) = self.pump_head(false) {
+            self.hier.pop_read();
+            let (ch, stripped) = (self.channel_of(line), self.strip_channel(line));
+            self.ctrls[ch].enqueue_read(stripped, line);
+        }
+        while let Some(line) = self.pump_head(true) {
+            self.hier.pop_write();
+            let (ch, stripped) = (self.channel_of(line), self.strip_channel(line));
+            self.ctrls[ch].enqueue_write(stripped);
+        }
+    }
+
+    /// The pump's head-of-line rule: the line at the head of the outbound
+    /// reads (or, with `writes`, writebacks) if its channel's queue accepts
+    /// it now. `None` blocks the whole direction.
+    fn pump_head(&self, writes: bool) -> Option<u64> {
+        let line = if writes {
+            self.hier.peek_write()?
+        } else {
+            self.hier.peek_read()?.line
+        };
+        let ctrl = &self.ctrls[self.channel_of(line)];
+        let accepts = if writes {
+            ctrl.can_accept_write()
+        } else {
+            ctrl.can_accept_read()
+        };
+        accepts.then_some(line)
+    }
+
+    /// Moves the clock to `to` and closes the CPU cycle-stack window if it
+    /// ends there.
+    #[inline(always)]
+    fn advance_clock(&mut self, to: Cycle) {
+        self.dram_cycle = to;
+        if to == self.next_cycle_sample {
+            self.roll_cycle_window();
         }
     }
 
@@ -667,105 +580,68 @@ impl Simulator {
 
     /// Attempts to bulk-skip stall cycles, stopping before `limit`.
     ///
-    /// The skip engages whenever every core is parked, every controller
-    /// can prove via [`MemoryController::stall_horizon`] that no command
-    /// issues, no completion lands, and no refresh boundary trips before
-    /// some cycle `h`, and the hierarchy⇄controller pump is head-of-line
-    /// blocked — with requests in flight or, the same case with nothing
-    /// queued, on an idle machine whose only future event is the
-    /// fixed-grid refresh. Because every per-cycle observable is then
-    /// constant over `[now, h)`, the span is replayed in bulk: the frozen
-    /// [`CycleView`]s are re-accounted `n` times and controller queue
-    /// attribution is applied via [`MemoryController::apply_stall_span`]
-    /// — all bit-identical to stepping cycle by cycle, including sampling
-    /// window rolls. The parked cores need nothing: their stall cycles
-    /// accrue when they wake or a window rolls.
+    /// One protocol. An awake core, or a pump that can move a request
+    /// into a controller queue, ends the attempt. Otherwise the span
+    /// `[now, end)` ends at the earliest of `limit`, the parked cores'
+    /// next wake, every controller's [`MemoryController::stall_horizon`]
+    /// (no command issues, no completion lands and no refresh boundary
+    /// trips before it) and the next CPU cycle-stack window edge. Every
+    /// per-cycle observable is then constant over the span, so it is
+    /// replayed in bulk, bit-identically to stepping cycle by cycle: one
+    /// [`MemoryController::apply_stall_span`] per controller, the frozen
+    /// [`CycleView`]s re-accounted once per sampler, and at most one
+    /// window roll at `end`. An idle machine is the case with nothing
+    /// queued, whose only future event is the fixed-grid refresh. The
+    /// parked cores need nothing: their stall cycles accrue when they
+    /// wake or a window rolls.
     ///
     /// Returns true when at least one cycle was skipped.
     fn try_skip(&mut self, limit: Cycle) -> bool {
         let now = self.dram_cycle;
-        if !self.busy_engine || now == 0 || limit <= now {
-            return false;
-        }
-        let last = now - 1;
         // The per-channel views must describe the immediately preceding
         // cycle: bulk accounting replays them verbatim.
-        if self.views_valid_at != Some(last) {
-            return false;
-        }
-        // Free disqualifiers first: an awake core, or a tick that issued a
-        // command (or has an undelivered completion, or a refresh drain),
-        // can never head a span, and costs nothing to detect — no backoff
-        // charged.
-        if !self.parking.awake.is_empty() || self.ctrls.iter().any(MemoryController::stall_blocked)
+        if !self.busy_engine
+            || now == 0
+            || limit <= now
+            || self.views_valid_at != Some(now - 1)
+            || !self.parking.awake.is_empty()
         {
             return false;
         }
-        // Throttle the expensive horizon scans: a workload whose spans
-        // keep failing to materialize backs off exponentially instead of
-        // paying a full queue scan every cycle.
-        if now < self.busy_attempt_after {
-            return false;
-        }
-        // The pump must be head-of-line blocked in both directions;
-        // otherwise a step would move a request into a controller queue.
-        // (Queue occupancy is frozen over a stall span — no CAS retires
-        // an entry, no completion drains in-flight — so "blocked now"
-        // means "blocked for the whole span".)
-        if let Some(r) = self.hier.peek_read() {
-            if self.ctrls[self.channel_of(r.line)].can_accept_read() {
-                return false;
-            }
-        }
-        if let Some(line) = self.hier.peek_write() {
-            if self.ctrls[self.channel_of(line)].can_accept_write() {
-                return false;
-            }
-        }
-        // Every core is stalled for core cycles [c0, next_wake); convert
-        // to whole DRAM cycles of guaranteed stall.
+        // Every core is stalled for core cycles [now * mult, next_wake), so
+        // whole DRAM cycles up to `next_wake / mult` cap the span.
         let mult = u64::from(self.cfg.core_clock_mult);
-        let stalled = self.parking.next_wake.saturating_sub(now * mult) / mult;
-        let mut horizon = limit.min(now.saturating_add(stalled));
-        for ctrl in &self.ctrls {
-            match ctrl.stall_horizon(last) {
-                Some(h) => horizon = horizon.min(h),
-                None => {
-                    horizon = now;
-                    break;
-                }
-            }
-        }
-        if horizon <= now {
-            self.busy_backoff = (self.busy_backoff * 2).clamp(2, 8);
-            self.busy_attempt_after = now + self.busy_backoff;
+        if self.parking.next_wake < (now + 1) * mult {
             return false;
         }
-        self.busy_backoff = 0;
+        let mut end = limit
+            .min(self.next_cycle_sample)
+            .min(self.parking.next_wake / mult);
+        // Every horizon a controller offers lies past `now`.
+        for ctrl in &self.ctrls {
+            let Some(h) = ctrl.stall_horizon(now - 1) else {
+                return false;
+            };
+            end = end.min(h);
+        }
+        // Queue occupancy is frozen over a span (no CAS retires an entry,
+        // no completion drains in-flight), so a pump blocked now stays
+        // blocked for the whole span.
+        if self.pump_head(false).is_some() || self.pump_head(true).is_some() {
+            return false;
+        }
         let t = self.timers.begin();
-        let skipped = horizon - now;
-        // Controller-side per-cycle stats (drain cycles, per-entry queue
-        // attribution) are constant over the span; replay them in bulk.
+        let skipped = end - now;
         for ctrl in &mut self.ctrls {
-            ctrl.apply_stall_span(last, skipped);
+            ctrl.apply_stall_span(now - 1, skipped);
         }
-        // Skip [now, horizon) in chunks bounded by the CPU cycle-stack
-        // sampling boundary so window rolls land exactly where per-cycle
-        // stepping would put them.
-        while self.dram_cycle < horizon {
-            let chunk_end = horizon.min(self.next_cycle_sample);
-            let n = chunk_end - self.dram_cycle;
-            for (s, v) in self.samplers.iter_mut().zip(&self.views) {
-                s.account_span(v, n);
-            }
-            self.dram_cycle = chunk_end;
-            if self.dram_cycle == self.next_cycle_sample {
-                self.roll_cycle_window();
-            }
+        for (s, v) in self.samplers.iter_mut().zip(&self.views) {
+            s.account_span(v, skipped);
         }
+        self.advance_clock(end);
         // The views still describe every cycle of the span, including the
         // one just before where we landed — consecutive spans chain.
-        self.views_valid_at = Some(horizon - 1);
+        self.views_valid_at = Some(end - 1);
         if self.views.iter().any(|v| v.has_pending) {
             self.timers.add_busy_forwarded(skipped);
             self.timers.end(SimPhase::BusyForward, t);
@@ -773,7 +649,7 @@ impl Simulator {
             self.timers.add_fast_forwarded(skipped);
             self.timers.end(SimPhase::FastForward, t);
         }
-        self.after_advance();
+        self.publish_windows();
         true
     }
 
@@ -829,13 +705,7 @@ impl Simulator {
     /// instruction stream lacks `checkpoint` support (synthetic and
     /// vector-trace streams both support it).
     pub fn snapshot(&self) -> Result<Snapshot, SnapshotError> {
-        let mut streams = Vec::with_capacity(self.streams.len());
-        for (core, s) in self.streams.iter().enumerate() {
-            streams.push(
-                s.checkpoint()
-                    .ok_or(SnapshotError::StreamUnsupported { core })?,
-            );
-        }
+        let streams = self.stream_checkpoints()?;
         Ok(Snapshot {
             version: SNAPSHOT_FORMAT_VERSION,
             config: self.cfg.clone(),
@@ -863,6 +733,15 @@ impl Simulator {
             cycle_total: self.cycle_total,
             histogram: self.histogram.clone(),
         })
+    }
+
+    /// Every core's instruction-stream checkpoint.
+    fn stream_checkpoints(&self) -> Result<Vec<Vec<u64>>, SnapshotError> {
+        let streams = self.streams.iter().enumerate();
+        let unsupported = |core| SnapshotError::StreamUnsupported { core };
+        streams
+            .map(|(core, s)| s.checkpoint().ok_or_else(|| unsupported(core)))
+            .collect()
     }
 
     /// Every core's state as of the current cycle. A parked core's stack
@@ -927,13 +806,7 @@ impl Simulator {
         if self.ckpt_marks.is_none() {
             return Err(SnapshotError::DeltaBaseMissing);
         }
-        let mut streams = Vec::with_capacity(self.streams.len());
-        for (core, s) in self.streams.iter().enumerate() {
-            streams.push(
-                s.checkpoint()
-                    .ok_or(SnapshotError::StreamUnsupported { core })?,
-            );
-        }
+        let streams = self.stream_checkpoints()?;
         let cores = self.core_states();
         let marks = self.ckpt_marks.as_mut().expect("checked above");
         let mut controllers = Vec::with_capacity(self.ctrls.len());
@@ -1007,8 +880,8 @@ impl Simulator {
     /// with the same arguments as the original run). The snapshot's
     /// audit-arming layout is re-applied per channel, so a restored
     /// release-build simulator audits iff the captured one did. Scratch
-    /// and derived state (cycle views, busy-forward throttle, completion
-    /// buffer) is invalidated; telemetry attached to the target treats
+    /// and derived state (cycle views, parked cores, completion buffer) is
+    /// invalidated; telemetry attached to the target treats
     /// windows that predate the snapshot as already published.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
         if snap.version != SNAPSHOT_FORMAT_VERSION {
@@ -1041,30 +914,9 @@ impl Simulator {
         }
         // Re-apply the snapshot's audit arming per channel, preserving
         // any user probe, then restore the auditors' bookkeeping.
-        for ch in 0..self.ctrls.len() {
-            match (&snap.audits[ch], self.audits[ch].is_some()) {
-                (Some(state), armed) => {
-                    if !armed {
-                        let (probe, handle) = audit_channel(&self.cfg.ctrl.device);
-                        if self.ctrls[ch].probe_attached() {
-                            let user = self.ctrls[ch].take_probe();
-                            self.ctrls[ch]
-                                .attach_probe(Box::new(TeeProbe::new(user, Box::new(probe))));
-                        } else {
-                            self.ctrls[ch].attach_probe(Box::new(probe));
-                        }
-                        self.audits[ch] = Some(handle);
-                    }
-                    self.audits[ch]
-                        .as_ref()
-                        .expect("just armed")
-                        .restore_state(state);
-                }
-                (None, true) => {
-                    self.audits[ch] = None;
-                    let _ = self.ctrls[ch].take_probe();
-                }
-                (None, false) => {}
+        for (ch, state) in snap.audits.iter().enumerate() {
+            if let (Some(h), Some(state)) = (self.set_channel_audit(ch, state.is_some()), state) {
+                h.restore_state(state);
             }
         }
         self.cycle_samples = snap.cycle_samples.clone();
@@ -1078,8 +930,6 @@ impl Simulator {
         let n_banks = self.ctrls[0].total_banks();
         self.views = vec![CycleView::idle(n_banks); self.ctrls.len()];
         self.views_valid_at = None;
-        self.busy_attempt_after = 0;
-        self.busy_backoff = 0;
         // The snapshot holds every stall cycle owed at capture, so the
         // restored cores start awake with nothing owed and park again on
         // their first stalled tick.
@@ -1121,9 +971,7 @@ impl Simulator {
         }
         // The flush may have completed one final window per channel; hand
         // it to the telemetry layer and close out the run's writers.
-        if self.telemetry.is_some() {
-            self.publish_windows();
-        }
+        self.publish_windows();
         if let Some(tel) = &mut self.telemetry {
             tel.finish_run();
         }

@@ -116,12 +116,24 @@ fn synth(cores: usize, pattern: SyntheticPattern, engine: bool) -> Simulator {
 /// as spans with no request pending — and nothing in the report changes.
 #[test]
 fn idle_run_fast_forwards_over_nine_tenths_of_its_cycles_unchanged() {
-    let run = |us: f64, engine: bool| loads(1, 1, 0, 0, engine).run_for_us(us);
-    let (on, off) = (run(100.0, true), run(100.0, false));
+    let run =
+        |us: f64, channels: usize, engine: bool| loads(1, channels, 0, 0, engine).run_for_us(us);
+    let (on, off) = (run(100.0, 1, true), run(100.0, 1, false));
     assert_eq!(on.strip_perf(), off.strip_perf());
     assert_eq!(off.perf.fast_forwarded_cycles, 0);
-    // Over a long run only the ticks around each refresh are stepped.
-    let long = run(20_000.0, true);
+    // Only cycle 0 and three ticks per refresh are stepped on each
+    // channel: the REF, the cycle after it and the end of its tRFC shadow.
+    for channels in [1, 2] {
+        for us in [100.0, 1000.0, 20_000.0] {
+            let r = run(us, channels, true);
+            assert_eq!(
+                r.perf.ctrl_ticks,
+                3 * r.ctrl_stats.refreshes + channels as u64,
+                "{us} us on {channels} channels"
+            );
+        }
+    }
+    let long = run(20_000.0, 1, true);
     assert_eq!(long.perf.busy_forwarded_cycles, 0);
     assert!(
         long.perf.fast_forwarded_cycles * 1000 >= long.sim_cycles * 999,

@@ -18,6 +18,9 @@ fn synth(cores: usize, channels: usize, pattern: SyntheticPattern, engine: bool)
     cfg.sample_period = PERIOD;
     let mut sim = Simulator::with_synthetic(cfg, pattern);
     sim.set_busy_engine(engine);
+    // Armed by default only in debug builds; `assert_same` needs it in
+    // release too.
+    sim.set_audit(true);
     sim
 }
 
@@ -79,6 +82,7 @@ fn barrier_release_wakes_parked_cores() {
         cfg.sample_period = PERIOD;
         let mut sim = Simulator::with_traces(cfg, traces);
         sim.set_busy_engine(engine);
+        sim.set_audit(true);
         let r = sim.run_to_completion(50_000_000);
         assert!(sim.finished(), "bfs must finish (engine {engine})");
         r
