@@ -110,8 +110,8 @@ impl Bank {
     }
 
     /// Cycle the in-progress (or most recent) precharge finishes. Exposed
-    /// for the device's next-legal-cycle tables: while `now` is before this
-    /// cycle the bank reports [`BankState::Precharging`].
+    /// for the controller's timing table: while `now` is before this cycle
+    /// the bank reports [`BankState::Precharging`].
     pub fn pre_done_at(&self) -> Cycle {
         self.pre_done_at
     }

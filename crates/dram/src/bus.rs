@@ -49,23 +49,11 @@ impl DataBus {
         Self::default()
     }
 
-    /// First cycle at or after `earliest` at which a burst of `len` cycles
-    /// fits. Bursts are appended in issue order, so this is simply the end
-    /// of the last scheduled burst.
-    pub fn earliest_slot(&self, earliest: Cycle, _len: Cycle) -> Cycle {
-        match self.bursts.back() {
-            Some(b) => b.end.max(earliest),
-            None => earliest.max(self.last_read_end).max(self.last_write_end),
-        }
-    }
-
     /// End of the last scheduled burst, or the later of the remembered
-    /// read/write ends when the schedule is empty. This is the constant the
-    /// earliest-slot query reduces to for a fixed schedule:
-    /// `earliest_slot(e, _) == backlog_end().max(e)`, and the value is
-    /// stable across [`retire_before`](Self::retire_before) — which lets the
-    /// device fold the bus constraint into its memoized next-legal-cycle
-    /// tables keyed only on reservations.
+    /// read/write ends when the schedule is empty: the first cycle a new
+    /// burst may start. Bursts are appended in issue order, so no earlier
+    /// gap is ever free. The value is the same before and after
+    /// [`retire_before`](Self::retire_before).
     pub fn backlog_end(&self) -> Cycle {
         match self.bursts.back() {
             Some(b) => b.end,
@@ -187,12 +175,13 @@ mod tests {
     }
 
     #[test]
-    fn earliest_slot_follows_last_burst() {
+    fn backlog_end_follows_last_burst() {
         let mut bus = DataBus::new();
-        assert_eq!(bus.earliest_slot(5, 4), 5);
+        assert_eq!(bus.backlog_end(), 0);
         bus.reserve(5, 4, BurstKind::Read);
-        assert_eq!(bus.earliest_slot(0, 4), 9);
-        assert_eq!(bus.earliest_slot(20, 4), 20);
+        assert_eq!(bus.backlog_end(), 9);
+        bus.retire_before(20);
+        assert_eq!(bus.backlog_end(), 9, "retiring keeps the backlog end");
     }
 
     #[test]

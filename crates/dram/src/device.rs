@@ -1,7 +1,5 @@
 //! The DRAM device: banks + rank timing + data bus behind one channel.
 
-use std::cell::Cell;
-
 use serde::{Deserialize, Serialize};
 
 use crate::bank::{Bank, BankState};
@@ -119,47 +117,8 @@ impl Earliest {
     }
 }
 
-/// One slot of a per-bank *next-legal-cycle* table: the full constraint
-/// chain of one command kind folded into a now-independent constant
-/// `(at, reason)`, plus the epoch triple it was computed under.
-///
-/// Every candidate in the earliest-issue chains (tRC windows, tRRD/tFAW
-/// at the rank, tCCD/tWTR, the bus backlog end, the read→write gap) is an
-/// absolute cycle that only moves when a command issues. Folding them from
-/// zero with the same strict-greater tighten order as the unmemoized chain
-/// yields a constant `C` with its winning reason; the live query is then
-/// exactly `max(now, C)` with the reason kept iff `C > now`. A slot stays
-/// valid until one of its epochs is bumped by an issued command, so the
-/// table costs O(1) per consult and one refold per bank per command.
-#[derive(Debug, Clone, Copy)]
-struct NextLegal {
-    bank_epoch: u32,
-    rank_epoch: u32,
-    bus_epoch: u32,
-    at: Cycle,
-    reason: BlockReason,
-    /// `earliest_activate` only: the bank's `pre_done_at`, for the
-    /// query-time RowCycle → PrechargePending rewrite (the rewrite depends
-    /// on `now`, so it cannot be folded into the constant).
-    aux: Cycle,
-}
-
-impl NextLegal {
-    /// A slot that can never match (real epochs start at 1).
-    const STALE: NextLegal = NextLegal {
-        bank_epoch: 0,
-        rank_epoch: 0,
-        bus_epoch: 0,
-        at: 0,
-        reason: BlockReason::None,
-        aux: 0,
-    };
-}
-
 /// Serializable image of one channel's full DRAM state, as captured by
-/// [`DramDevice::snapshot_state`]. The next-legal-cycle memo tables are
-/// deliberately absent: they are a pure cache, reset to stale on restore
-/// and refolded on demand with identical answers.
+/// [`DramDevice::snapshot_state`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeviceSnapshot {
     /// Per-flat-bank state (open rows, timing windows, per-bank stats).
@@ -173,11 +132,11 @@ pub struct DeviceSnapshot {
     /// Injected chaos fault, if any (the enforced timing set is derived
     /// from this on restore).
     pub fault: SeededFault,
-    /// Per-flat-bank memo-invalidation epochs.
+    /// Per-flat-bank mutation epochs.
     pub bank_epochs: Vec<u32>,
-    /// Per-rank memo-invalidation epochs.
+    /// Per-rank mutation epochs.
     pub rank_epochs: Vec<u32>,
-    /// Bus memo-invalidation epoch.
+    /// Bus mutation epoch.
     pub bus_epoch: u32,
     /// Flat bank indices with a pending auto-precharge.
     pub auto_pre_pending: Vec<usize>,
@@ -218,29 +177,15 @@ pub struct DramDevice {
     /// device stays self-consistent while violating the true spec.
     enforced: TimingParams,
     fault: SeededFault,
-    /// Whether the next-legal-cycle tables answer `earliest_*` queries.
-    /// Off = recompute the full constraint chain per query (the reference
-    /// path the busy-engine A/B comparisons run against).
-    memo_enabled: bool,
-    /// Per-flat-bank epoch, bumped by any command that mutates the bank.
+    /// Mutation epochs: per flat bank, bumped by any command that mutates
+    /// the bank. With the two below they feed
+    /// [`epoch_signature`](Self::epoch_signature) and are snapshot fields.
     bank_epochs: Vec<u32>,
     /// Per-rank epoch, bumped by ACT/CAS/REF on the rank.
     rank_epochs: Vec<u32>,
-    /// Bumped on every bus reservation (burst retirement is value-stable
-    /// for the folded constants, so it does not bump).
+    /// Bumped on every bus reservation (burst retirement leaves every
+    /// timing answer as it was, so it does not bump).
     bus_epoch: u32,
-    /// Next-legal-cycle tables, one slot per flat bank per command kind.
-    /// `Cell` because `earliest_*` takes `&self`; `Cell<T: Copy>` keeps the
-    /// device `Send` for the parallel sweep runner.
-    act_legal: Vec<Cell<NextLegal>>,
-    pre_legal: Vec<Cell<NextLegal>>,
-    read_legal: Vec<Cell<NextLegal>>,
-    write_legal: Vec<Cell<NextLegal>>,
-    /// Memoized `earliest_*` queries, and those of them that refolded
-    /// their slot (host-side work for `SimReport::perf`, never
-    /// snapshotted).
-    memo_queries: Cell<u64>,
-    memo_refolds: Cell<u64>,
     /// Flat indices of banks with a pending auto-precharge, so `advance`
     /// visits only them instead of sweeping every bank.
     auto_pre_pending: Vec<usize>,
@@ -280,16 +225,9 @@ impl DramDevice {
         Ok(DramDevice {
             enforced: config.timing,
             fault: SeededFault::None,
-            memo_enabled: true,
             bank_epochs: vec![1; n_banks],
             rank_epochs: vec![1; config.geometry.ranks as usize],
             bus_epoch: 1,
-            act_legal: vec![Cell::new(NextLegal::STALE); n_banks],
-            pre_legal: vec![Cell::new(NextLegal::STALE); n_banks],
-            read_legal: vec![Cell::new(NextLegal::STALE); n_banks],
-            write_legal: vec![Cell::new(NextLegal::STALE); n_banks],
-            memo_queries: Cell::new(0),
-            memo_refolds: Cell::new(0),
             auto_pre_pending: Vec::new(),
             auto_precharged: Vec::new(),
             transitioning: Vec::new(),
@@ -302,31 +240,11 @@ impl DramDevice {
         })
     }
 
-    /// Switches the next-legal-cycle tables on or off. Answers are
-    /// identical either way (the bit-identity tests and the proptest
-    /// matrix hold the two paths to the same reports); off is the
-    /// reference path for busy-engine A/B measurements.
-    pub fn set_memoize(&mut self, on: bool) {
-        self.memo_enabled = on;
-    }
-
-    /// `(hits, refolds)` of the next-legal-cycle tables since construction:
-    /// `earliest_*` queries (the validation query inside `issue` included)
-    /// answered by a valid slot, and those that had to refold one. Both
-    /// stay zero while memoization is off.
-    pub fn memo_work(&self) -> (u64, u64) {
-        let refolds = self.memo_refolds.get();
-        (self.memo_queries.get() - refolds, refolds)
-    }
-
-    /// Counts one memoized query, unconditionally so the hit path pays
-    /// one increment and no branch; `refolded` ones are counted again.
-    fn count_memo(&self, refolded: bool) {
-        self.memo_queries.set(self.memo_queries.get() + 1);
-        if refolded {
-            self.memo_refolds.set(self.memo_refolds.get() + 1);
-        }
-    }
+    /// Does nothing: every `earliest_*` query folds its constraints
+    /// afresh, and there is no memo left to switch. Kept only for its one
+    /// caller, `refbench/src/layers.rs`, outside the workspace; the stub
+    /// goes when that call does.
+    pub fn set_memoize(&mut self, _on: bool) {}
 
     fn touch_bank(&mut self, flat: usize) {
         self.bank_epochs[flat] = self.bank_epochs[flat].wrapping_add(1);
@@ -341,7 +259,7 @@ impl DramDevice {
         &self.config
     }
 
-    /// Cheap fingerprint of the busy-engine epoch counters (FNV-1a over
+    /// Cheap fingerprint of the mutation epoch counters (FNV-1a over
     /// every bank/rank epoch plus the bus epoch). Every timing-relevant
     /// device mutation bumps at least one epoch, so a changed signature
     /// proves the device moved since the last probe; checkpoint delta
@@ -377,8 +295,8 @@ impl DramDevice {
     pub fn inject_fault(&mut self, fault: SeededFault) {
         self.fault = fault;
         self.enforced = fault.corrupt(self.config.timing);
-        // The folded constants embed the enforced timing set; invalidate
-        // every next-legal-cycle slot.
+        // A new timing set moves every answer: count it as a mutation of
+        // every bank, every rank and the bus.
         for e in &mut self.bank_epochs {
             *e = e.wrapping_add(1);
         }
@@ -454,64 +372,12 @@ impl DramDevice {
 
     /// Earliest cycle an ACT for `addr` may issue, with the binding reason.
     pub fn earliest_activate(&self, addr: BankAddr, now: Cycle) -> Earliest {
-        if !self.memo_enabled {
-            return self.earliest_activate_unmemoized(addr, now);
-        }
-        let flat = self.config.geometry.flat_bank(addr);
-        let (be, re) = (self.bank_epochs[flat], self.rank_epochs[addr.rank as usize]);
-        let mut m = self.act_legal[flat].get();
-        let stale = m.bank_epoch != be || m.rank_epoch != re;
-        self.count_memo(stale);
-        if stale {
-            m = self.fold_activate(addr, flat, be, re);
-            self.act_legal[flat].set(m);
-        }
-        if m.at <= now {
-            return Earliest {
-                at: now,
-                reason: BlockReason::None,
-            };
-        }
-        // Distinguish "precharging" from the generic bank constraint:
-        // `aux` holds the bank's pre_done_at, so `now < aux` is exactly
-        // `bank.state(now) == Precharging`.
-        let reason = if m.reason == BlockReason::RowCycle && now < m.aux {
-            BlockReason::PrechargePending
-        } else {
-            m.reason
-        };
-        Earliest { at: m.at, reason }
-    }
-
-    fn fold_activate(&self, addr: BankAddr, flat: usize, be: u32, re: u32) -> NextLegal {
-        let bank = &self.banks[flat];
-        let mut e = Earliest::now();
-        // Rank-level constraints first so that on ties (e.g. a refresh that
-        // also reset the bank precharge window) the rank-level reason wins,
-        // matching the accounting hierarchy. This fold also caches the
-        // rank's tFAW sliding-window bound, recomputed only when the ACT
-        // window itself moves.
-        let (rank_at, rank_reason) =
-            self.ranks[addr.rank as usize].earliest_activate(addr.bank_group, &self.enforced);
-        e.tighten(rank_at, rank_reason);
-        e.tighten(
-            bank.earliest_activate(&self.enforced),
-            BlockReason::RowCycle,
-        );
-        NextLegal {
-            bank_epoch: be,
-            rank_epoch: re,
-            bus_epoch: 0,
-            at: e.at,
-            reason: e.reason,
-            aux: bank.pre_done_at(),
-        }
-    }
-
-    fn earliest_activate_unmemoized(&self, addr: BankAddr, now: Cycle) -> Earliest {
         let bank = self.bank(addr);
         let mut e = Earliest::now();
         e.tighten(now, BlockReason::None);
+        // Rank-level constraints first so that on ties (e.g. a refresh that
+        // also reset the bank precharge window) the rank-level reason wins,
+        // matching the accounting hierarchy.
         let (rank_at, rank_reason) =
             self.ranks[addr.rank as usize].earliest_activate(addr.bank_group, &self.enforced);
         e.tighten(rank_at, rank_reason);
@@ -527,51 +393,17 @@ impl DramDevice {
 
     /// Earliest cycle a PRE for `addr` may issue.
     pub fn earliest_precharge(&self, addr: BankAddr, now: Cycle) -> Earliest {
-        if !self.memo_enabled {
-            let bank = self.bank(addr);
-            let mut e = Earliest::now();
-            e.tighten(now, BlockReason::None);
-            e.tighten(bank.earliest_precharge(), BlockReason::PrechargeWindow);
-            e.tighten(
-                self.ranks[addr.rank as usize].refresh_end(),
-                BlockReason::Refresh,
-            );
-            return e;
-        }
-        let flat = self.config.geometry.flat_bank(addr);
-        let (be, re) = (self.bank_epochs[flat], self.rank_epochs[addr.rank as usize]);
-        let mut m = self.pre_legal[flat].get();
-        let stale = m.bank_epoch != be || m.rank_epoch != re;
-        self.count_memo(stale);
-        if stale {
-            let bank = &self.banks[flat];
-            let mut e = Earliest::now();
-            e.tighten(bank.earliest_precharge(), BlockReason::PrechargeWindow);
-            e.tighten(
-                self.ranks[addr.rank as usize].refresh_end(),
-                BlockReason::Refresh,
-            );
-            m = NextLegal {
-                bank_epoch: be,
-                rank_epoch: re,
-                bus_epoch: 0,
-                at: e.at,
-                reason: e.reason,
-                aux: 0,
-            };
-            self.pre_legal[flat].set(m);
-        }
-        if m.at <= now {
-            Earliest {
-                at: now,
-                reason: BlockReason::None,
-            }
-        } else {
-            Earliest {
-                at: m.at,
-                reason: m.reason,
-            }
-        }
+        let mut e = Earliest::now();
+        e.tighten(now, BlockReason::None);
+        e.tighten(
+            self.bank(addr).earliest_precharge(),
+            BlockReason::PrechargeWindow,
+        );
+        e.tighten(
+            self.ranks[addr.rank as usize].refresh_end(),
+            BlockReason::Refresh,
+        );
+        e
     }
 
     /// Earliest cycle a read CAS for `addr` may issue (row must be open or
@@ -586,92 +418,10 @@ impl DramDevice {
     }
 
     fn earliest_cas(&self, addr: BankAddr, now: Cycle, is_write: bool) -> Earliest {
-        if !self.memo_enabled {
-            return self.earliest_cas_unmemoized(addr, now, is_write);
-        }
-        let flat = self.config.geometry.flat_bank(addr);
-        let (be, re) = (self.bank_epochs[flat], self.rank_epochs[addr.rank as usize]);
-        let slot = if is_write {
-            &self.write_legal[flat]
-        } else {
-            &self.read_legal[flat]
-        };
-        let mut m = slot.get();
-        let stale = m.bank_epoch != be || m.rank_epoch != re || m.bus_epoch != self.bus_epoch;
-        self.count_memo(stale);
-        if stale {
-            m = self.fold_cas(addr, flat, is_write, be, re);
-            slot.set(m);
-        }
-        if m.at <= now {
-            Earliest {
-                at: now,
-                reason: BlockReason::None,
-            }
-        } else {
-            Earliest {
-                at: m.at,
-                reason: m.reason,
-            }
-        }
-    }
-
-    fn fold_cas(&self, addr: BankAddr, flat: usize, is_write: bool, be: u32, re: u32) -> NextLegal {
         let timing = &self.enforced;
-        let bank = &self.banks[flat];
-        let mut e = Earliest::now();
-        match bank.earliest_cas() {
-            Some(act_done) => e.tighten(act_done, BlockReason::ActivatePending),
-            None => {
-                // No row open: a CAS cannot issue at all regardless of
-                // `now`; the folded answer is the same sentinel the
-                // unmemoized chain returns.
-                return NextLegal {
-                    bank_epoch: be,
-                    rank_epoch: re,
-                    bus_epoch: self.bus_epoch,
-                    at: Cycle::MAX,
-                    reason: BlockReason::RowClosed,
-                    aux: 0,
-                };
-            }
-        }
-        let (rank_at, rank_reason) =
-            self.ranks[addr.rank as usize].earliest_cas(addr.bank_group, !is_write, timing);
-        e.tighten(rank_at, rank_reason);
-
-        // Data-bus slot, folded to its constant form: with a fixed
-        // schedule, `earliest_slot(x, _) = backlog_end().max(x)`, so the
-        // chain's bus candidate is exactly `backlog_end() - cas_to_data`
-        // (applied with the same strict-greater tie-breaking).
-        let cas_to_data = if is_write { timing.cwl } else { timing.cl };
-        let backlog = self.bus.backlog_end();
-        if backlog > e.at + cas_to_data {
-            e.tighten(backlog - cas_to_data, BlockReason::BusBusy);
-        }
-        // Read→write turnaround bubble on the bus.
-        if is_write {
-            let after_read = self.bus.last_read_end() + timing.rtw_gap;
-            if after_read > e.at + cas_to_data {
-                e.tighten(after_read - cas_to_data, BlockReason::ReadToWrite);
-            }
-        }
-        NextLegal {
-            bank_epoch: be,
-            rank_epoch: re,
-            bus_epoch: self.bus_epoch,
-            at: e.at,
-            reason: e.reason,
-            aux: 0,
-        }
-    }
-
-    fn earliest_cas_unmemoized(&self, addr: BankAddr, now: Cycle, is_write: bool) -> Earliest {
-        let timing = &self.enforced;
-        let bank = self.bank(addr);
         let mut e = Earliest::now();
         e.tighten(now, BlockReason::None);
-        match bank.earliest_cas() {
+        match self.bank(addr).earliest_cas() {
             Some(act_done) => e.tighten(act_done, BlockReason::ActivatePending),
             None => {
                 // No row open: a CAS cannot issue at all; report the reason
@@ -686,13 +436,12 @@ impl DramDevice {
             self.ranks[addr.rank as usize].earliest_cas(addr.bank_group, !is_write, timing);
         e.tighten(rank_at, rank_reason);
 
-        // Data-bus slot: the burst starts CL/CWL after the CAS.
+        // Data-bus slot: the burst starts CL/CWL after the CAS, and no
+        // earlier than the end of the last scheduled burst.
         let cas_to_data = if is_write { timing.cwl } else { timing.cl };
-        let slot = self
-            .bus
-            .earliest_slot(e.at + cas_to_data, timing.burst_cycles);
-        if slot > e.at + cas_to_data {
-            e.tighten(slot - cas_to_data, BlockReason::BusBusy);
+        let backlog = self.bus.backlog_end();
+        if backlog > e.at + cas_to_data {
+            e.tighten(backlog - cas_to_data, BlockReason::BusBusy);
         }
         // Read→write turnaround bubble on the bus.
         if is_write {
@@ -715,7 +464,7 @@ impl DramDevice {
     ///
     /// [`CommandError::TimingViolation`] when a constraint blocks the
     /// command, [`CommandError::RowMismatch`] / `BankNotPrecharged` /
-    /// `RefreshWhileBusy` for state violations, `AddressOutOfRange` for bad
+    /// `BankNotOpen` / `RefreshWhileBusy` for state violations, `AddressOutOfRange` for bad
     /// operands.
     pub fn issue(&mut self, cmd: Command, now: Cycle) -> Result<Cycle, CommandError> {
         self.check_address(&cmd)?;
@@ -783,7 +532,7 @@ impl DramDevice {
         if self.banks[flat].open_row().is_none() {
             // Precharging a precharged bank is a harmless NOP per JEDEC, but
             // the controller should never do it; flag as a state error.
-            return Err(CommandError::RefreshWhileBusy(addr));
+            return Err(CommandError::BankNotOpen(addr));
         }
         let e = self.earliest_precharge(addr, now);
         if !e.ready(now) {
@@ -970,9 +719,7 @@ impl DramDevice {
 
     // ---- checkpoint/restore --------------------------------------------------------
 
-    /// Captures the full simulation state of this channel. The memo tables
-    /// are a cache and are not captured; `memo_enabled` is a tuning knob
-    /// and survives restore on the target device.
+    /// Captures the full simulation state of this channel.
     pub fn snapshot_state(&self) -> DeviceSnapshot {
         DeviceSnapshot {
             banks: self.banks.clone(),
@@ -990,9 +737,8 @@ impl DramDevice {
     }
 
     /// Restores state captured by [`snapshot_state`](Self::snapshot_state)
-    /// into a device built from the same configuration. Every next-legal
-    /// memo slot is reset to stale so queries refold from the restored
-    /// state — answers are identical to an uninterrupted run.
+    /// into a device built from the same configuration; answers are
+    /// identical to an uninterrupted run's.
     ///
     /// # Panics
     ///
@@ -1014,15 +760,6 @@ impl DramDevice {
         self.auto_precharged.clear();
         self.transitioning = snap.transitioning.clone();
         self.in_transition = snap.in_transition.clone();
-        for slot in self
-            .act_legal
-            .iter()
-            .chain(&self.pre_legal)
-            .chain(&self.read_legal)
-            .chain(&self.write_legal)
-        {
-            slot.set(NextLegal::STALE);
-        }
     }
 }
 
@@ -1183,6 +920,19 @@ mod tests {
     }
 
     #[test]
+    fn precharge_to_closed_bank_is_rejected() {
+        let mut d = dev();
+        let b = BankAddr::new(0, 0, 0);
+        let err = d.issue(Command::precharge(b), 0).unwrap_err();
+        assert_eq!(err, CommandError::BankNotOpen(b));
+        assert_eq!(
+            err.to_string(),
+            "precharge to bank r0g0b0 which has no open row"
+        );
+        assert_eq!(d.stats().precharges, 0);
+    }
+
+    #[test]
     fn address_range_checks() {
         let mut d = dev();
         assert!(matches!(
@@ -1247,24 +997,6 @@ mod tests {
         let s = d.stats();
         assert_eq!((s.activates, s.reads, s.writes), (1, 2, 0));
         assert_eq!(d.bus_totals(), (2, 0));
-    }
-
-    #[test]
-    fn memo_work_counts_hits_and_refolds() {
-        let mut d = dev();
-        let b = BankAddr::new(0, 0, 0);
-        assert_eq!(d.memo_work(), (0, 0));
-        d.earliest_activate(b, 0); // stale slot: refold
-        d.earliest_activate(b, 1); // valid slot: hit
-        assert_eq!(d.memo_work(), (1, 1));
-        // The validation query inside `issue` hits; the ACT then moves the
-        // bank and rank epochs, so the next query refolds.
-        d.issue(Command::activate(b, 0), 2).unwrap();
-        d.earliest_activate(BankAddr::new(0, 1, 0), 3);
-        assert_eq!(d.memo_work(), (2, 2));
-        d.set_memoize(false);
-        d.earliest_read(b, 4);
-        assert_eq!(d.memo_work(), (2, 2), "off: nothing to count");
     }
 
     #[test]

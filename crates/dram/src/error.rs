@@ -51,6 +51,8 @@ pub enum CommandError {
     },
     /// An `ACT` was issued to a bank that already has an open row.
     BankNotPrecharged(BankAddr),
+    /// A `PRE` was issued to a bank that has no open row.
+    BankNotOpen(BankAddr),
     /// A refresh was requested while some bank still has an open row or an
     /// operation in flight.
     RefreshWhileBusy(BankAddr),
@@ -79,6 +81,9 @@ impl fmt::Display for CommandError {
             ),
             CommandError::BankNotPrecharged(bank) => {
                 write!(f, "activate to bank {bank} which already has an open row")
+            }
+            CommandError::BankNotOpen(bank) => {
+                write!(f, "precharge to bank {bank} which has no open row")
             }
             CommandError::RefreshWhileBusy(bank) => {
                 write!(f, "refresh while bank {bank} is busy or open")

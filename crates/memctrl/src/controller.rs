@@ -143,12 +143,12 @@ pub struct MemoryController {
     /// very next cycle, so [`stall_horizon`](Self::stall_horizon) must not
     /// skip past that cycle.
     issued_this_cycle: bool,
-    /// Busy-path event engine master switch: timing memoization in the
-    /// device, the per-bank summary passes (off: the full-queue `*_scan`
-    /// oracles), the dirty-bank view sweep and the stall-horizon bulk
-    /// skip. Results are bit-identical either way; off exists for A/B
-    /// benchmarking and the bit-identity test matrix. The queue summaries
-    /// are maintained regardless, so the toggle can flip mid-run.
+    /// Busy-path event engine master switch: the per-bank summary passes
+    /// (off: the full-queue `*_scan` oracles), the dirty-bank view sweep
+    /// and the stall-horizon bulk skip. Results are bit-identical either
+    /// way; off exists for A/B benchmarking and the bit-identity test
+    /// matrix. The queue summaries are maintained regardless, so the
+    /// toggle can flip mid-run.
     busy_engine: bool,
     /// The device's `earliest_*` answers, kept until an event moves them.
     timing: TimingTable,
@@ -201,13 +201,11 @@ impl MemoryController {
         }
     }
 
-    /// Toggles the busy-path event engine (on by default). Forwarded to
-    /// the device's timing memoization so one switch covers the whole
-    /// stack. Reports are bit-identical with the engine on or off; the
-    /// off position is the oracle the identity tests compare against.
+    /// Toggles the busy-path event engine (on by default). Reports are
+    /// bit-identical with the engine on or off; the off position is the
+    /// oracle the identity tests compare against.
     pub fn set_busy_engine(&mut self, on: bool) {
         self.busy_engine = on;
-        self.device.set_memoize(on);
     }
 
     /// Attaches an observation probe; it receives every controller event
@@ -1263,7 +1261,7 @@ mod tests {
     use super::*;
 
     /// Ticks from `start` until idle. Controller time is monotonic (the
-    /// dirty-bank sweep and memo tables rely on it), so resuming a
+    /// dirty-bank sweep and the timing table rely on it), so resuming a
     /// controller must pass a `start` at or past the previous run's end.
     fn run_until_done_from(
         ctrl: &mut MemoryController,

@@ -235,8 +235,6 @@ impl PhaseTimers {
             core_ticks: 0,
             core_polls: 0,
             hier_accesses: 0,
-            memo_hits: 0,
-            memo_refolds: 0,
         }
     }
 }
@@ -282,11 +280,6 @@ pub struct PerfReport {
     pub core_polls: u64,
     /// Calls to `Hierarchy::access`.
     pub hier_accesses: u64,
-    /// Device `earliest_*` queries answered by a valid next-legal-cycle
-    /// slot (the validation query inside `issue` included).
-    pub memo_hits: u64,
-    /// Device `earliest_*` queries that had to refold their slot.
-    pub memo_refolds: u64,
 }
 
 impl Serialize for PerfReport {
@@ -298,8 +291,6 @@ impl Serialize for PerfReport {
             ("core_ticks", self.core_ticks),
             ("core_polls", self.core_polls),
             ("hier_accesses", self.hier_accesses),
-            ("memo_hits", self.memo_hits),
-            ("memo_refolds", self.memo_refolds),
         ];
         out.map(7 + counters.iter().filter(|(_, count)| *count != 0).count());
         out.key("enabled");
@@ -343,8 +334,6 @@ impl Deserialize for PerfReport {
             core_ticks: counter("core_ticks")?,
             core_polls: counter("core_polls")?,
             hier_accesses: counter("hier_accesses")?,
-            memo_hits: counter("memo_hits")?,
-            memo_refolds: counter("memo_refolds")?,
         })
     }
 }
@@ -366,8 +355,6 @@ impl PerfReport {
             core_ticks: 0,
             core_polls: 0,
             hier_accesses: 0,
-            memo_hits: 0,
-            memo_refolds: 0,
         }
     }
 }
@@ -499,10 +486,39 @@ mod tests {
         r.core_ticks = 5;
         r.core_polls = 3;
         r.hier_accesses = 2;
-        r.memo_hits = 13;
-        r.memo_refolds = 4;
         let json = serde_json::to_string(&r).unwrap();
         assert_eq!(serde_json::from_str::<PerfReport>(&json).unwrap(), r);
+    }
+
+    #[test]
+    fn reports_from_older_builds_still_load() {
+        // A report the CLI's `diff` golden reads as input, written when the
+        // device still counted its memo's hits and refolds: those two keys
+        // are ignored, every other counter comes back.
+        let old: Value =
+            serde_json::from_str(include_str!("../../../tests/data/cli/diff/before.json")).unwrap();
+        let perf = old.get("perf").expect("the report has a perf section");
+        assert_eq!(perf.as_map().map(<[_]>::len), Some(15), "{perf:?}");
+        let r = PerfReport::from_value(perf).unwrap();
+        assert_eq!(
+            (
+                r.sim_cycles,
+                r.fast_forwarded_cycles,
+                r.busy_forwarded_cycles
+            ),
+            (12_000, 0, 635)
+        );
+        assert_eq!(
+            (r.ctrl_ticks, r.timing_queries, r.queue_entries_visited),
+            (11_365, 904, 8_433)
+        );
+        assert_eq!(
+            (r.core_ticks, r.core_polls, r.hier_accesses),
+            (19_500, 884, 7_091)
+        );
+        // Written back, it carries the 13 fields a report has now.
+        let back: Value = serde_json::from_str(&serde_json::to_string(&r).unwrap()).unwrap();
+        assert_eq!(back.as_map().map(<[_]>::len), Some(13));
     }
 
     #[test]

@@ -47,9 +47,8 @@ pub struct Simulator {
     telemetry: Option<Telemetry>,
     /// System-level windows already handed to the telemetry layer.
     windows_published: usize,
-    /// Busy-path event engine: timing memoization, indexed scheduling,
-    /// parked cores and the event-horizon skip (see
-    /// [`set_busy_engine`](Self::set_busy_engine)).
+    /// Busy-path event engine: indexed scheduling, parked cores and the
+    /// event-horizon skip (see [`set_busy_engine`](Self::set_busy_engine)).
     busy_engine: bool,
     /// The cycle the per-channel [`CycleView`]s were last built for, or
     /// `None` when they are stale (before the first tick, or after a
@@ -232,11 +231,11 @@ impl Simulator {
 
     /// Enables or disables the busy-path event engine (on by default).
     ///
-    /// The engine covers four coupled optimizations: per-bank timing
-    /// memoization and the indexed FR-FCFS scan inside each controller,
-    /// parked cores, and the event-horizon skip here in the drive loop
-    /// (which bulk-accounts spans where every core is parked on a stall
-    /// and no DRAM command, completion, or refresh boundary can land).
+    /// The engine covers three coupled optimizations: the indexed FR-FCFS
+    /// scan inside each controller, parked cores, and the event-horizon
+    /// skip here in the drive loop (which bulk-accounts spans where every
+    /// core is parked on a stall and no DRAM command, completion, or
+    /// refresh boundary can land).
     /// It never changes simulation results — reports are bit-identical
     /// either way modulo `perf` — so the off position, which ticks every
     /// core and every controller every cycle, is the oracle of the
@@ -1059,9 +1058,6 @@ impl Simulator {
             perf.ctrl_ticks += w.ticks;
             perf.timing_queries += w.timing_queries;
             perf.queue_entries_visited += w.queue_entries_visited;
-            let (hits, refolds) = c.device().memo_work();
-            perf.memo_hits += hits;
-            perf.memo_refolds += refolds;
         }
         perf.core_ticks = self.core_ticks;
         perf.core_polls = self.parking.polls;

@@ -5,9 +5,8 @@
 //!
 //! Prints `SimReport::perf`'s deterministic work counters — `ctrl_ticks`,
 //! `timing_queries`, `queue_entries_visited`, then `core_ticks`,
-//! `core_polls`, `hier_accesses`, then the device's `memo_hits`,
-//! `memo_refolds` — as the per-controller-tick tables EXPERIMENTS.md
-//! records before and after a change to any of the three layers. The
+//! `core_polls`, `hier_accesses` — as the per-controller-tick tables
+//! EXPERIMENTS.md records before and after a change to either layer. The
 //! configurations are defined once, in `tests/common/work.rs`, which
 //! `tests/work_goldens.rs` runs at a reduced size against a committed CSV.
 //!
@@ -47,19 +46,6 @@ fn main() {
             p.core_ticks as f64 / ticks,
             p.core_polls as f64 / ticks,
             p.hier_accesses as f64 / ticks,
-        );
-    }
-    println!();
-    println!("| config | memo_hits | memo_refolds | per ctrl tick |");
-    println!("|---|---|---|---|");
-    for (name, p) in &rows {
-        let ticks = p.ctrl_ticks.max(1) as f64;
-        println!(
-            "| `{name}` | {} | {} | {:.2} / {:.2} |",
-            p.memo_hits,
-            p.memo_refolds,
-            p.memo_hits as f64 / ticks,
-            p.memo_refolds as f64 / ticks,
         );
     }
 }

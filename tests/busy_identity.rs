@@ -1,7 +1,7 @@
 //! Bit-identity of the busy-path event engine across DDR4 presets,
 //! synthetic traffic shapes and the skip scenarios.
 //!
-//! The busy engine (timing memoization, dirty-bank tracking, parked
+//! The busy engine (indexed scheduling, dirty-bank tracking, parked
 //! cores, the event-horizon skip) must be a pure performance
 //! optimization: with it on or off, `SimReport::strip_perf()` is identical
 //! field for field, and the shadow auditor — armed by default in test

@@ -82,8 +82,6 @@ fn add_work(mut a: PerfReport, b: &PerfReport) -> PerfReport {
     a.core_ticks += b.core_ticks;
     a.core_polls += b.core_polls;
     a.hier_accesses += b.hier_accesses;
-    a.memo_hits += b.memo_hits;
-    a.memo_refolds += b.memo_refolds;
     a.fast_forwarded_cycles += b.fast_forwarded_cycles;
     a.busy_forwarded_cycles += b.busy_forwarded_cycles;
     a

@@ -1,9 +1,9 @@
 //! Online vs offline stack construction: the same controller run, once
 //! accounted live and once reconstructed from its command trace.
 
-use dramstack::dram::{trace, CycleView};
+use dramstack::dram::{trace, CommandError, CycleView};
 use dramstack::memctrl::{CtrlConfig, MemoryController};
-use dramstack::stacks::offline::stack_from_trace;
+use dramstack::stacks::offline::{stack_from_trace, OfflineError};
 use dramstack::stacks::{BandwidthAccountant, BwComponent};
 
 /// Drives a controller with a deterministic request mix, returning the
@@ -116,4 +116,22 @@ fn trace_text_roundtrip_preserves_the_stack() {
     let a = stack_from_trace(&cmds, dramstack::dram::DeviceConfig::ddr4_2400(), 20_000).unwrap();
     let b = stack_from_trace(&parsed, dramstack::dram::DeviceConfig::ddr4_2400(), 20_000).unwrap();
     assert_eq!(a, b);
+}
+
+#[test]
+fn precharge_to_a_closed_bank_is_rejected_as_such() {
+    let cmds = trace::parse_trace("0 PRE 0 0 0 0 0\n").unwrap();
+    let err = stack_from_trace(&cmds, dramstack::dram::DeviceConfig::ddr4_2400(), 10).unwrap_err();
+    let bank = dramstack::dram::BankAddr::new(0, 0, 0);
+    assert!(
+        matches!(
+            err,
+            OfflineError::CommandRejected {
+                source: CommandError::BankNotOpen(b),
+                ..
+            } if b == bank
+        ),
+        "{err}"
+    );
+    assert!(err.to_string().contains("which has no open row"), "{err}");
 }
