@@ -325,7 +325,8 @@ impl BankedQueue {
 
     /// Recounts every summary field from the entries and panics on any
     /// difference (debug oracle; `rebuild` is the from-scratch recount).
-    #[cfg(debug_assertions)]
+    /// It reads no debug-only field, so the unit tests call it in release too.
+    #[cfg(any(test, debug_assertions))]
     pub(crate) fn check(
         &self,
         flat_of: impl Fn(&QueueEntry) -> usize,
