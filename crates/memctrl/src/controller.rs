@@ -92,9 +92,8 @@ struct InFlightRead {
 
 /// Serializable image of one controller's full simulation state, as
 /// captured by [`MemoryController::snapshot_state`]. Attachments (probes,
-/// the command trace) and tuning knobs (`busy_engine`) are not part of it;
-/// the per-bank queue summaries and the address decoder are derived state,
-/// rebuilt on restore.
+/// the command trace) are not part of it; the per-bank queue summaries and
+/// the address decoder are derived state, rebuilt on restore.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CtrlSnapshot {
     device: dramstack_dram::DeviceSnapshot,
@@ -143,13 +142,6 @@ pub struct MemoryController {
     /// very next cycle, so [`stall_horizon`](Self::stall_horizon) must not
     /// skip past that cycle.
     issued_this_cycle: bool,
-    /// Busy-path event engine master switch: the per-bank summary passes
-    /// (off: the full-queue `*_scan` oracles), the dirty-bank view sweep
-    /// and the stall-horizon bulk skip. Results are bit-identical either
-    /// way; off exists for A/B benchmarking and the bit-identity test
-    /// matrix. The queue summaries are maintained regardless, so the
-    /// toggle can flip mid-run.
-    busy_engine: bool,
     /// The device's `earliest_*` answers, kept until an event moves them.
     timing: TimingTable,
     /// Running latency-attribution totals the queued reads' baselines
@@ -194,19 +186,17 @@ impl MemoryController {
             probe_active: false,
             cas_this_cycle: None,
             issued_this_cycle: false,
-            busy_engine: true,
             timing: TimingTable::new(),
             waits: WaitTotals::new(),
             work: Cell::new(CtrlWork::default()),
         }
     }
 
-    /// Toggles the busy-path event engine (on by default). Reports are
-    /// bit-identical with the engine on or off; the off position is the
-    /// oracle the identity tests compare against.
-    pub fn set_busy_engine(&mut self, on: bool) {
-        self.busy_engine = on;
-    }
+    /// Does nothing: the controller has one scheduler, and its full-queue
+    /// `*_scan` forms run only as debug-build cross-checks. Kept for the
+    /// benchmark's one remaining caller.
+    #[doc(hidden)]
+    pub fn set_busy_engine(&mut self, _on: bool) {}
 
     /// Attaches an observation probe; it receives every controller event
     /// until [`take_probe`](Self::take_probe). Attaching a probe never
@@ -384,11 +374,10 @@ impl MemoryController {
     /// candidate that lost only the one-command-per-cycle arbitration is
     /// free again at `now + 1`.
     pub fn stall_horizon(&self, now: Cycle) -> Option<Cycle> {
-        // O(1) disqualifiers first: the engine is off, a refresh drain is
-        // on, a completion is undelivered, `now` issued a command, or a
-        // probe watches every tick.
-        if !self.busy_engine
-            || self.refresh_draining
+        // O(1) disqualifiers first: a refresh drain is on, a completion
+        // is undelivered, `now` issued a command, or a probe watches every
+        // tick.
+        if self.refresh_draining
             || !self.completions.is_empty()
             || self.issued_this_cycle
             || (self.probe_active && self.probe.wants_ticks())
@@ -852,23 +841,12 @@ impl MemoryController {
         self.earliest(class, flat, bank, now).ready(now)
     }
 
-    /// Runs a debug cross-check without letting it move the work counters.
-    #[cfg(debug_assertions)]
-    fn uncounted(&self, check: impl FnOnce()) {
-        let saved = self.work.get();
-        check();
-        self.work.set(saved);
-    }
-
     /// FR-FCFS pass 1. CAS readiness is uniform across same-bank row hits
     /// (the answer depends only on the bank), so the oldest hit of each
     /// bank is that bank's only candidate and the queue-order winner is
     /// the minimum position over banks.
     fn find_ready_cas(&self, now: Cycle, writes: bool) -> Option<usize> {
         let limit = self.limit();
-        if !self.busy_engine {
-            return self.find_ready_cas_scan(now, writes, limit);
-        }
         let q = self.queue(writes);
         let (mut best, mut visited) = (limit, 0);
         for flat in bits(q.hit_mask()) {
@@ -885,17 +863,18 @@ impl MemoryController {
         self.count(0, visited);
         let got = (best != limit).then_some(best);
         #[cfg(debug_assertions)]
-        self.uncounted(|| assert_eq!(got, self.find_ready_cas_scan(now, writes, limit)));
+        assert_eq!(got, self.find_ready_cas_scan(now, writes, limit));
         got
     }
 
+    /// Pass 1 as a walk over the whole queue, asking the device (debug
+    /// oracle).
+    #[cfg(debug_assertions)]
     fn find_ready_cas_scan(&self, now: Cycle, writes: bool, limit: usize) -> Option<usize> {
         for (idx, e) in self.queue(writes).entries().iter().take(limit).enumerate() {
-            self.count(0, 1);
             if self.device.bank(e.addr.bank).open_row() != Some(e.addr.row) {
                 continue;
             }
-            self.count(1, 0);
             let cas = Class::cas(writes);
             if cas.ask(&self.device, e.addr.bank, now).ready(now) {
                 return Some(idx);
@@ -914,8 +893,8 @@ impl MemoryController {
             settled
         };
         let flat = self.device.geometry().flat_bank(e.addr.bank);
-        let auto_pre = self.cfg.page_policy == PagePolicy::Closed
-            && !self.any_pending_hit(flat, e.addr.bank, e.addr.row);
+        let auto_pre =
+            self.cfg.page_policy == PagePolicy::Closed && !self.any_pending_hit(flat, e.addr.row);
         let cmd = match (writes, auto_pre) {
             (false, false) => Command::read(e.addr.bank, e.addr.column),
             (false, true) => Command::read_ap(e.addr.bank, e.addr.column),
@@ -954,23 +933,25 @@ impl MemoryController {
 
     /// Whether any queued request (either queue) targets the open `row` of
     /// `bank` — the closed page policy keeps a row open while it does.
-    fn any_pending_hit(&self, flat: usize, bank: BankAddr, row: u32) -> bool {
-        if !self.busy_engine {
-            return self.any_pending_hit_scan(bank, row);
-        }
+    fn any_pending_hit(&self, flat: usize, row: u32) -> bool {
         debug_assert_eq!(self.device.open_row(flat), Some(row));
         let got = self.read_q.has_hit(flat) || self.write_q.has_hit(flat);
         #[cfg(debug_assertions)]
-        self.uncounted(|| assert_eq!(got, self.any_pending_hit_scan(bank, row)));
+        assert_eq!(
+            got,
+            self.any_pending_hit_scan(self.device.geometry().bank_addr(flat), row)
+        );
         got
     }
 
+    /// The pending-hit question asked of every entry of both queues (debug
+    /// oracle).
+    #[cfg(debug_assertions)]
     fn any_pending_hit_scan(&self, bank: BankAddr, row: u32) -> bool {
         self.read_q
             .entries()
             .iter()
             .chain(self.write_q.entries())
-            .inspect(|_| self.count(0, 1))
             .any(|e| e.addr.bank == bank && e.addr.row == row)
     }
 
@@ -979,9 +960,6 @@ impl MemoryController {
     /// and the queue-order winner is the minimum position over banks.
     fn find_actpre(&self, now: Cycle, writes: bool) -> Option<(Command, usize, Caused)> {
         let limit = self.limit();
-        if !self.busy_engine {
-            return self.find_actpre_scan(now, writes, limit);
-        }
         let q = self.queue(writes);
         let (mut best, mut got, mut visited) = (limit, None, 0);
         // A bank a row hit drives is pass 1's: only miss-driven banks.
@@ -997,10 +975,13 @@ impl MemoryController {
         }
         self.count(0, visited);
         #[cfg(debug_assertions)]
-        self.uncounted(|| assert_eq!(got, self.find_actpre_scan(now, writes, limit)));
+        assert_eq!(got, self.find_actpre_scan(now, writes, limit));
         got
     }
 
+    /// Pass 2 as a walk over the whole queue, remembering the banks an
+    /// older entry already drives (debug oracle).
+    #[cfg(debug_assertions)]
     fn find_actpre_scan(
         &self,
         now: Cycle,
@@ -1009,13 +990,11 @@ impl MemoryController {
     ) -> Option<(Command, usize, Caused)> {
         let mut seen_banks = [false; MAX_BANKS];
         for (idx, e) in self.queue(writes).entries().iter().take(limit).enumerate() {
-            self.count(0, 1);
             let flat = self.device.geometry().flat_bank(e.addr.bank);
             if seen_banks[flat] {
                 continue; // only the oldest request per bank drives the bank
             }
             seen_banks[flat] = true;
-            self.count(0, 1);
             if let Some(found) = self.actpre_for_entry(now, writes, flat, idx) {
                 return Some(found);
             }
@@ -1024,9 +1003,7 @@ impl MemoryController {
     }
 
     /// The ACT/PRE decision for the entry at `idx` driving bank `flat`,
-    /// shared by both shapes of pass 2 (the engine answers the timing and
-    /// pending-hit questions from its tables, the oracle from the device
-    /// and the queue).
+    /// shared by pass 2 and its debug oracle.
     fn actpre_for_entry(
         &self,
         now: Cycle,
@@ -1037,13 +1014,7 @@ impl MemoryController {
         let q = self.queue(writes);
         let e = &q.entries()[idx];
         let bank = e.addr.bank;
-        let ready = |class| {
-            if self.busy_engine {
-                return self.ready(class, flat, bank, now);
-            }
-            self.count(1, 0);
-            class.ask(&self.device, bank, now).ready(now)
-        };
+        let ready = |class| self.ready(class, flat, bank, now);
         match self.device.open_row(flat) {
             // Skip banks still precharging and banks being refreshed.
             None => {
@@ -1054,15 +1025,7 @@ impl MemoryController {
                 // while same-queue row hits are still pending on it
                 // (hits are served first). Strict FCFS closes
                 // unconditionally — only the head request matters.
-                let hits_pending = self.cfg.scheduler == SchedulerPolicy::FrFcfs
-                    && if self.busy_engine {
-                        q.has_hit(flat)
-                    } else {
-                        q.entries()
-                            .iter()
-                            .inspect(|_| self.count(0, 1))
-                            .any(|o| o.addr.bank == bank && o.addr.row == open)
-                    };
+                let hits_pending = self.cfg.scheduler == SchedulerPolicy::FrFcfs && q.has_hit(flat);
                 (!hits_pending && ready(Class::Pre))
                     .then(|| (Command::precharge(bank), idx, Caused::Pre))
             }
@@ -1110,20 +1073,19 @@ impl MemoryController {
 
     // ---- cycle-view construction for the bandwidth stack ---------------------------
 
-    /// Masks of the banks that are `(Precharging, Activating)` at `now`.
-    /// The engine sweeps only the device's dirty-bank list; off, every
-    /// bank is asked (the oracle the sweep is checked against).
+    /// Masks of the banks that are `(Precharging, Activating)` at `now`,
+    /// swept from the device's dirty-bank list.
     fn transitioning_banks(&mut self, now: Cycle) -> (u64, u64) {
-        if !self.busy_engine {
-            return self.transitioning_banks_scan(now);
-        }
         let mut masks = (0, 0);
         self.device
             .visit_transitioning_banks(now, |flat, st| mark_transition(&mut masks, flat, st));
-        debug_assert_eq!(masks, self.transitioning_banks_scan(now));
+        #[cfg(debug_assertions)]
+        assert_eq!(masks, self.transitioning_banks_scan(now));
         masks
     }
 
+    /// The same masks with every bank asked (debug oracle).
+    #[cfg(debug_assertions)]
     fn transitioning_banks_scan(&self, now: Cycle) -> (u64, u64) {
         let mut masks = (0, 0);
         for flat in 0..self.total_banks() {
@@ -1161,23 +1123,21 @@ impl MemoryController {
         // Explain why pending requests cannot move: mark constrained banks
         // and record a rank-level reason for the all-idle case.
         let writes_first = self.use_writes();
-        let explain = |view: &mut CycleView, by_bank: bool| {
-            for writes in [writes_first, !writes_first] {
-                if view.rank_block != BlockReason::None {
-                    break; // the scheduled queue already explains the cycle
-                } else if by_bank {
-                    self.analyze_blocked(now, writes, view);
-                } else {
-                    self.analyze_blocked_scan(now, writes, view);
-                }
-            }
-        };
         #[cfg(debug_assertions)]
         let mut oracle = view.clone();
-        explain(view, self.busy_engine);
+        for writes in [writes_first, !writes_first] {
+            if view.rank_block != BlockReason::None {
+                break; // the scheduled queue already explains the cycle
+            }
+            self.analyze_blocked(now, writes, view);
+        }
         #[cfg(debug_assertions)]
-        if self.busy_engine {
-            self.uncounted(|| explain(&mut oracle, false));
+        {
+            for writes in [writes_first, !writes_first] {
+                if oracle.rank_block == BlockReason::None {
+                    self.analyze_blocked_scan(now, writes, &mut oracle);
+                }
+            }
             assert_eq!(*view, oracle);
         }
     }
@@ -1218,9 +1178,10 @@ impl MemoryController {
         });
     }
 
+    /// The same view with every entry asked of the device (debug oracle).
+    #[cfg(debug_assertions)]
     fn analyze_blocked_scan(&self, now: Cycle, writes: bool, view: &mut CycleView) {
         for e in self.queue(writes).entries() {
-            self.count(1, 1);
             let bank = e.addr.bank;
             let class = match self.device.bank(bank).open_row() {
                 Some(open) if open == e.addr.row => Class::cas(writes),

@@ -1,8 +1,10 @@
-//! Lockstep harness: one controller with the busy-path engine on (per-bank
-//! summaries, persistent deadline table, attribution by running totals)
-//! and one with it off (the full-queue `*_scan` oracles), fed the same
-//! arrivals and compared every cycle, plus a reference model that
-//! recomputes every read's latency breakdown from the command trace.
+//! Lockstep harness: a controller that may be snapshotted and restored
+//! mid-run and whose stall horizons are checked, and a twin that is never
+//! restored and ticks every cycle, fed the same arrivals and compared
+//! every cycle, plus a reference model that recomputes every read's
+//! latency breakdown from the command trace. Debug builds also check each
+//! scheduling and view pass against its full-queue `*_scan` oracle on
+//! every tick of both.
 //!
 //! Shared by `tick_identity.rs` and, through `#[path]`, by the root
 //! package's `tests/ctrl_identity.rs`, so tier-1 runs a reduced case.
@@ -312,21 +314,21 @@ impl Reference {
 }
 
 /// Runs the tape on both controllers for at most `max_cycles`. With
-/// `restore_at`, the engine-on controller is snapshotted at that cycle —
+/// `restore_at`, the first controller is snapshotted at that cycle —
 /// between the pump and the tick, so unstamped entries are in the image —
 /// and replaced by a fresh controller restored from it.
 ///
 /// Every cycle: identical `CycleView` and identical completions
 /// (breakdown included), and every completion's breakdown equal to what
 /// the [`Reference`] model recomputed from the commands and views. At
-/// the end: identical `CtrlStats` and command trace. Whenever the
-/// engine-on side offers a stall horizon `h`, the following ticks up to
+/// the end: identical `CtrlStats` and command trace. Whenever the first
+/// controller offers a stall horizon `h`, the following ticks up to
 /// `h` must issue nothing, complete nothing and repeat the view, unless
 /// an arrival intervened.
 ///
 /// In debug builds every tick additionally recounts every field of both
 /// queue summaries against the queues (`MemoryController::tick`), and
-/// cross-checks each engine pass against its scan oracle.
+/// cross-checks each pass against its scan oracle.
 pub fn run(
     cfg: &CtrlConfig,
     traffic: Traffic,
@@ -334,89 +336,74 @@ pub fn run(
     max_cycles: Cycle,
     restore_at: Option<Cycle>,
 ) -> Outcome {
-    run_with(cfg, traffic, arrivals, max_cycles, restore_at, |_, _| {})
-}
-
-/// [`run`] with `before_tick(now, engine-on controller)` called ahead of
-/// every tick, e.g. to flip its engine mid-run.
-pub fn run_with(
-    cfg: &CtrlConfig,
-    traffic: Traffic,
-    arrivals: &[Arrival],
-    max_cycles: Cycle,
-    restore_at: Option<Cycle>,
-    mut before_tick: impl FnMut(Cycle, &mut MemoryController),
-) -> Outcome {
-    let mut on = MemoryController::new(cfg.clone());
-    let mut off = MemoryController::new(cfg.clone());
-    off.set_busy_engine(false);
-    on.enable_command_trace();
-    off.enable_command_trace();
-    let banks = on.total_banks();
-    let (mut view_on, mut view_off) = (CycleView::idle(banks), CycleView::idle(banks));
-    let (mut trace_on, mut trace_off) = (Vec::new(), Vec::new());
+    let mut ctrl = MemoryController::new(cfg.clone());
+    let mut twin = MemoryController::new(cfg.clone());
+    ctrl.enable_command_trace();
+    twin.enable_command_trace();
+    let banks = ctrl.total_banks();
+    let (mut view, mut view_twin) = (CycleView::idle(banks), CycleView::idle(banks));
+    let (mut trace, mut trace_twin) = (Vec::new(), Vec::new());
     let mut next = 0;
     let mut out = Outcome::default();
-    let mut reference = Reference::new(&on);
+    let mut reference = Reference::new(&ctrl);
     // (horizon, the frozen view, commands traced so far) of a pending claim.
     let mut frozen: Option<(Cycle, CycleView, usize)> = None;
 
     for now in 0..max_cycles {
         while let Some(a) = arrivals.get(next) {
             let due = match traffic {
-                Traffic::OneAtATime => on.is_idle(),
+                Traffic::OneAtATime => ctrl.is_idle(),
                 _ => a.at <= now,
             };
             let room = if a.write {
-                on.can_accept_write()
+                ctrl.can_accept_write()
             } else {
-                on.can_accept_read()
+                ctrl.can_accept_read()
             };
             if !due || !room {
                 break;
             }
             if a.write {
-                assert_eq!(on.enqueue_write(a.addr), off.enqueue_write(a.addr));
+                assert_eq!(ctrl.enqueue_write(a.addr), twin.enqueue_write(a.addr));
             } else {
-                let id = on.enqueue_read(a.addr, next as u64);
-                assert_eq!(id, off.enqueue_read(a.addr, next as u64));
-                reference.enqueue_read(&on, id, a.addr);
+                let id = ctrl.enqueue_read(a.addr, next as u64);
+                assert_eq!(id, twin.enqueue_read(a.addr, next as u64));
+                reference.enqueue_read(&ctrl, id, a.addr);
             }
             next += 1;
             frozen = None; // a horizon only speaks for frozen queues
         }
         if restore_at == Some(now) {
-            let snap = on.snapshot_state();
-            trace_on.extend(on.take_command_trace());
-            on = MemoryController::new(cfg.clone());
-            on.restore_state(&snap);
-            on.enable_command_trace();
-            assert_eq!(on.snapshot_state(), snap, "restore is lossless");
+            let snap = ctrl.snapshot_state();
+            trace.extend(ctrl.take_command_trace());
+            ctrl = MemoryController::new(cfg.clone());
+            ctrl.restore_state(&snap);
+            ctrl.enable_command_trace();
+            assert_eq!(ctrl.snapshot_state(), snap, "restore is lossless");
             frozen = None;
         }
 
-        before_tick(now, &mut on);
-        reference.before_tick(&on, now);
-        on.tick(now, &mut view_on);
-        off.tick(now, &mut view_off);
-        assert_eq!(view_on, view_off, "view differs at cycle {now}");
-        let done_on: Vec<_> = on.drain_completions().collect();
-        let done_off: Vec<_> = off.drain_completions().collect();
-        assert_eq!(done_on, done_off, "completions differ at cycle {now}");
-        let issued = on.take_command_trace();
-        reference.after_tick(&on, &view_on, &issued, &done_on);
-        trace_on.extend(issued);
-        trace_off.extend(off.take_command_trace());
+        reference.before_tick(&ctrl, now);
+        ctrl.tick(now, &mut view);
+        twin.tick(now, &mut view_twin);
+        assert_eq!(view, view_twin, "view differs at cycle {now}");
+        let done: Vec<_> = ctrl.drain_completions().collect();
+        let done_twin: Vec<_> = twin.drain_completions().collect();
+        assert_eq!(done, done_twin, "completions differ at cycle {now}");
+        let issued = ctrl.take_command_trace();
+        reference.after_tick(&ctrl, &view, &issued, &done);
+        trace.extend(issued);
+        trace_twin.extend(twin.take_command_trace());
 
-        if let Some((h, view, commands)) = &frozen {
+        if let Some((h, frozen_view, commands)) = &frozen {
             if now < *h {
-                assert_eq!(&view_on, view, "view moved inside a stall span at {now}");
-                assert!(
-                    done_on.is_empty(),
-                    "completion inside a stall span at {now}"
-                );
                 assert_eq!(
-                    trace_on.len(),
+                    &view, frozen_view,
+                    "view moved inside a stall span at {now}"
+                );
+                assert!(done.is_empty(), "completion inside a stall span at {now}");
+                assert_eq!(
+                    trace.len(),
                     *commands,
                     "command inside a stall span at {now}"
                 );
@@ -426,28 +413,28 @@ pub fn run_with(
             }
         }
         if frozen.is_none() {
-            if let Some(h) = on.stall_horizon(now) {
+            if let Some(h) = ctrl.stall_horizon(now) {
                 assert!(h >= now + 2, "a span skips at least one cycle");
-                frozen = Some((h, view_on.clone(), trace_on.len()));
+                frozen = Some((h, view.clone(), trace.len()));
             }
         }
 
         out.cycles = now + 1;
-        if next == arrivals.len() && on.is_idle() {
+        if next == arrivals.len() && ctrl.is_idle() {
             break;
         }
     }
 
-    assert_eq!(trace_on, trace_off, "command traces differ");
-    assert_eq!(on.stats(), off.stats());
-    assert_eq!(on.is_idle(), off.is_idle());
-    let s = on.stats();
+    assert_eq!(trace, trace_twin, "command traces differ");
+    assert_eq!(ctrl.stats(), twin.stats());
+    assert_eq!(ctrl.is_idle(), twin.is_idle());
+    let s = ctrl.stats();
     out.reads_done = s.reads_done;
     out.writes_done = s.writes_done;
     out.refreshes = s.refreshes;
     out.breakdowns_checked = reference.checked;
     let auto_pre =
         |c: &&TimedCommand| matches!(c.cmd.kind, CommandKind::ReadAp | CommandKind::WriteAp);
-    out.auto_precharges = trace_on.iter().filter(auto_pre).count() as u64;
+    out.auto_precharges = trace.iter().filter(auto_pre).count() as u64;
     out
 }

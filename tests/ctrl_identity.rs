@@ -1,9 +1,10 @@
-//! Tier-1 slice of `crates/memctrl/tests/tick_identity.rs`: the per-bank
-//! summary tick against the full-queue scan tick, in lockstep, on the
-//! paper's controller under random read/write traffic, with a mid-run
-//! snapshot/restore, and the per-read breakdowns of a run that replays
-//! its stall spans against one that ticks every cycle. The full matrix
-//! runs with `cargo test --workspace`.
+//! Tier-1 slice of `crates/memctrl/tests/tick_identity.rs`: the paper's
+//! controller under random read/write traffic in lockstep with a twin
+//! that is never restored, across a mid-run snapshot/restore (debug
+//! builds check every pass against its full-queue `*_scan` oracle), and
+//! the per-read breakdowns of a run that replays its stall spans against
+//! one that ticks every cycle. The full matrix runs with `cargo test
+//! --workspace`.
 
 #[allow(dead_code)] // the full matrix uses the rest of the harness
 #[path = "../crates/memctrl/tests/lockstep/mod.rs"]
@@ -38,10 +39,9 @@ fn replayed_stall_spans_give_every_read_the_ticked_breakdown() {
         write: false,
         ..*a
     }));
-    // Engine off and every cycle ticked, against engine on and every
-    // offered span replayed, cut at a 997-cycle sample period.
+    // Every cycle ticked, against every offered span replayed, cut at a
+    // 997-cycle sample period.
     let mut ticked = Driver::new(MemoryController::new(cfg.clone()), &arrivals, 0);
-    ticked.ctrl.set_busy_engine(false);
     let mut replayed = Driver::new(MemoryController::new(cfg), &arrivals, 0);
     replayed.replay_period = Some(997);
     ticked.run(0..26_000);
