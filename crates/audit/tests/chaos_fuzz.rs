@@ -92,7 +92,10 @@ fn random_config_sweep_records_findings_as_artifact() {
         }
     }
     assert_eq!(runs, 40);
-    let dir = std::env::var("AUDIT_ARTIFACT_DIR").unwrap_or_else(|_| "../../target/audit".into());
+    // Relative to the target directory, not the working directory: the
+    // suite also runs from the root package (`tests/workspace_oracles.rs`).
+    let dir = std::env::var("AUDIT_ARTIFACT_DIR")
+        .unwrap_or_else(|_| concat!(env!("CARGO_TARGET_TMPDIR"), "/../audit").into());
     if !findings.is_empty() {
         std::fs::create_dir_all(&dir).expect("create artifact dir");
         let path = format!("{dir}/chaos-findings.json");
