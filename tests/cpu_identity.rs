@@ -1,6 +1,6 @@
 //! Bit-identity of the event-driven cpu layer: parked cores whose stall
 //! cycles accrue lazily against the oracle that ticks every core every
-//! cycle (`set_busy_engine(false)`).
+//! cycle and never skips (`Simulator::set_busy_engine(false)`).
 //!
 //! The sample period is 997 cycles, a multiple of nothing, so cycle-stack
 //! windows roll while cores are parked and every flush point is hit: a
