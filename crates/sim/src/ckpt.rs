@@ -530,6 +530,31 @@ mod tests {
     }
 
     #[test]
+    fn clear_removes_every_file_of_its_key_and_nothing_else() {
+        let dir = std::env::temp_dir().join(format!("dsnp-clear-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        // `ckpt-k.json` is the blob an older build wrote.
+        let gone = [
+            "ckpt-k.base.dsnp",
+            "ckpt-k.d3.dsnp",
+            "ckpt-k.d3.dsnp.tmp",
+            "ckpt-k.json",
+        ];
+        let kept = ["ckpt-k2.base.dsnp", "manifest.json", "report-k.json"];
+        for name in gone.iter().chain(&kept) {
+            fs::write(dir.join(name), b"x").unwrap();
+        }
+        clear(&dir, "k");
+        for name in gone {
+            assert!(!dir.join(name).exists(), "{name} survived clear");
+        }
+        for name in kept {
+            assert!(dir.join(name).exists(), "{name} was removed by clear");
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn writer_surfaces_io_error_on_finish() {
         let w = CheckpointWriter::new();
         w.submit(
