@@ -196,53 +196,34 @@ impl std::fmt::Display for Diagnosis {
     }
 }
 
-/// Thresholds and hysteresis of the rule set. The defaults encode the
-/// paper's qualitative reading of stack shapes (e.g. refresh nominally
-/// costs tRFC/tREFI ≈ 4.5 %; triple that is anomalous).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AdvisorConfig {
-    /// Consecutive windows a class must hold before a diagnosis opens,
-    /// and must lapse before it closes (noise suppression).
-    pub hysteresis_windows: usize,
-    /// Refresh bandwidth share that flags refresh-bound.
-    pub refresh_share: f64,
-    /// Write-drain occupancy (or latency share) that flags drain-bound.
-    pub drain_share: f64,
-    /// Data share of peak that counts as saturated.
-    pub saturated_share: f64,
-    /// Combined precharge+activate share that flags conflict-bound.
-    pub preact_share: f64,
-    /// Row-hit rate below which pre/act pressure reads as conflicts.
-    pub conflict_hit_rate: f64,
-    /// Constraint share that flags activate/tFAW-bound.
-    pub constraint_share: f64,
-    /// Idle share above which a window is request-limited.
-    pub idle_share: f64,
-    /// Busiest-to-laziest channel data-share ratio that flags a window
-    /// as channel-imbalanced (cross-channel rule).
-    pub imbalance_ratio: f64,
-    /// Minimum data share the busiest channel must carry before skew is
-    /// worth flagging — keeps near-idle runs quiet, where tiny absolute
-    /// differences produce huge ratios.
-    pub imbalance_min_share: f64,
-}
+// Thresholds and hysteresis of the rule set. They encode the paper's
+// qualitative reading of stack shapes (e.g. refresh nominally costs
+// tRFC/tREFI ≈ 4.5 %; triple that is anomalous).
 
-impl Default for AdvisorConfig {
-    fn default() -> Self {
-        AdvisorConfig {
-            hysteresis_windows: 3,
-            refresh_share: 0.12,
-            drain_share: 0.20,
-            saturated_share: 0.70,
-            preact_share: 0.15,
-            conflict_hit_rate: 0.60,
-            constraint_share: 0.20,
-            idle_share: 0.60,
-            imbalance_ratio: 2.0,
-            imbalance_min_share: 0.10,
-        }
-    }
-}
+/// Consecutive windows a class must hold before a diagnosis opens, and
+/// must lapse before it closes (noise suppression).
+const HYSTERESIS_WINDOWS: usize = 3;
+/// Refresh bandwidth share that flags refresh-bound.
+const REFRESH_SHARE: f64 = 0.12;
+/// Write-drain occupancy (or latency share) that flags drain-bound.
+const DRAIN_SHARE: f64 = 0.20;
+/// Data share of peak that counts as saturated.
+const SATURATED_SHARE: f64 = 0.70;
+/// Combined precharge+activate share that flags conflict-bound.
+const PREACT_SHARE: f64 = 0.15;
+/// Row-hit rate below which pre/act pressure reads as conflicts.
+const CONFLICT_HIT_RATE: f64 = 0.60;
+/// Constraint share that flags activate/tFAW-bound.
+const CONSTRAINT_SHARE: f64 = 0.20;
+/// Idle share above which a window is request-limited.
+const IDLE_SHARE: f64 = 0.60;
+/// Busiest-to-laziest channel data-share ratio that flags a window as
+/// channel-imbalanced (cross-channel rule).
+const IMBALANCE_RATIO: f64 = 2.0;
+/// Minimum data share the busiest channel must carry before skew is
+/// worth flagging — keeps near-idle runs quiet, where tiny absolute
+/// differences produce huge ratios.
+const IMBALANCE_MIN_SHARE: f64 = 0.10;
 
 /// Streaming bottleneck classifier with hysteresis.
 ///
@@ -250,9 +231,8 @@ impl Default for AdvisorConfig {
 /// [`observe`](Advisor::observe); sustained conditions accumulate and
 /// [`finish`](Advisor::finish) returns them. [`current`](Advisor::current)
 /// exposes the open diagnosis for live display.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Advisor {
-    cfg: AdvisorConfig,
     window: usize,
     /// Candidate class and its consecutive-window streak (pre-diagnosis).
     candidate: Option<(BottleneckClass, usize)>,
@@ -275,42 +255,30 @@ struct OpenSpan {
 }
 
 impl Advisor {
-    /// An advisor with the given rule thresholds.
-    pub fn new(cfg: AdvisorConfig) -> Self {
-        Advisor {
-            cfg,
-            window: 0,
-            candidate: None,
-            open: None,
-            done: Vec::new(),
-        }
-    }
-
     /// Classifies one window (no hysteresis); `None` means healthy.
-    pub fn classify(&self, w: &WindowObservation) -> Option<BottleneckClass> {
-        let c = &self.cfg;
+    pub fn classify(w: &WindowObservation) -> Option<BottleneckClass> {
         // Priority order: specific pathologies before the generic
         // saturated/request-limited endpoints.
-        if w.bw_refresh >= c.refresh_share || w.lat_refresh >= 2.0 * c.refresh_share {
+        if w.bw_refresh >= REFRESH_SHARE || w.lat_refresh >= 2.0 * REFRESH_SHARE {
             return Some(BottleneckClass::RefreshBound);
         }
-        if w.drain_occupancy >= c.drain_share || w.lat_writeburst >= c.drain_share {
+        if w.drain_occupancy >= DRAIN_SHARE || w.lat_writeburst >= DRAIN_SHARE {
             return Some(BottleneckClass::WriteDrainBound);
         }
-        if w.bw_data >= c.saturated_share {
+        if w.bw_data >= SATURATED_SHARE {
             return Some(BottleneckClass::Saturated);
         }
         let preact = w.bw_precharge + w.bw_activate;
-        if preact >= c.preact_share && w.row_hit_rate < c.conflict_hit_rate {
+        if preact >= PREACT_SHARE && w.row_hit_rate < CONFLICT_HIT_RATE {
             return Some(BottleneckClass::RowConflictBound);
         }
-        if w.bw_constraints >= c.constraint_share
-            || (w.bw_activate + w.bw_constraints >= c.constraint_share
-                && w.row_hit_rate >= c.conflict_hit_rate)
+        if w.bw_constraints >= CONSTRAINT_SHARE
+            || (w.bw_activate + w.bw_constraints >= CONSTRAINT_SHARE
+                && w.row_hit_rate >= CONFLICT_HIT_RATE)
         {
             return Some(BottleneckClass::ActivateBound);
         }
-        if w.bw_idle >= c.idle_share && w.mean_read_queue_depth < 1.0 && w.reads > 0 {
+        if w.bw_idle >= IDLE_SHARE && w.mean_read_queue_depth < 1.0 && w.reads > 0 {
             return Some(BottleneckClass::RequestLimited);
         }
         None
@@ -376,7 +344,7 @@ impl Advisor {
     /// on this window (rarely needed; most callers poll
     /// [`current`](Advisor::current) or read [`finish`](Advisor::finish)).
     pub fn observe(&mut self, w: &WindowObservation) -> Option<BottleneckClass> {
-        let class = self.classify(w);
+        let class = Self::classify(w);
         let idx = self.window;
         self.window += 1;
         let mut closed = None;
@@ -390,7 +358,7 @@ impl Advisor {
                 span.sum_secondary += s;
             } else {
                 span.lapse += 1;
-                if span.lapse >= self.cfg.hysteresis_windows {
+                if span.lapse >= HYSTERESIS_WINDOWS {
                     closed = Some(span.class);
                     self.close_open();
                 }
@@ -400,7 +368,7 @@ impl Advisor {
             match (class, self.candidate) {
                 (Some(c), Some((cand, streak))) if c == cand => {
                     let streak = streak + 1;
-                    if streak >= self.cfg.hysteresis_windows {
+                    if streak >= HYSTERESIS_WINDOWS {
                         let (p, s) = Self::evidence_inputs(w, c);
                         self.open = Some(OpenSpan {
                             class: c,
@@ -458,8 +426,8 @@ impl Advisor {
 }
 
 /// Runs the advisor over a complete observation series.
-pub fn diagnose(windows: &[WindowObservation], cfg: AdvisorConfig) -> Vec<Diagnosis> {
-    let mut a = Advisor::new(cfg);
+pub fn diagnose(windows: &[WindowObservation]) -> Vec<Diagnosis> {
+    let mut a = Advisor::default();
     for w in windows {
         a.observe(w);
     }
@@ -515,13 +483,9 @@ impl ImbalanceSpan {
 /// per-channel samplers sharing a window clock.
 ///
 /// A window is imbalanced when the busiest channel's data share is at
-/// least `imbalance_min_share` of its peak and at least `imbalance_ratio`
-/// times the laziest channel's. The same hysteresis as the single-series
+/// least 10 % of its peak and at least twice the laziest channel's. The same hysteresis as the single-series
 /// rules suppresses transient skew (e.g. one channel refreshing).
-pub fn diagnose_channel_imbalance(
-    per_channel: &[&[WindowObservation]],
-    cfg: AdvisorConfig,
-) -> Vec<Diagnosis> {
+pub fn diagnose_channel_imbalance(per_channel: &[&[WindowObservation]]) -> Vec<Diagnosis> {
     let channels = per_channel.len();
     if channels < 2 {
         return Vec::new();
@@ -534,7 +498,7 @@ pub fn diagnose_channel_imbalance(
         let shares: Vec<f64> = per_channel.iter().map(|s| s[i].bw_data).collect();
         let busiest = shares.iter().copied().fold(0.0_f64, f64::max);
         let laziest = shares.iter().copied().fold(f64::INFINITY, f64::min);
-        let skewed = busiest >= cfg.imbalance_min_share && busiest >= cfg.imbalance_ratio * laziest;
+        let skewed = busiest >= IMBALANCE_MIN_SHARE && busiest >= IMBALANCE_RATIO * laziest;
         if let Some(span) = &mut open {
             if skewed {
                 span.windows += 1;
@@ -544,7 +508,7 @@ pub fn diagnose_channel_imbalance(
                 }
             } else {
                 span.lapse += 1;
-                if span.lapse >= cfg.hysteresis_windows {
+                if span.lapse >= HYSTERESIS_WINDOWS {
                     done.push(open.take().unwrap().close());
                 }
             }
@@ -552,7 +516,7 @@ pub fn diagnose_channel_imbalance(
         }
         if skewed {
             streak += 1;
-            if streak >= cfg.hysteresis_windows {
+            if streak >= HYSTERESIS_WINDOWS {
                 let first_window = i + 1 - streak;
                 open = Some(ImbalanceSpan {
                     first_window,
@@ -608,7 +572,7 @@ mod tests {
     #[test]
     fn sustained_refresh_pressure_is_diagnosed() {
         let obs: Vec<_> = (0..10).map(refresh_heavy).collect();
-        let d = diagnose(&obs, AdvisorConfig::default());
+        let d = diagnose(&obs);
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].class, BottleneckClass::RefreshBound);
         assert_eq!(d[0].first_window, 0);
@@ -622,7 +586,7 @@ mod tests {
         // healthy, one bad window, healthy: hysteresis of 3 keeps quiet.
         let mut obs: Vec<_> = (0..10).map(healthy).collect();
         obs[4] = refresh_heavy(4);
-        let d = diagnose(&obs, AdvisorConfig::default());
+        let d = diagnose(&obs);
         assert!(d.is_empty(), "{d:?}");
     }
 
@@ -632,7 +596,7 @@ mod tests {
         // not two — the 1-window lapse is inside the hysteresis.
         let mut obs: Vec<_> = (0..9).map(refresh_heavy).collect();
         obs[4] = healthy(4);
-        let d = diagnose(&obs, AdvisorConfig::default());
+        let d = diagnose(&obs);
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].windows, 8);
     }
@@ -655,7 +619,7 @@ mod tests {
                 ..WindowObservation::zero()
             });
         }
-        let d = diagnose(&obs, AdvisorConfig::default());
+        let d = diagnose(&obs);
         assert_eq!(d.len(), 2, "{d:?}");
         assert_eq!(d[0].class, BottleneckClass::RefreshBound);
         assert_eq!(d[1].class, BottleneckClass::Saturated);
@@ -670,19 +634,17 @@ mod tests {
             reads: 10,
             ..WindowObservation::zero()
         };
-        let a = Advisor::new(AdvisorConfig::default());
-        assert_eq!(a.classify(&w), Some(BottleneckClass::RequestLimited));
+        assert_eq!(Advisor::classify(&w), Some(BottleneckClass::RequestLimited));
         // Deep queues mean the idle is someone else's fault.
         let busy_queue = WindowObservation {
             mean_read_queue_depth: 8.0,
             ..w
         };
-        assert_eq!(a.classify(&busy_queue), None);
+        assert_eq!(Advisor::classify(&busy_queue), None);
     }
 
     #[test]
     fn conflict_and_activate_bound_split_on_hit_rate() {
-        let a = Advisor::new(AdvisorConfig::default());
         let conflicts = WindowObservation {
             bw_precharge: 0.12,
             bw_activate: 0.10,
@@ -692,7 +654,7 @@ mod tests {
             ..WindowObservation::zero()
         };
         assert_eq!(
-            a.classify(&conflicts),
+            Advisor::classify(&conflicts),
             Some(BottleneckClass::RowConflictBound)
         );
         let faw = WindowObservation {
@@ -702,12 +664,15 @@ mod tests {
             reads: 100,
             ..WindowObservation::zero()
         };
-        assert_eq!(a.classify(&faw), Some(BottleneckClass::ActivateBound));
+        assert_eq!(
+            Advisor::classify(&faw),
+            Some(BottleneckClass::ActivateBound)
+        );
     }
 
     #[test]
     fn current_exposes_open_diagnosis_for_live_display() {
-        let mut a = Advisor::new(AdvisorConfig::default());
+        let mut a = Advisor::default();
         assert!(a.current().is_none());
         for i in 0..5 {
             a.observe(&refresh_heavy(i));
@@ -742,7 +707,7 @@ mod tests {
     fn sustained_channel_skew_is_diagnosed() {
         let hot = channel_series(0.48, 8);
         let cold = channel_series(0.02, 8);
-        let d = diagnose_channel_imbalance(&[&hot, &cold], AdvisorConfig::default());
+        let d = diagnose_channel_imbalance(&[&hot, &cold]);
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].class, BottleneckClass::ChannelImbalance);
         assert_eq!(d[0].first_window, 0);
@@ -756,17 +721,17 @@ mod tests {
     fn balanced_channels_stay_quiet() {
         let a = channel_series(0.40, 8);
         let b = channel_series(0.35, 8);
-        let d = diagnose_channel_imbalance(&[&a, &b], AdvisorConfig::default());
+        let d = diagnose_channel_imbalance(&[&a, &b]);
         assert!(d.is_empty(), "{d:?}");
     }
 
     #[test]
     fn idle_channels_are_not_flagged_despite_huge_ratios() {
         // 0.04 vs 0.001 is a 40x ratio, but the busiest channel is far
-        // below `imbalance_min_share`: nothing worth rebalancing.
+        // below the 10 % floor: nothing worth rebalancing.
         let a = channel_series(0.04, 8);
         let b = channel_series(0.001, 8);
-        let d = diagnose_channel_imbalance(&[&a, &b], AdvisorConfig::default());
+        let d = diagnose_channel_imbalance(&[&a, &b]);
         assert!(d.is_empty(), "{d:?}");
     }
 
@@ -777,7 +742,7 @@ mod tests {
         // Two skewed windows (below the 3-window hysteresis) stay quiet.
         hot[4].bw_data = 0.8;
         hot[5].bw_data = 0.8;
-        let d = diagnose_channel_imbalance(&[&hot, &cold], AdvisorConfig::default());
+        let d = diagnose_channel_imbalance(&[&hot, &cold]);
         assert!(d.is_empty(), "{d:?}");
     }
 
@@ -785,7 +750,7 @@ mod tests {
     fn one_dead_channel_is_reported_without_a_ratio() {
         let hot = channel_series(0.50, 6);
         let dead = channel_series(0.0, 6);
-        let d = diagnose_channel_imbalance(&[&hot, &dead], AdvisorConfig::default());
+        let d = diagnose_channel_imbalance(&[&hot, &dead]);
         assert_eq!(d.len(), 1, "{d:?}");
         assert!(
             d[0].evidence.contains("0.0 % on channel 1"),
@@ -798,14 +763,14 @@ mod tests {
     #[test]
     fn single_channel_series_never_imbalanced() {
         let only = channel_series(0.9, 8);
-        let d = diagnose_channel_imbalance(&[&only], AdvisorConfig::default());
+        let d = diagnose_channel_imbalance(&[&only]);
         assert!(d.is_empty());
     }
 
     #[test]
     fn diagnosis_roundtrips_through_json() {
         let obs: Vec<_> = (0..5).map(refresh_heavy).collect();
-        let d = diagnose(&obs, AdvisorConfig::default());
+        let d = diagnose(&obs);
         let json = serde_json::to_string(&d).unwrap();
         let back: Vec<Diagnosis> = serde_json::from_str(&json).unwrap();
         assert_eq!(back, d);

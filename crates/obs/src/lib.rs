@@ -44,7 +44,7 @@ mod probe;
 pub mod series;
 pub mod window;
 
-pub use advisor::{Advisor, AdvisorConfig, BottleneckClass, Diagnosis, WindowObservation};
+pub use advisor::{Advisor, BottleneckClass, Diagnosis, WindowObservation};
 pub use chrome::{ChromeTrace, ChromeTraceHandle, ChromeTraceProbe, TraceEvent, TraceEventKind};
 pub use diff::{ComponentDelta, DeltaStack};
 pub use metrics::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot};

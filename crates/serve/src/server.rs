@@ -39,7 +39,7 @@ use serde::Value;
 
 use dramstack_sim::jobs::{run_job, JobCancel, JobCheckpoint, JobError, JobOptions, JobSpec};
 use dramstack_sim::parallel::{self, JobOutcome, SupervisorConfig};
-use dramstack_sim::telemetry::{Telemetry, TelemetryConfig};
+use dramstack_sim::telemetry::Telemetry;
 use dramstack_sim::SimReport;
 
 use crate::http::{self, ChunkedBody, HttpError, Request};
@@ -143,7 +143,7 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
 impl State {
     fn new(cfg: ServeConfig) -> Self {
         State {
-            fleet: Arc::new(Mutex::new(Telemetry::new(TelemetryConfig::default()))),
+            fleet: Arc::new(Mutex::new(Telemetry::default())),
             cfg,
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
@@ -474,9 +474,7 @@ fn worker_loop(state: &Arc<State>) {
             threads: 1,
             deadline: state.cfg.job_deadline.map(|d| d + Duration::from_secs(2)),
             stall_timeout: Some(state.cfg.job_stall_timeout),
-            progress_budget: None,
             max_retries: 0,
-            retry_backoff: Duration::from_millis(50),
             poll: Duration::from_millis(10),
         };
         let deadline = state.cfg.job_deadline;
@@ -492,7 +490,7 @@ fn worker_loop(state: &Arc<State>) {
         let hub_for_job = Arc::clone(&hub);
         let cancel_for_job = cancel.clone();
         let outcome = parallel::supervise(&scfg, spec, move |pulse, spec: JobSpec| {
-            let mut tel = Telemetry::new(TelemetryConfig::default());
+            let mut tel = Telemetry::default();
             tel.add_sink(Box::new(HubSink::new(
                 Arc::clone(&hub_for_job),
                 Arc::clone(&fleet),

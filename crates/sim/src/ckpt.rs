@@ -1,5 +1,5 @@
-//! The checkpoint pipeline: format selection, chained base+delta file
-//! sets, and the background writer thread.
+//! The checkpoint pipeline: chained base+delta file sets and the
+//! background writer thread.
 //!
 //! A [`CheckpointChain`] owns the on-disk checkpoint of one job. Each
 //! [`checkpoint`](CheckpointChain::checkpoint) call does the *fast,
@@ -10,11 +10,11 @@
 //! checkpoint N+1 while the writer flushes checkpoint N, and blocks only
 //! if the disk falls two checkpoints behind.
 //!
-//! In delta mode the chain is a full base snapshot plus numbered delta
-//! files; every [`REBASE_EVERY`] deltas the chain re-bases with a fresh
-//! full snapshot. Ordering makes every crash window safe: the new base
-//! replaces the old one atomically *before* the writer unlinks the stale
-//! deltas, and a stale delta that survives a crash fails the
+//! There is one on-disk format: a binary base snapshot plus numbered
+//! delta files; every [`REBASE_EVERY`] deltas the chain re-bases with a
+//! fresh full snapshot. Ordering makes every crash window safe: the new
+//! base replaces the old one atomically *before* the writer unlinks the
+//! stale deltas, and a stale delta that survives a crash fails the
 //! `base_cycle` chain check on load, so [`load_latest`] falls back to
 //! the newest complete prefix.
 
@@ -106,24 +106,14 @@ pub fn clear_interrupt() {
     INTERRUPT_SIGNAL.store(0, Ordering::SeqCst);
 }
 
-/// On-disk checkpoint encoding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The format argument of [`CheckpointChain::create`]. The binary base +
+/// delta chain is the only format; kept only for the benchmark's one
+/// caller, and goes when that call does.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotFormat {
-    /// Compact binary `.dsnp` container (the default).
-    #[default]
+    /// Compact binary `.dsnp` containers.
     Binary,
-    /// Pretty-printed JSON blob (the golden-fixture format; several
-    /// times larger and slower, kept as the oracle and for inspection).
-    Json,
-}
-
-impl fmt::Display for SnapshotFormat {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            SnapshotFormat::Binary => "binary",
-            SnapshotFormat::Json => "json",
-        })
-    }
 }
 
 /// A checkpoint failure: either the simulator could not capture state or
@@ -286,10 +276,6 @@ impl Drop for CheckpointWriter {
 /// bounding both resume replay time and stale-delta disk growth.
 pub const REBASE_EVERY: u64 = 8;
 
-fn json_path(dir: &Path, key: &str) -> PathBuf {
-    dir.join(format!("ckpt-{key}.json"))
-}
-
 fn base_path(dir: &Path, key: &str) -> PathBuf {
     dir.join(format!("ckpt-{key}.base.dsnp"))
 }
@@ -298,15 +284,13 @@ fn delta_path(dir: &Path, key: &str, seq: u64) -> PathBuf {
     dir.join(format!("ckpt-{key}.d{seq}.dsnp"))
 }
 
-/// The on-disk checkpoint of one job: format choice, the base+delta file
-/// set, and the background writer. See the module docs for the pipeline
+/// The on-disk checkpoint of one job: the base+delta file set and the
+/// background writer. See the module docs for the pipeline
 /// and crash-safety story.
 #[derive(Debug)]
 pub struct CheckpointChain {
     dir: PathBuf,
     key: String,
-    format: SnapshotFormat,
-    delta_mode: bool,
     writer: CheckpointWriter,
     deltas_since_base: u64,
     has_base: bool,
@@ -314,28 +298,27 @@ pub struct CheckpointChain {
 
 impl CheckpointChain {
     /// Creates a chain writing `ckpt-<key>.*` files under `dir` (created
-    /// if absent). `delta_mode` only applies to the binary format: JSON
-    /// checkpoints are always full snapshots (the oracle path).
+    /// if absent).
     ///
     /// # Errors
     ///
     /// Returns the error from creating `dir`.
-    pub fn create(
-        dir: &Path,
-        key: &str,
-        format: SnapshotFormat,
-        delta_mode: bool,
-    ) -> io::Result<Self> {
+    pub fn new(dir: &Path, key: &str) -> io::Result<Self> {
         fs::create_dir_all(dir)?;
         Ok(CheckpointChain {
             dir: dir.to_path_buf(),
             key: key.to_string(),
-            format,
-            delta_mode: delta_mode && format == SnapshotFormat::Binary,
             writer: CheckpointWriter::new(),
             deltas_since_base: 0,
             has_base: false,
         })
+    }
+
+    /// [`new`](Self::new), ignoring both arguments after `key`. Kept only
+    /// for the benchmark's one caller; the stub goes when that call does.
+    #[doc(hidden)]
+    pub fn create(dir: &Path, key: &str, _: SnapshotFormat, _: bool) -> io::Result<Self> {
+        Self::new(dir, key)
     }
 
     /// The job key this chain checkpoints.
@@ -346,77 +329,56 @@ impl CheckpointChain {
     /// Captures and queues one checkpoint of `sim`. Returns the encoded
     /// blob size in bytes.
     ///
-    /// In delta mode the first call (and every [`REBASE_EVERY`]-th
-    /// thereafter) writes a full base; the rest write deltas of only the
-    /// state dirtied since the previous checkpoint.
+    /// The first call (and every [`REBASE_EVERY`]-th thereafter) writes a
+    /// full base; the rest write deltas of only the state dirtied since
+    /// the previous checkpoint.
     ///
     /// # Errors
     ///
     /// Capture errors ([`SnapshotError`]) and writer-thread failures.
     pub fn checkpoint(&mut self, sim: &mut Simulator) -> Result<usize, CkptError> {
-        match self.format {
-            SnapshotFormat::Json => {
-                let snap = sim.snapshot()?;
-                let bytes = snap.to_json().into_bytes();
-                let n = bytes.len();
-                self.writer.submit(json_path(&self.dir, &self.key), bytes)?;
-                Ok(n)
-            }
-            SnapshotFormat::Binary if !self.delta_mode => {
-                let snap = sim.snapshot()?;
-                let bytes = snap.to_binary();
-                let n = bytes.len();
-                self.writer.submit(base_path(&self.dir, &self.key), bytes)?;
-                Ok(n)
-            }
-            SnapshotFormat::Binary => {
-                if !self.has_base || self.deltas_since_base >= REBASE_EVERY {
-                    let snap = sim.snapshot_base()?;
-                    let bytes = snap.to_binary();
-                    let n = bytes.len();
-                    // Stale deltas are unlinked only after the new base
-                    // has atomically replaced the old one; any survivor
-                    // of a crash in between fails the chain check.
-                    let mut stale: Vec<PathBuf> = (1..=self.deltas_since_base)
-                        .map(|seq| delta_path(&self.dir, &self.key, seq))
-                        .collect();
-                    if !self.has_base {
-                        // A killed predecessor may have left a deeper
-                        // chain. Those deltas become unreadable the
-                        // moment this base lands (their `base_cycle` no
-                        // longer matches), so sweep them up too.
-                        let prefix = format!("ckpt-{}.d", self.key);
-                        if let Ok(entries) = fs::read_dir(&self.dir) {
-                            for e in entries.flatten() {
-                                let name = e.file_name();
-                                let Some(n) = name.to_str() else { continue };
-                                if n.starts_with(&prefix) && n.ends_with(".dsnp") {
-                                    stale.push(e.path());
-                                }
-                            }
-                        }
-                        stale.sort();
-                        stale.dedup();
+        if self.has_base && self.deltas_since_base < REBASE_EVERY {
+            let delta = sim.snapshot_delta()?;
+            let bytes = delta.to_binary();
+            let n = bytes.len();
+            self.writer
+                .submit(delta_path(&self.dir, &self.key, delta.seq), bytes)?;
+            self.deltas_since_base = delta.seq;
+            return Ok(n);
+        }
+        let bytes = sim.snapshot_base()?.to_binary();
+        let n = bytes.len();
+        // Stale deltas are unlinked only after the new base has atomically
+        // replaced the old one; any survivor of a crash in between fails
+        // the chain check.
+        let mut stale: Vec<PathBuf> = (1..=self.deltas_since_base)
+            .map(|seq| delta_path(&self.dir, &self.key, seq))
+            .collect();
+        if !self.has_base {
+            // A killed predecessor may have left a deeper chain. Those
+            // deltas become unreadable the moment this base lands (their
+            // `base_cycle` no longer matches), so sweep them up too.
+            let prefix = format!("ckpt-{}.d", self.key);
+            if let Ok(entries) = fs::read_dir(&self.dir) {
+                for e in entries.flatten() {
+                    let name = e.file_name();
+                    let Some(n) = name.to_str() else { continue };
+                    if n.starts_with(&prefix) && n.ends_with(".dsnp") {
+                        stale.push(e.path());
                     }
-                    self.writer.submit_job(WriteJob {
-                        path: base_path(&self.dir, &self.key),
-                        bytes,
-                        then_remove: stale,
-                    })?;
-                    self.has_base = true;
-                    self.deltas_since_base = 0;
-                    Ok(n)
-                } else {
-                    let delta = sim.snapshot_delta()?;
-                    let bytes = delta.to_binary();
-                    let n = bytes.len();
-                    self.writer
-                        .submit(delta_path(&self.dir, &self.key, delta.seq), bytes)?;
-                    self.deltas_since_base = delta.seq;
-                    Ok(n)
                 }
             }
+            stale.sort();
+            stale.dedup();
         }
+        self.writer.submit_job(WriteJob {
+            path: base_path(&self.dir, &self.key),
+            bytes,
+            then_remove: stale,
+        })?;
+        self.has_base = true;
+        self.deltas_since_base = 0;
+        Ok(n)
     }
 
     /// Flushes all queued writes and joins the writer thread, surfacing
@@ -426,22 +388,20 @@ impl CheckpointChain {
     }
 }
 
-/// Removes every checkpoint file of `key` under `dir` — the JSON blob,
-/// the binary base, all deltas, and half-written `.tmp` files. Called
-/// when a job completes. Missing files are fine; other I/O errors are
-/// ignored (a leftover checkpoint is re-cleared on the next run).
+/// Removes every `ckpt-<key>.*` file under `dir`: the base, all deltas,
+/// half-written `.tmp` files and an older build's JSON blob. Called when
+/// a job completes. Missing files are fine; other I/O errors are ignored
+/// (a leftover checkpoint is re-cleared on the next run).
 pub fn clear(dir: &Path, key: &str) {
-    let _ = fs::remove_file(json_path(dir, key));
-    let _ = fs::remove_file(base_path(dir, key));
     let prefix = format!("ckpt-{key}.");
     let Ok(entries) = fs::read_dir(dir) else {
         return;
     };
     for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if name.starts_with(&prefix)
-            && (name.ends_with(".dsnp") || name.ends_with(".tmp") || name.ends_with(".json"))
+        if entry
+            .file_name()
+            .to_str()
+            .is_some_and(|n| n.starts_with(&prefix))
         {
             let _ = fs::remove_file(entry.path());
         }
@@ -453,34 +413,17 @@ pub fn clear(dir: &Path, key: &str) {
 pub struct LoadedCheckpoint {
     /// The reconstructed machine state.
     pub snapshot: Snapshot,
-    /// Where it came from.
-    pub format: SnapshotFormat,
-    /// Deltas replayed on top of the base (0 for a full snapshot).
+    /// Deltas replayed on top of the base.
     pub deltas_applied: u64,
 }
 
-/// Loads the most advanced complete checkpoint of `key` under `dir`.
-///
-/// Tries the binary chain first: the base snapshot plus deltas replayed
-/// in sequence order, stopping at the first missing, corrupt, truncated,
-/// or chain-broken delta — everything up to that point is a complete,
-/// consistent checkpoint (a torn tail never poisons the prefix). If the
-/// binary base itself is unreadable, falls back to the JSON blob.
-/// Returns `None` when no complete checkpoint exists in either format.
+/// Loads the most advanced complete checkpoint of `key` under `dir`: the
+/// base snapshot plus deltas replayed in sequence order, stopping at the
+/// first missing, corrupt, truncated, or chain-broken delta — everything
+/// up to that point is a complete, consistent checkpoint (a torn tail
+/// never poisons the prefix). Returns `None` when the base is missing or
+/// unreadable.
 pub fn load_latest(dir: &Path, key: &str) -> Option<LoadedCheckpoint> {
-    if let Some(loaded) = load_binary_chain(dir, key) {
-        return Some(loaded);
-    }
-    let text = fs::read_to_string(json_path(dir, key)).ok()?;
-    let snapshot = Snapshot::from_json(&text).ok()?;
-    Some(LoadedCheckpoint {
-        snapshot,
-        format: SnapshotFormat::Json,
-        deltas_applied: 0,
-    })
-}
-
-fn load_binary_chain(dir: &Path, key: &str) -> Option<LoadedCheckpoint> {
     let bytes = fs::read(base_path(dir, key)).ok()?;
     let mut snapshot = Snapshot::from_binary(&bytes).ok()?;
     let mut deltas_applied = 0;
@@ -498,7 +441,6 @@ fn load_binary_chain(dir: &Path, key: &str) -> Option<LoadedCheckpoint> {
     }
     Some(LoadedCheckpoint {
         snapshot,
-        format: SnapshotFormat::Binary,
         deltas_applied,
     })
 }
@@ -506,13 +448,6 @@ fn load_binary_chain(dir: &Path, key: &str) -> Option<LoadedCheckpoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn format_displays_and_defaults_to_binary() {
-        assert_eq!(SnapshotFormat::Binary.to_string(), "binary");
-        assert_eq!(SnapshotFormat::Json.to_string(), "json");
-        assert_eq!(SnapshotFormat::default(), SnapshotFormat::Binary);
-    }
 
     #[test]
     fn writer_lands_files_atomically_and_in_order() {

@@ -26,7 +26,7 @@ use dramstack_memctrl::{MappingScheme, PagePolicy};
 use dramstack_workloads::SyntheticPattern;
 
 use crate::campaign::job_key;
-use crate::ckpt::{self, CheckpointChain, CkptError, SnapshotFormat};
+use crate::ckpt::{self, CheckpointChain, CkptError};
 use crate::config::SystemConfig;
 use crate::parallel::JobPulse;
 use crate::report::SimReport;
@@ -490,12 +490,7 @@ fn write_checkpoint(
     sim: &mut Simulator,
 ) -> Result<(), CkptError> {
     if chain.is_none() {
-        *chain = Some(CheckpointChain::create(
-            &c.dir,
-            &c.key,
-            SnapshotFormat::Binary,
-            true,
-        )?);
+        *chain = Some(CheckpointChain::new(&c.dir, &c.key)?);
     }
     chain.as_mut().expect("opened just above").checkpoint(sim)?;
     Ok(())

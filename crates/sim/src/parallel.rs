@@ -15,10 +15,10 @@
 //!
 //! [`supervised_map`] is the crash-safe variant for long campaigns: jobs
 //! run on detached attempt threads under a per-job watchdog (wall-clock
-//! deadline, no-progress stall detection via [`JobPulse`], optional
-//! progress budget), panicking jobs are retried with exponential backoff,
-//! hung jobs are abandoned, and the sweep always returns — every healthy
-//! result in input order plus a typed [`JobOutcome`] for each failure.
+//! deadline, no-progress stall detection via [`JobPulse`]), panicking
+//! jobs are retried with exponential backoff, hung jobs are abandoned,
+//! and the sweep always returns — every healthy result in input order
+//! plus a typed [`JobOutcome`] for each failure.
 //!
 //! No thread pool or external dependencies: threads live for one call
 //! (abandoned attempt threads for at most their job's lifetime), the
@@ -166,6 +166,10 @@ impl JobPulse {
     }
 }
 
+/// Base backoff slept before retry `k` of a panicked job (doubled per
+/// attempt).
+const RETRY_BACKOFF: Duration = Duration::from_millis(50);
+
 /// Watchdog and retry policy for [`supervised_map`].
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
@@ -177,15 +181,10 @@ pub struct SupervisorConfig {
     /// No-progress watchdog: an attempt whose [`JobPulse`] does not beat
     /// for this long is declared hung. Only enable for jobs that pulse.
     pub stall_timeout: Option<Duration>,
-    /// Progress ceiling (in [`JobPulse::set_progress`] units, e.g.
-    /// simulated cycles): an attempt reporting more than this is declared
-    /// runaway and killed like a hang. `None` disables it.
-    pub progress_budget: Option<u64>,
     /// Extra attempts after a panicking first attempt (hangs are never
-    /// retried — the stuck thread is abandoned, not recovered).
+    /// retried — the stuck thread is abandoned, not recovered), each after
+    /// a 50 ms backoff doubled per attempt.
     pub max_retries: u32,
-    /// Base backoff slept before retry `k` (doubled per attempt).
-    pub retry_backoff: Duration,
     /// Watchdog poll interval.
     pub poll: Duration,
 }
@@ -196,9 +195,7 @@ impl Default for SupervisorConfig {
             threads: 0,
             deadline: None,
             stall_timeout: None,
-            progress_budget: None,
             max_retries: 0,
-            retry_backoff: Duration::from_millis(50),
             poll: Duration::from_millis(20),
         }
     }
@@ -223,8 +220,8 @@ pub enum JobOutcome<R> {
         /// Total attempts spent.
         attempts: u32,
     },
-    /// The attempt hit the deadline, stalled, or blew the progress
-    /// budget; its thread was abandoned.
+    /// The attempt hit the deadline or stalled; its thread was
+    /// abandoned.
     TimedOut {
         /// Wall-clock time spent waiting on the final attempt.
         waited: Duration,
@@ -340,11 +337,10 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 /// attempt can be abandoned (the thread is leaked by design — it holds
 /// only its own simulator) while the supervisor moves on. Panics inside
 /// `f` are caught and retried up to `cfg.max_retries` times with
-/// exponential backoff; watchdog kills (deadline / stall / progress
-/// budget) are terminal for that job. Results come back in input order
-/// as [`JobOutcome`]s. Panic messages from failed attempts still reach
-/// stderr via the default panic hook, which keeps crash forensics in the
-/// captured logs.
+/// exponential backoff; watchdog kills (deadline / stall) are terminal
+/// for that job. Results come back in input order as [`JobOutcome`]s.
+/// Panic messages from failed attempts still reach stderr via the default
+/// panic hook, which keeps crash forensics in the captured logs.
 ///
 /// `T: Clone` is required so a panicked job's input survives for retry;
 /// the `'static` bounds let attempt threads outlive the call when
@@ -455,8 +451,7 @@ where
                     let dead = cfg.deadline.is_some_and(|d| attempt_start.elapsed() >= d)
                         || cfg
                             .stall_timeout
-                            .is_some_and(|s| last_change.elapsed() >= s)
-                        || cfg.progress_budget.is_some_and(|b| pulse.progress() > b);
+                            .is_some_and(|s| last_change.elapsed() >= s);
                     if dead {
                         break None;
                     }
@@ -482,7 +477,7 @@ where
                     return JobOutcome::Panicked { message, attempts };
                 }
                 let exp = (attempts - 1).min(16);
-                std::thread::sleep(cfg.retry_backoff.saturating_mul(1 << exp));
+                std::thread::sleep(RETRY_BACKOFF.saturating_mul(1 << exp));
             }
         }
     }
@@ -605,7 +600,6 @@ mod tests {
         let t = Arc::clone(&tries);
         let cfg = SupervisorConfig {
             max_retries: 3,
-            retry_backoff: Duration::from_millis(1),
             ..SupervisorConfig::default()
         };
         let out = supervised_map(vec![1u32], &cfg, move |_pulse, x| {
@@ -646,25 +640,6 @@ mod tests {
         let failures = out.failures();
         assert_eq!(failures.timed_out, vec![1]);
         assert!(out.outcomes[0].is_ok());
-    }
-
-    #[test]
-    fn progress_budget_kills_runaway_jobs() {
-        let cfg = SupervisorConfig {
-            progress_budget: Some(1_000),
-            poll: Duration::from_millis(5),
-            ..SupervisorConfig::default()
-        };
-        let out = supervised_map(vec![0u32], &cfg, |pulse, _x| {
-            // A runaway loop reporting ever-growing progress.
-            let mut cycles = 0u64;
-            loop {
-                cycles += 500;
-                pulse.set_progress(cycles);
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        });
-        assert_eq!(out.failures().timed_out, vec![0]);
     }
 
     #[test]

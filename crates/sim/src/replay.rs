@@ -98,7 +98,7 @@ impl std::error::Error for TraceParseError {}
 /// Why a trace replay failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReplayError {
-    /// A line failed to parse (strict mode).
+    /// A line failed to parse.
     Parse(TraceParseError),
     /// The trace is not sorted by arrival cycle.
     Unsorted {
@@ -143,55 +143,26 @@ impl From<TraceParseError> for ReplayError {
     }
 }
 
-/// A parsed request trace, plus what lossy recovery dropped.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ParsedTrace {
-    /// The well-formed requests, in input order.
-    pub requests: Vec<MemRequest>,
-    /// Malformed lines skipped (always 0 in strict mode).
-    pub skipped: u64,
-}
-
 /// Parses a request trace (one request per line, `#` comments allowed).
-///
-/// With `skip_malformed`, unparsable lines are counted and skipped
-/// instead of failing the whole trace — the lossy-recovery mode for
-/// real-world trace files with the odd corrupt record. Strict mode
-/// (`skip_malformed == false`) stops at the first bad line.
+/// Every other line must be well-formed.
 ///
 /// # Errors
 ///
-/// In strict mode, returns a [`TraceParseError`] locating the first
-/// malformed line; never errors in lossy mode.
-pub fn parse_trace(text: &str, skip_malformed: bool) -> Result<ParsedTrace, TraceParseError> {
-    let mut out = ParsedTrace::default();
+/// Returns a [`TraceParseError`] locating the first malformed line.
+pub fn parse_requests(text: &str) -> Result<Vec<MemRequest>, TraceParseError> {
+    let mut requests = Vec::new();
     for (i, raw) in text.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        match line.parse() {
-            Ok(r) => out.requests.push(r),
-            Err(_) if skip_malformed => out.skipped += 1,
-            Err(reason) => {
-                return Err(TraceParseError {
-                    line: i + 1,
-                    content: line.to_string(),
-                    reason,
-                })
-            }
-        }
+        requests.push(line.parse().map_err(|reason| TraceParseError {
+            line: i + 1,
+            content: line.to_string(),
+            reason,
+        })?);
     }
-    Ok(out)
-}
-
-/// Parses a request trace strictly (every line must be well-formed).
-///
-/// # Errors
-///
-/// Returns a [`TraceParseError`] locating the offending line.
-pub fn parse_requests(text: &str) -> Result<Vec<MemRequest>, TraceParseError> {
-    parse_trace(text, false).map(|t| t.requests)
+    Ok(requests)
 }
 
 /// Serializes a request trace.
@@ -358,16 +329,9 @@ mod tests {
     }
 
     #[test]
-    fn lossy_parse_skips_and_counts_malformed_lines() {
+    fn parse_stops_at_the_first_of_several_malformed_lines() {
         let text = "0 R 0x0\ngarbage\n10 Q 0x40\n20 W 0x80\n30 R zz\n";
-        let t = parse_trace(text, true).unwrap();
-        assert_eq!(t.requests.len(), 2);
-        assert_eq!(t.skipped, 3);
-        assert_eq!(t.requests[1].at, 20);
-        // Strict mode on the same text fails at the first bad line.
-        assert_eq!(parse_trace(text, false).unwrap_err().line, 2);
-        // A clean trace skips nothing in either mode.
-        assert_eq!(parse_trace("0 R 0x0\n", true).unwrap().skipped, 0);
+        assert_eq!(parse_requests(text).unwrap_err().line, 2);
     }
 
     #[test]

@@ -6,12 +6,16 @@
 //! samplers (including the open, partially filled window), the armed
 //! auditors' bookkeeping, and the cycle counters. It deliberately does
 //! *not* capture attachments (probes, telemetry, profiling timers) or
-//! the tuning knob (busy engine) — those
+//! the stepping oracle's switch
+//! ([`set_busy_engine`](crate::Simulator::set_busy_engine)) — those
 //! belong to the process hosting the simulator, not to the simulated
 //! machine, and are preserved on the restore target.
 //!
-//! Snapshots serialize to a versioned JSON blob via [`Snapshot::to_json`]
-//! / [`Snapshot::from_json`]. The format is guarded by
+//! On disk a snapshot is a compact binary container
+//! ([`Snapshot::to_binary`]) followed by [`SnapshotDelta`]s, the one
+//! checkpoint format of [`crate::ckpt`]. The versioned JSON blob
+//! ([`Snapshot::to_json`] / [`Snapshot::from_json`]) describes the same
+//! state and is kept as the golden oracle. The shape is guarded by
 //! [`SNAPSHOT_FORMAT_VERSION`]: any change to the serialized shape of any
 //! captured component must bump it (a golden-fixture test fails loudly
 //! otherwise), and loading a blob with a different version is a typed

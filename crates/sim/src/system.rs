@@ -11,7 +11,7 @@ use dramstack_dram::{Cycle, CycleView, SeededFault};
 use dramstack_memctrl::{CompletedRead, CtrlSnapshot, MemoryController};
 use dramstack_obs::{
     advisor::{diagnose, diagnose_channel_imbalance, WindowObservation},
-    AdvisorConfig, PhaseTimers, Probe, SimPhase, TeeProbe,
+    PhaseTimers, Probe, SimPhase, TeeProbe,
 };
 use dramstack_workloads::SyntheticPattern;
 
@@ -19,7 +19,7 @@ use crate::config::{ConfigError, SystemConfig};
 use crate::parking::Parking;
 use crate::report::SimReport;
 use crate::snapshot::{Snapshot, SnapshotDelta, SnapshotError, SNAPSHOT_FORMAT_VERSION};
-use crate::telemetry::{Telemetry, TelemetryConfig};
+use crate::telemetry::Telemetry;
 
 /// The full-system simulator.
 ///
@@ -42,7 +42,7 @@ pub struct Simulator {
     next_cycle_sample: Cycle,
     timers: PhaseTimers,
     /// Streaming telemetry attached via
-    /// [`enable_telemetry`](Self::enable_telemetry); observes completed
+    /// [`attach_telemetry`](Self::attach_telemetry); observes completed
     /// sample windows as the run progresses.
     telemetry: Option<Telemetry>,
     /// System-level windows already handed to the telemetry layer.
@@ -256,15 +256,9 @@ impl Simulator {
         self.timers.enable();
     }
 
-    /// Attaches streaming telemetry with the default configuration and
-    /// returns it for further setup (writers, sinks). Telemetry observes
-    /// each completed sample window live; it never changes results.
-    pub fn enable_telemetry(&mut self) -> &mut Telemetry {
-        self.attach_telemetry(Telemetry::new(TelemetryConfig::default()))
-    }
-
-    /// Attaches a pre-configured [`Telemetry`] (replacing any existing
-    /// one) and returns a mutable handle to it.
+    /// Attaches a [`Telemetry`] (replacing any existing one) and returns
+    /// a mutable handle to it. Telemetry observes each completed sample
+    /// window live; it never changes results.
     pub fn attach_telemetry(&mut self, telemetry: Telemetry) -> &mut Telemetry {
         self.windows_published = 0;
         self.telemetry = Some(telemetry);
@@ -692,9 +686,10 @@ impl Simulator {
     /// device/controller/sampler/auditor state, the cache hierarchy,
     /// cores, workload RNG streams, accumulated cycle-stack windows, the
     /// latency histogram, and the cycle counters. Attachments (probes,
-    /// telemetry, profiling timers) and the tuning knob
-    /// (busy engine) are *not* captured — they belong to
-    /// the hosting process and are preserved on the restore target.
+    /// telemetry, profiling timers) and the stepping oracle's switch
+    /// ([`set_busy_engine`](Self::set_busy_engine)) are *not* captured —
+    /// they belong to the hosting process and are preserved on the
+    /// restore target.
     ///
     /// Fails with [`SnapshotError::StreamUnsupported`] if any core's
     /// instruction stream lacks `checkpoint` support (synthetic and
@@ -992,7 +987,7 @@ impl Simulator {
         // or not live telemetry was attached.
         let diagnoses = {
             let observations: Vec<_> = samples.iter().map(TimeSample::observation).collect();
-            let mut diagnoses = diagnose(&observations, AdvisorConfig::default());
+            let mut diagnoses = diagnose(&observations);
             // Multi-channel runs additionally get the cross-channel
             // imbalance rule, fed the per-channel window series the
             // aggregate above was built from.
@@ -1004,10 +999,7 @@ impl Simulator {
                     .collect();
                 let series: Vec<&[WindowObservation]> =
                     per_channel.iter().map(Vec::as_slice).collect();
-                diagnoses.extend(diagnose_channel_imbalance(
-                    &series,
-                    AdvisorConfig::default(),
-                ));
+                diagnoses.extend(diagnose_channel_imbalance(&series));
             }
             diagnoses
         };

@@ -2,17 +2,17 @@
 //! sample windows and the outside world.
 //!
 //! A [`Telemetry`] instance attached via
-//! [`Simulator::enable_telemetry`](crate::Simulator::enable_telemetry)
+//! [`Simulator::attach_telemetry`](crate::Simulator::attach_telemetry)
 //! receives every completed sample window as it rolls (including windows
 //! rolled inside a skipped span). It
 //!
 //! * retains a bounded-memory [`StackSeries`] of [`TimeSample`]s (pairwise
-//!   downsampling keeps arbitrarily long runs resident),
+//!   downsampling keeps arbitrarily long runs in 256 buckets),
 //! * runs a live [`Advisor`] so the current bottleneck class is known
 //!   while the simulation runs,
 //! * streams one JSON-lines record per window to an optional writer,
-//! * writes a Prometheus-style text exposition snapshot on demand or
-//!   every N windows, and
+//! * renders a Prometheus-style text exposition on demand, and writes it
+//!   once at the end of the run, and
 //! * fans each window out to any number of [`TelemetrySink`]s (the live
 //!   terminal dashboard is one).
 //!
@@ -23,31 +23,17 @@
 use std::io::Write;
 
 use dramstack_core::{BwComponent, LatComponent, TimeSample};
-use dramstack_obs::{Advisor, AdvisorConfig, BottleneckClass, StackSeries, WindowObservation};
+use dramstack_obs::{Advisor, BottleneckClass, StackSeries, WindowObservation};
 
-/// How much the telemetry layer retains and how often it writes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TelemetryConfig {
-    /// Ring capacity of the retained window series (rounded down to
-    /// even; the ring downsamples pairwise when full).
-    pub series_capacity: usize,
-    /// Write a Prometheus snapshot every N published windows (0 = only
-    /// on demand / at end of run).
-    pub prom_every_windows: u64,
-    /// Advisor thresholds used for the *live* classification (the report
-    /// always re-runs the advisor over the full series with defaults).
-    pub advisor: AdvisorConfig,
-}
+/// Ring capacity of the retained window series; the ring downsamples
+/// pairwise when full.
+const SERIES_CAPACITY: usize = 256;
 
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            series_capacity: 256,
-            prom_every_windows: 0,
-            advisor: AdvisorConfig::default(),
-        }
-    }
-}
+/// The argument of [`Telemetry::new`]. Telemetry has no settings; kept
+/// only for the benchmark's callers, and goes when they do.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TelemetryConfig;
 
 /// A consumer of published sample windows (e.g. the live dashboard).
 ///
@@ -72,7 +58,6 @@ pub trait TelemetrySink: Send {
 
 /// The streaming telemetry state attached to a [`Simulator`](crate::Simulator).
 pub struct Telemetry {
-    cfg: TelemetryConfig,
     series: StackSeries<TimeSample>,
     advisor: Advisor,
     windows: u64,
@@ -94,19 +79,27 @@ impl std::fmt::Debug for Telemetry {
     }
 }
 
-impl Telemetry {
-    /// Telemetry with the given retention/write policy and no writers.
-    pub fn new(cfg: TelemetryConfig) -> Self {
+impl Default for Telemetry {
+    /// Telemetry with no writers and no sinks.
+    fn default() -> Self {
         Telemetry {
-            series: StackSeries::new(cfg.series_capacity.max(2)),
-            advisor: Advisor::new(cfg.advisor),
-            cfg,
+            series: StackSeries::new(SERIES_CAPACITY),
+            advisor: Advisor::default(),
             windows: 0,
             last: None,
             jsonl: None,
             prom: None,
             sinks: Vec::new(),
         }
+    }
+}
+
+impl Telemetry {
+    /// [`default`](Self::default). Kept only for the benchmark's callers;
+    /// the stub goes when they do.
+    #[doc(hidden)]
+    pub fn new(_: TelemetryConfig) -> Self {
+        Self::default()
     }
 
     /// Streams one JSON object per published window to `w`.
@@ -115,11 +108,9 @@ impl Telemetry {
         self
     }
 
-    /// Writes the Prometheus text exposition to `w` — every
-    /// `prom_every_windows` windows and once at end of run. Each snapshot
-    /// overwrites from the writer's current position; pass a fresh file
-    /// (or use [`Simulator::telemetry`](crate::Simulator::telemetry) and
-    /// [`prometheus_snapshot`](Self::prometheus_snapshot) to render on
+    /// Writes the Prometheus text exposition to `w` once, at the end of
+    /// the run (use [`Simulator::telemetry`](crate::Simulator::telemetry)
+    /// and [`prometheus_snapshot`](Self::prometheus_snapshot) to render on
     /// demand instead).
     pub fn with_prometheus(mut self, w: Box<dyn Write + Send>) -> Self {
         self.prom = Some(w);
@@ -159,11 +150,6 @@ impl Telemetry {
         }
         self.series.push(sample.clone());
         self.last = Some(obs);
-        if self.cfg.prom_every_windows > 0
-            && self.windows.is_multiple_of(self.cfg.prom_every_windows)
-        {
-            self.write_prometheus();
-        }
     }
 
     /// Feeds a window sample from outside the simulator drive loop.
@@ -248,17 +234,13 @@ impl Telemetry {
         out
     }
 
-    fn write_prometheus(&mut self) {
-        let snap = self.prometheus_snapshot();
-        if let Some(w) = &mut self.prom {
-            let _ = w.write_all(snap.as_bytes());
-            let _ = w.flush();
-        }
-    }
-
-    /// End of run: final Prometheus snapshot, flush JSONL, finish sinks.
+    /// End of run: the Prometheus snapshot, flush JSONL, finish sinks.
     pub(crate) fn finish_run(&mut self) {
-        self.write_prometheus();
+        if let Some(mut w) = self.prom.take() {
+            let _ = w.write_all(self.prometheus_snapshot().as_bytes());
+            let _ = w.flush();
+            self.prom = Some(w);
+        }
         if let Some(w) = &mut self.jsonl {
             let _ = w.flush();
         }
@@ -360,7 +342,7 @@ mod tests {
     #[test]
     fn jsonl_stream_is_one_valid_object_per_window() {
         let buf = Shared::default();
-        let mut t = Telemetry::new(TelemetryConfig::default()).with_jsonl(Box::new(buf.clone()));
+        let mut t = Telemetry::default().with_jsonl(Box::new(buf.clone()));
         for i in 0..5 {
             t.publish(&sample(i * 100));
         }
@@ -386,7 +368,7 @@ mod tests {
 
     #[test]
     fn prometheus_snapshot_has_all_series() {
-        let mut t = Telemetry::new(TelemetryConfig::default());
+        let mut t = Telemetry::default();
         for i in 0..3 {
             t.publish(&sample(i * 100));
         }
@@ -414,34 +396,13 @@ mod tests {
     }
 
     #[test]
-    fn periodic_prometheus_writes_fire_every_n_windows() {
-        let buf = Shared::default();
-        let cfg = TelemetryConfig {
-            prom_every_windows: 2,
-            ..TelemetryConfig::default()
-        };
-        let mut t = Telemetry::new(cfg).with_prometheus(Box::new(buf.clone()));
-        for i in 0..4 {
-            t.publish(&sample(i * 100));
-        }
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        // Two periodic snapshots (after windows 2 and 4).
-        assert_eq!(text.matches("dramstack_windows_total 2").count(), 1);
-        assert_eq!(text.matches("dramstack_windows_total 4").count(), 1);
-    }
-
-    #[test]
     fn series_is_bounded_and_conserves_cycles() {
-        let cfg = TelemetryConfig {
-            series_capacity: 8,
-            ..TelemetryConfig::default()
-        };
-        let mut t = Telemetry::new(cfg);
-        for i in 0..100 {
+        let mut t = Telemetry::default();
+        for i in 0..1000 {
             t.publish(&sample(i * 100));
         }
-        assert!(t.series().len() <= 8);
-        assert_eq!(t.series().total_pushed(), 100);
+        assert!(t.series().len() <= SERIES_CAPACITY);
+        assert_eq!(t.series().total_pushed(), 1000);
         let cycles: u64 = t
             .series()
             .buckets()
@@ -449,7 +410,7 @@ mod tests {
             .chain(t.series().pending())
             .map(|s| s.cycles)
             .sum();
-        assert_eq!(cycles, 100 * 100);
+        assert_eq!(cycles, 1000 * 100);
     }
 
     #[test]
@@ -470,7 +431,7 @@ mod tests {
             }
         }
         let state = Arc::new(Mutex::new((0, false)));
-        let mut t = Telemetry::new(TelemetryConfig::default());
+        let mut t = Telemetry::default();
         t.add_sink(Box::new(Probe(Arc::clone(&state))));
         for i in 0..7 {
             t.publish(&sample(i * 100));
@@ -485,7 +446,7 @@ mod tests {
     fn saturated_windows_surface_a_live_diagnosis() {
         // All-read windows are fully saturated; after the hysteresis the
         // advisor's live classification must say so.
-        let mut t = Telemetry::new(TelemetryConfig::default());
+        let mut t = Telemetry::default();
         for i in 0..6 {
             t.publish(&sample(i * 100));
         }

@@ -28,7 +28,7 @@ use dramstack::sim::jobs::{parse_mapping, parse_policy};
 use dramstack::sim::parallel::{JobPulse, SupervisorConfig};
 use dramstack::sim::{
     diff_reports, load_report, run_job, Campaign, JobCancel, JobError, JobOptions, JobSpec,
-    SimReport, SystemConfig, Telemetry, TelemetryConfig,
+    SimReport, SystemConfig, Telemetry,
 };
 use dramstack::stacks::offline::stack_from_trace;
 use dramstack::stacks::{predict_bandwidth_naive, predict_bandwidth_stack};
@@ -556,7 +556,7 @@ fn synth_telemetry(a: &SynthArgs) -> Result<Option<Telemetry>, String> {
     if !live && a.telemetry_out.is_none() && a.prom_out.is_none() {
         return Ok(None);
     }
-    let mut tel = Telemetry::new(TelemetryConfig::default());
+    let mut tel = Telemetry::default();
     if let Some(path) = &a.telemetry_out {
         let f = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
         tel = tel.with_jsonl(Box::new(std::io::BufWriter::new(f)));
@@ -599,8 +599,8 @@ fn run_synth_campaign(
         }
         if let Some(loaded) = load_latest(campaign.dir(), &key) {
             println!(
-                "resumed from cycle {} ({} checkpoint, {} delta(s) applied)",
-                loaded.snapshot.dram_cycle, loaded.format, loaded.deltas_applied
+                "resumed from cycle {} ({} delta(s) applied)",
+                loaded.snapshot.dram_cycle, loaded.deltas_applied
             );
         }
     }

@@ -9,8 +9,9 @@
 //! shapes, with the fast-forward paths enabled. This file also pins the
 //! snapshot roundtrips over random configurations, exercises
 //! format negotiation (bad magic, truncation, version skew, broken
-//! delta chains — typed errors, never panics), and guards both on-disk
-//! formats with byte-pinned golden fixtures.
+//! delta chains — typed errors, never panics), and guards both
+//! serialized formats with byte-pinned golden fixtures. On disk there is
+//! one format, the binary base + delta chain of `CheckpointChain`.
 
 mod common;
 
@@ -21,7 +22,7 @@ use dramstack::memctrl::PagePolicy;
 use dramstack::sim::parallel::JobPulse;
 use dramstack::sim::{
     binary, ckpt, run_job, CheckpointChain, JobCancel, JobCheckpoint, JobOptions, JobSpec,
-    SimReport, Simulator, Snapshot, SnapshotDelta, SnapshotError, SnapshotFormat, SystemConfig,
+    SimReport, Simulator, Snapshot, SnapshotDelta, SnapshotError, SystemConfig,
     SNAPSHOT_BINARY_VERSION, SNAPSHOT_FORMAT_VERSION,
 };
 use dramstack::workloads::{PatternKind, SyntheticPattern};
@@ -456,9 +457,9 @@ fn delta_chain_misuse_is_a_typed_error() {
 }
 
 /// Satellite: `ckpt::load_latest` walks the on-disk chain and falls back
-/// to the last *complete* checkpoint when the tail is torn — and to the
-/// JSON blob when no binary chain exists — so a resume never trips over
-/// a crash-torn file.
+/// to the last *complete* checkpoint when the tail is torn, so a resume
+/// never trips over a crash-torn file; without a base there is nothing
+/// to resume from.
 #[test]
 fn on_disk_resume_falls_back_to_last_complete_checkpoint() {
     let dir = std::env::temp_dir().join(format!("dramstack-negotiate-{}", std::process::id()));
@@ -467,8 +468,7 @@ fn on_disk_resume_falls_back_to_last_complete_checkpoint() {
 
     // Lay down base + two deltas through the real writer pipeline.
     let mut sim = small_snapshot_sim();
-    let mut chain =
-        CheckpointChain::create(&dir, key, SnapshotFormat::Binary, true).expect("chain creates");
+    let mut chain = CheckpointChain::new(&dir, key).expect("chain creates");
     for us in [0.4, 0.8, 1.2] {
         sim.advance_for_us(us);
         chain.checkpoint(&mut sim).expect("checkpoint captures");
@@ -485,7 +485,6 @@ fn on_disk_resume_falls_back_to_last_complete_checkpoint() {
 
     // Pristine chain: both deltas replay, state matches the live sim.
     let loaded = ckpt::load_latest(&dir, key).expect("pristine chain loads");
-    assert_eq!(loaded.format, SnapshotFormat::Binary);
     assert_eq!(loaded.deltas_applied, 2);
     assert_eq!(
         loaded.snapshot, expect,
@@ -500,19 +499,12 @@ fn on_disk_resume_falls_back_to_last_complete_checkpoint() {
     // d2 covered the final advance; the fallback state is strictly older.
     assert!(loaded.snapshot.dram_cycle < expect.dram_cycle);
 
-    // No base: the whole binary chain is unusable.
+    // No base: the whole chain is unusable.
     std::fs::remove_file(&base).expect("remove base");
     assert!(
         ckpt::load_latest(&dir, key).is_none(),
-        "no base and no JSON blob must be None"
+        "no base must be None"
     );
-
-    // JSON fallback: a full JSON blob negotiates without any flag.
-    std::fs::write(dir.join(format!("ckpt-{key}.json")), expect.to_json()).expect("write json");
-    let loaded = ckpt::load_latest(&dir, key).expect("json blob loads");
-    assert_eq!(loaded.format, SnapshotFormat::Json);
-    assert_eq!(loaded.deltas_applied, 0);
-    assert_eq!(loaded.snapshot, expect);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -556,8 +548,7 @@ fn deep_nesting_is_corrupt_not_a_stack_overflow() {
     let dir = common::scratch_dir("deep-nesting");
     let key = "job";
     let mut sim = small_snapshot_sim();
-    let mut chain =
-        CheckpointChain::create(&dir, key, SnapshotFormat::Binary, true).expect("chain creates");
+    let mut chain = CheckpointChain::new(&dir, key).expect("chain creates");
     for us in [0.4, 0.8] {
         sim.advance_for_us(us);
         chain.checkpoint(&mut sim).expect("checkpoint captures");

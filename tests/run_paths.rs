@@ -20,7 +20,7 @@ use dramstack::sim::experiments::{run_synthetic, sweep_synthetic_supervised, syn
 use dramstack::sim::parallel::{JobPulse, SupervisorConfig};
 use dramstack::sim::{
     run_job, Campaign, JobCancel, JobCheckpoint, JobError, JobOptions, JobSpec, SimReport,
-    Telemetry, TelemetryConfig, TelemetrySink,
+    Telemetry, TelemetrySink,
 };
 use dramstack::stacks::TimeSample;
 use dramstack::workloads::SyntheticPattern;
@@ -163,7 +163,7 @@ fn a_job_cancelled_from_another_thread_resumes_from_its_chain_identically() {
                     resume_tx.send(()).expect("the run is waiting");
                 })
             };
-            let mut telemetry = Telemetry::new(TelemetryConfig::default());
+            let mut telemetry = Telemetry::default();
             // Window 2 closes at cycle 36 000, inside the second slice.
             telemetry.add_sink(Box::new(Rendezvous {
                 at_window: 2,

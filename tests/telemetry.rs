@@ -9,9 +9,7 @@ use std::sync::{Arc, Mutex};
 
 use dramstack::live::{LiveMode, LiveSink};
 use dramstack::obs::BottleneckClass;
-use dramstack::sim::{
-    diff_reports, SimReport, Simulator, SystemConfig, Telemetry, TelemetryConfig,
-};
+use dramstack::sim::{diff_reports, SimReport, Simulator, SystemConfig, Telemetry};
 use dramstack::workloads::SyntheticPattern;
 
 /// A writer appending into a shared buffer the test reads back.
@@ -46,7 +44,7 @@ fn telemetry_is_bit_identical_when_unobserved() {
     let plain = run(cfg.clone(), SyntheticPattern::sequential(0.1), 60.0);
 
     let mut sim = Simulator::with_synthetic(cfg, SyntheticPattern::sequential(0.1));
-    let tel = Telemetry::new(TelemetryConfig::default())
+    let tel = Telemetry::default()
         .with_jsonl(Box::new(std::io::sink()))
         .with_prometheus(Box::new(std::io::sink()));
     sim.attach_telemetry(tel);
@@ -62,7 +60,7 @@ fn jsonl_stream_matches_report_samples() {
     let buf = Shared::default();
     let cfg = SystemConfig::paper_default(1);
     let mut sim = Simulator::with_synthetic(cfg, SyntheticPattern::sequential(0.0));
-    let tel = Telemetry::new(TelemetryConfig::default()).with_jsonl(Box::new(buf.clone()));
+    let tel = Telemetry::default().with_jsonl(Box::new(buf.clone()));
     sim.attach_telemetry(tel);
     let r = sim.run_for_us(60.0);
 
@@ -91,7 +89,7 @@ fn jsonl_stream_matches_report_samples() {
 fn prometheus_snapshot_is_well_formed_after_a_run() {
     let cfg = SystemConfig::paper_default(1);
     let mut sim = Simulator::with_synthetic(cfg, SyntheticPattern::sequential(0.0));
-    sim.enable_telemetry();
+    sim.attach_telemetry(Telemetry::default());
     sim.run_for_us(60.0);
     let snap = sim.telemetry().unwrap().prometheus_snapshot();
     assert!(snap.contains("dramstack_windows_total"));
@@ -108,7 +106,7 @@ fn live_dashboard_runs_plain_over_a_full_simulation() {
     let buf = Shared::default();
     let cfg = SystemConfig::paper_default(1);
     let mut sim = Simulator::with_synthetic(cfg, SyntheticPattern::sequential(0.0));
-    let mut tel = Telemetry::new(TelemetryConfig::default());
+    let mut tel = Telemetry::default();
     tel.add_sink(Box::new(LiveSink::with_writer(
         LiveMode::Plain,
         Box::new(buf.clone()),
@@ -179,7 +177,7 @@ fn diagnoses_are_deterministic_and_reported_without_telemetry() {
     cfg.ctrl.device.timing.t_refi = 2_000;
     let plain = run(cfg.clone(), SyntheticPattern::sequential(0.0), 60.0);
     let mut sim = Simulator::with_synthetic(cfg, SyntheticPattern::sequential(0.0));
-    sim.enable_telemetry();
+    sim.attach_telemetry(Telemetry::default());
     let observed = sim.run_for_us(60.0);
     assert_eq!(plain.diagnoses, observed.diagnoses);
     assert!(!plain.diagnoses.is_empty());
