@@ -326,10 +326,7 @@ mod tests {
         let msg = e.to_string();
         assert!(msg.contains("line 3"), "{msg}");
         assert!(msg.contains("10 Q 0x40"), "{msg}");
-    }
-
-    #[test]
-    fn parse_stops_at_the_first_of_several_malformed_lines() {
+        // Of several malformed lines, the first is the one reported.
         let text = "0 R 0x0\ngarbage\n10 Q 0x40\n20 W 0x80\n30 R zz\n";
         assert_eq!(parse_requests(text).unwrap_err().line, 2);
     }
