@@ -24,7 +24,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use serde::Value;
+use serde::{Serialize, Sink};
 
 use dramstack_dram::{Command, Cycle};
 
@@ -354,49 +354,69 @@ impl ChromeTrace {
         cycle as f64 * self.cycle_ns / 1000.0
     }
 
-    fn event_value(&self, e: &TraceEvent) -> Value {
-        let mut m: Vec<(String, Value)> = vec![
-            ("name".to_string(), Value::Str(e.name.clone())),
-            ("cat".to_string(), Value::Str(e.cat.to_string())),
-            ("ts".to_string(), Value::Float(self.ts_us(e.at))),
-            ("pid".to_string(), Value::Int(self.channel as i128)),
-            ("tid".to_string(), Value::Int(e.tid as i128)),
-        ];
+    /// Writes one event as a Chrome trace-event object.
+    fn serialize_event(&self, e: &TraceEvent, out: &mut dyn Sink) {
+        let phase_fields = match e.kind {
+            TraceEventKind::Span { .. } | TraceEventKind::Instant => 2,
+            TraceEventKind::Counter => 1,
+        };
+        out.map(5 + phase_fields + usize::from(!e.args.is_empty()));
+        out.key("name");
+        out.str(&e.name);
+        out.key("cat");
+        out.str(e.cat);
+        out.key("ts");
+        out.float(self.ts_us(e.at));
+        out.key("pid");
+        self.channel.serialize(out);
+        out.key("tid");
+        e.tid.serialize(out);
+        out.key("ph");
         match e.kind {
             TraceEventKind::Span { dur_cycles } => {
-                m.push(("ph".to_string(), Value::Str("X".to_string())));
-                m.push((
-                    "dur".to_string(),
-                    Value::Float(dur_cycles as f64 * self.cycle_ns / 1000.0),
-                ));
+                out.str("X");
+                out.key("dur");
+                out.float(dur_cycles as f64 * self.cycle_ns / 1000.0);
             }
             TraceEventKind::Instant => {
-                m.push(("ph".to_string(), Value::Str("i".to_string())));
-                m.push(("s".to_string(), Value::Str("t".to_string())));
+                out.str("i");
+                out.key("s");
+                out.str("t");
             }
-            TraceEventKind::Counter => {
-                m.push(("ph".to_string(), Value::Str("C".to_string())));
-            }
+            TraceEventKind::Counter => out.str("C"),
         }
         if !e.args.is_empty() {
-            let args: Vec<(String, Value)> = e
-                .args
-                .iter()
-                .map(|(k, v)| ((*k).to_string(), Value::Int(*v as i128)))
-                .collect();
-            m.push(("args".to_string(), Value::Map(args)));
+            out.key("args");
+            out.map(e.args.len());
+            for (k, v) in &e.args {
+                out.key(k);
+                v.serialize(out);
+            }
+            out.end();
         }
-        Value::Map(m)
+        out.end();
     }
 
     /// Renders the trace as Chrome trace-event JSON.
     pub fn to_json(&self) -> String {
-        let events: Vec<Value> = self.events.iter().map(|e| self.event_value(e)).collect();
-        let top = Value::Map(vec![
-            ("displayTimeUnit".to_string(), Value::Str("ns".to_string())),
-            ("traceEvents".to_string(), Value::Seq(events)),
-        ]);
-        serde_json::to_string_pretty(&top).unwrap_or_default()
+        serde_json::to_string_pretty(self).unwrap_or_default()
+    }
+}
+
+/// The Chrome trace-event document: the events under `traceEvents`, with
+/// timestamps in microseconds.
+impl Serialize for ChromeTrace {
+    fn serialize(&self, out: &mut dyn Sink) {
+        out.map(2);
+        out.key("displayTimeUnit");
+        out.str("ns");
+        out.key("traceEvents");
+        out.seq(self.events.len());
+        for e in &self.events {
+            self.serialize_event(e, out);
+        }
+        out.end();
+        out.end();
     }
 }
 
@@ -404,6 +424,7 @@ impl ChromeTrace {
 mod tests {
     use super::*;
     use dramstack_dram::BankAddr;
+    use serde::Value;
 
     fn probe() -> (ChromeTraceProbe, ChromeTraceHandle) {
         ChromeTraceProbe::new(0, 0.8333)
@@ -479,6 +500,38 @@ mod tests {
             .filter(|e| matches!(e.kind, TraceEventKind::Counter))
             .count();
         assert_eq!(n, 2);
+    }
+
+    /// Every event kind, with and without `args`, as the text the trace
+    /// printed when it was a `Value` tree (re-printed compact).
+    #[test]
+    fn json_fields_are_pinned() {
+        let (mut p, h) = ChromeTraceProbe::new(1, 0.8333);
+        p.request_accepted(1, 0x1000, false);
+        p.request_arrival(1, 0);
+        p.cas_issued(1, 10, false, true, 0);
+        p.data_returned(1, 40);
+        p.command_issued(10, Command::read(BankAddr::new(0, 0, 0), 0), 0);
+        p.tick(41, 2, 1, 0, false);
+        let trace = h.build();
+        let v: Value = serde_json::from_str(&trace.to_json()).expect("valid JSON");
+        assert_eq!(
+            serde_json::to_string(&v).unwrap(),
+            concat!(
+                r#"{"displayTimeUnit":"ns","traceEvents":["#,
+                r#"{"name":"read #1","cat":"request","ts":0.0,"pid":1,"tid":0,"ph":"X","#,
+                r#""dur":0.033332,"args":{"id":1,"phys":4096,"row_hit":1}},"#,
+                r#"{"name":"queued","cat":"request","ts":0.0,"pid":1,"tid":0,"ph":"X","#,
+                r#""dur":0.008333,"args":{"id":1}},"#,
+                r#"{"name":"burst","cat":"request","ts":0.008333,"pid":1,"tid":0,"ph":"X","#,
+                r#""dur":0.024999000000000004,"args":{"id":1}},"#,
+                r#"{"name":"RD","cat":"command","ts":0.008333,"pid":1,"tid":0,"ph":"i","#,
+                r#""s":"t","args":{"cycle":10,"row":0,"col":0}},"#,
+                r#"{"name":"queues","cat":"controller","ts":0.0341653,"pid":1,"tid":1200,"#,
+                r#""ph":"C","args":{"reads":2,"writes":1}}]}"#,
+            )
+        );
+        assert_eq!(serde_json::to_string_pretty(&v).unwrap(), trace.to_json());
     }
 
     #[test]

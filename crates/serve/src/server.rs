@@ -35,7 +35,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use serde::Value;
+use serde::{Serialize, Sink};
 
 use dramstack_sim::jobs::{run_job, JobCancel, JobCheckpoint, JobError, JobOptions, JobSpec};
 use dramstack_sim::parallel::{self, JobOutcome, SupervisorConfig};
@@ -602,12 +602,24 @@ fn drain_unread(stream: &mut TcpStream) {
     }
 }
 
+/// A JSON object of borrowed fields, written in order: a response body
+/// streams into its text without a `Value` tree in between.
+struct Object<'a>(&'a [(&'a str, &'a dyn Serialize)]);
+
+impl Serialize for Object<'_> {
+    fn serialize(&self, out: &mut dyn Sink) {
+        out.map(self.0.len());
+        for (key, value) in self.0 {
+            out.key(key);
+            value.serialize(out);
+        }
+        out.end();
+    }
+}
+
 fn error_body(msg: &str) -> String {
-    serde_json::to_string(&Value::Map(vec![(
-        "error".to_string(),
-        Value::Str(msg.to_string()),
-    )]))
-    .unwrap_or_else(|_| "{\"error\":\"internal\"}".to_string())
+    serde_json::to_string(&Object(&[("error", &msg)]))
+        .unwrap_or_else(|_| "{\"error\":\"internal\"}".to_string())
 }
 
 fn route(state: &Arc<State>, stream: &mut TcpStream, req: &Request) {
@@ -723,11 +735,8 @@ fn post_job(state: &Arc<State>, stream: &mut TcpStream, req: &Request) {
     };
     state.ctr.accepted.fetch_add(1, Ordering::Relaxed);
     state.queue_cv.notify_one();
-    let body = serde_json::to_string(&Value::Map(vec![
-        ("id".to_string(), Value::Int(i128::from(id))),
-        ("status".to_string(), Value::Str("queued".to_string())),
-    ]))
-    .unwrap_or_default();
+    let body =
+        serde_json::to_string(&Object(&[("id", &id), ("status", &"queued")])).unwrap_or_default();
     let _ = http::write_json(stream, 202, &body, &[]);
 }
 
@@ -750,26 +759,20 @@ fn get_job(state: &Arc<State>, stream: &mut TcpStream, id: u64) {
         let _ = http::write_json(stream, 404, &error_body("no such job"), &[]);
         return;
     };
-    let mut fields = vec![
-        ("id".to_string(), Value::Int(i128::from(id))),
-        (
-            "status".to_string(),
-            Value::Str(job_state.name().to_string()),
-        ),
-        ("spec".to_string(), serde_json::to_value(&spec)),
-    ];
-    fields.extend(stamps.map(|(name, d)| (name.to_string(), Value::Float(d.as_secs_f64() * 1e3))));
-    match job_state {
-        JobState::Done(report) => {
-            fields.push(("report".to_string(), serde_json::to_value(report.as_ref())));
-        }
-        JobState::Failed(msg) => fields.push(("error".to_string(), Value::Str(msg))),
-        JobState::Cancelled { checkpointed } => {
-            fields.push(("checkpointed".to_string(), Value::Bool(checkpointed)));
-        }
+    let status = job_state.name();
+    let stamps = stamps.map(|(name, d)| (name, d.as_secs_f64() * 1e3));
+    let mut fields: Vec<(&str, &dyn Serialize)> =
+        vec![("id", &id), ("status", &status), ("spec", &spec)];
+    for (name, ms) in &stamps {
+        fields.push((name, ms));
+    }
+    match &job_state {
+        JobState::Done(report) => fields.push(("report", report.as_ref())),
+        JobState::Failed(msg) => fields.push(("error", msg)),
+        JobState::Cancelled { checkpointed } => fields.push(("checkpointed", checkpointed)),
         _ => {}
     }
-    let body = serde_json::to_string(&Value::Map(fields)).unwrap_or_default();
+    let body = serde_json::to_string(&Object(&fields)).unwrap_or_default();
     let _ = http::write_json(stream, 200, &body, &[]);
 }
 

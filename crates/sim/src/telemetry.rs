@@ -22,6 +22,8 @@
 
 use std::io::Write;
 
+use serde::{Serialize, Sink};
+
 use dramstack_core::{BwComponent, LatComponent, TimeSample};
 use dramstack_obs::{Advisor, BottleneckClass, StackSeries, WindowObservation};
 
@@ -258,53 +260,63 @@ pub fn jsonl_record(
     obs: &WindowObservation,
     current: Option<BottleneckClass>,
 ) -> String {
-    use serde::Value;
-    let bw: Vec<(String, Value)> = BwComponent::ALL
-        .iter()
-        .map(|&c| {
-            (
-                c.label().to_string(),
-                Value::Float(sample.bandwidth.fraction(c)),
-            )
-        })
-        .collect();
-    let lat: Vec<(String, Value)> = LatComponent::ALL
-        .iter()
-        .map(|&c| (c.label().to_string(), Value::Float(sample.latency.ns(c))))
-        .collect();
-    let record = Value::Map(vec![
-        ("window".into(), Value::Int(i128::from(index))),
-        (
-            "start_cycle".into(),
-            Value::Int(i128::from(sample.start_cycle)),
-        ),
-        ("cycles".into(), Value::Int(i128::from(sample.cycles))),
-        (
-            "achieved_gbps".into(),
-            Value::Float(sample.bandwidth.achieved_gbps()),
-        ),
-        (
-            "peak_gbps".into(),
-            Value::Float(sample.bandwidth.peak_gbps()),
-        ),
-        ("bw_share".into(), Value::Map(bw)),
-        ("lat_ns".into(), Value::Map(lat)),
-        ("reads".into(), Value::Int(i128::from(sample.latency.reads))),
-        ("row_hit_rate".into(), Value::Float(obs.row_hit_rate)),
-        (
-            "read_queue_depth".into(),
-            Value::Float(obs.mean_read_queue_depth),
-        ),
-        ("drain_occupancy".into(), Value::Float(obs.drain_occupancy)),
-        (
-            "bottleneck".into(),
-            match current {
-                Some(c) => Value::Str(c.name().to_string()),
-                None => Value::Null,
-            },
-        ),
-    ]);
+    let record = Record {
+        index,
+        sample,
+        obs,
+        current,
+    };
     serde_json::to_string(&record).unwrap_or_default()
+}
+
+/// The fields of a [`jsonl_record`], written as they are serialized.
+struct Record<'a> {
+    index: u64,
+    sample: &'a TimeSample,
+    obs: &'a WindowObservation,
+    current: Option<BottleneckClass>,
+}
+
+impl Serialize for Record<'_> {
+    fn serialize(&self, out: &mut dyn Sink) {
+        let (sample, obs) = (self.sample, self.obs);
+        out.map(12);
+        out.key("window");
+        self.index.serialize(out);
+        out.key("start_cycle");
+        sample.start_cycle.serialize(out);
+        out.key("cycles");
+        sample.cycles.serialize(out);
+        out.key("achieved_gbps");
+        out.float(sample.bandwidth.achieved_gbps());
+        out.key("peak_gbps");
+        out.float(sample.bandwidth.peak_gbps());
+        out.key("bw_share");
+        out.map(BwComponent::ALL.len());
+        for &c in &BwComponent::ALL {
+            out.key(c.label());
+            out.float(sample.bandwidth.fraction(c));
+        }
+        out.end();
+        out.key("lat_ns");
+        out.map(LatComponent::ALL.len());
+        for &c in &LatComponent::ALL {
+            out.key(c.label());
+            out.float(sample.latency.ns(c));
+        }
+        out.end();
+        out.key("reads");
+        sample.latency.reads.serialize(out);
+        out.key("row_hit_rate");
+        out.float(obs.row_hit_rate);
+        out.key("read_queue_depth");
+        out.float(obs.mean_read_queue_depth);
+        out.key("drain_occupancy");
+        out.float(obs.drain_occupancy);
+        out.key("bottleneck");
+        self.current.map(BottleneckClass::name).serialize(out);
+        out.end();
+    }
 }
 
 #[cfg(test)]
