@@ -383,8 +383,8 @@ impl From<CkptError> for JobError {
 /// With `checkpoint.resume`, starts from the latest complete checkpoint
 /// on disk. Then advances the simulator in steps that end on the next
 /// [`SLICE_CYCLES`] mark or the next multiple of `checkpoint.every`,
-/// whichever comes first; after each step it reports progress on `pulse`
-/// (so a supervising watchdog sees liveness), checkpoints if the step
+/// whichever comes first; after each step it beats `pulse` (so a
+/// supervising watchdog sees liveness), checkpoints if the step
 /// ended on an `every` boundary, polls `cancel` — a cancelled run
 /// checkpoints once more so a later resume continues from right here —
 /// and checks the wall-clock deadline. Neither slicing nor checkpointing
@@ -446,7 +446,7 @@ pub fn run_job(
         let boundary = every.map(|every| (sim.now() / every + 1) * every);
         let slice = end.min(sim.now() + SLICE_CYCLES);
         sim.advance_to_cycle(boundary.map_or(slice, |b| b.min(slice)));
-        pulse.set_progress(sim.now());
+        pulse.beat();
         let cancelled = cancel.is_cancelled();
         let mut saved = false;
         if let Some(c) = checkpoint {
@@ -568,7 +568,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(report.strip_perf(), direct.strip_perf());
-        assert!(pulse.progress() > 0);
+        assert!(pulse.beats() > 0);
     }
 
     fn scratch_dir(tag: &str) -> PathBuf {

@@ -125,44 +125,26 @@ where
     results
 }
 
-/// Liveness/progress signal handed to each supervised job.
+/// Liveness signal handed to each supervised job.
 ///
 /// The watchdog in [`supervised_map`] reads it between polls: call
-/// [`beat`](Self::beat) (or [`set_progress`](Self::set_progress)) from
-/// inside long-running work so a stall timeout can distinguish "slow but
-/// alive" from "hung". A job that never pulses is still covered by the
-/// wall-clock deadline.
+/// [`beat`](Self::beat) from inside long-running work so a stall timeout
+/// can distinguish "slow but alive" from "hung". A job that never pulses
+/// is still covered by the wall-clock deadline.
 #[derive(Debug, Clone, Default)]
 pub struct JobPulse {
-    inner: Arc<PulseInner>,
-}
-
-#[derive(Debug, Default)]
-struct PulseInner {
-    beats: AtomicU64,
-    progress: AtomicU64,
+    beats: Arc<AtomicU64>,
 }
 
 impl JobPulse {
     /// Signals "still alive".
     pub fn beat(&self) {
-        self.inner.beats.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Reports absolute progress (e.g. simulated cycles) and beats.
-    pub fn set_progress(&self, units: u64) {
-        self.inner.progress.store(units, Ordering::Relaxed);
-        self.beat();
+        self.beats.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Total beats observed so far.
     pub fn beats(&self) -> u64 {
-        self.inner.beats.load(Ordering::Relaxed)
-    }
-
-    /// Latest reported progress value.
-    pub fn progress(&self) -> u64 {
-        self.inner.progress.load(Ordering::Relaxed)
+        self.beats.load(Ordering::Relaxed)
     }
 }
 
