@@ -9,11 +9,7 @@ use serde::{Deserialize, Serialize};
 
 use dramstack_dram::{Cycle, CycleView};
 use dramstack_memctrl::LatencyBreakdown;
-use dramstack_obs::{
-    metrics::{CounterId, HistogramId},
-    window::QUEUE_DEPTH_BOUNDS,
-    CtrlWindowStats, MetricsRegistry, WindowMerge, WindowObservation,
-};
+use dramstack_obs::{CtrlWindowStats, WindowMerge, WindowObservation};
 
 use crate::bandwidth::BandwidthAccountant;
 use crate::components::{BwComponent, LatComponent};
@@ -89,16 +85,15 @@ impl WindowMerge for TimeSample {
 /// [`StackSampler::snapshot_state`] and re-injected with
 /// [`StackSampler::restore_state`] into a sampler constructed with the
 /// same parameters. Captures the open (partial) window — accountants,
-/// per-window metrics — alongside the rolled samples, so a restored
+/// controller health — alongside the rolled samples, so a restored
 /// sampler continues the window bit-identically.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SamplerState {
     bw: BandwidthAccountant,
     lat: LatencyAccountant,
     window_start: Cycle,
-    accounted: u64,
     samples: Vec<TimeSample>,
-    metrics: MetricsRegistry,
+    window: CtrlWindowStats,
 }
 
 impl SamplerState {
@@ -124,15 +119,14 @@ impl SamplerState {
         self.bw = delta.bw.clone();
         self.lat = delta.lat;
         self.window_start = delta.window_start;
-        self.accounted = delta.accounted;
         self.samples.extend(delta.appended.iter().cloned());
-        self.metrics = delta.metrics.clone();
+        self.window = delta.window.clone();
         Ok(())
     }
 }
 
 /// Dirty-state patch for one sampler: the full open-window bookkeeping
-/// (accountants, per-window metrics — all small) plus only the windows
+/// (accountants, controller health — all small) plus only the windows
 /// rolled since the base snapshot. Produced by
 /// [`StackSampler::delta_since`], replayed by
 /// [`SamplerState::apply_delta`].
@@ -141,10 +135,9 @@ pub struct SamplerDelta {
     bw: BandwidthAccountant,
     lat: LatencyAccountant,
     window_start: Cycle,
-    accounted: u64,
     base_len: u64,
     appended: Vec<TimeSample>,
-    metrics: MetricsRegistry,
+    window: CtrlWindowStats,
 }
 
 /// Samples bandwidth and latency stacks every fixed number of cycles.
@@ -155,16 +148,11 @@ pub struct StackSampler {
     period: Cycle,
     cycle_ns: f64,
     window_start: Cycle,
-    accounted: u64,
     samples: Vec<TimeSample>,
-    /// Per-window controller-health metrics, accumulated from the view and
-    /// snapshot into [`TimeSample::ctrl`] at each roll.
-    metrics: MetricsRegistry,
-    m_cas: CounterId,
-    m_cas_hits: CounterId,
-    m_drain_cycles: CounterId,
-    m_read_depth: HistogramId,
-    m_write_depth: HistogramId,
+    /// Controller health of the open window, accumulated from the view
+    /// and moved into [`TimeSample::ctrl`] at each roll. Its `cycles` is
+    /// the open window's length so far.
+    window: CtrlWindowStats,
 }
 
 impl StackSampler {
@@ -177,26 +165,14 @@ impl StackSampler {
     /// Panics if `period` is zero.
     pub fn new(n_banks: usize, peak_gbps: f64, cycle_ns: f64, period: Cycle) -> Self {
         assert!(period > 0, "sampling period must be nonzero");
-        let mut metrics = MetricsRegistry::new();
-        let m_cas = metrics.counter("cas");
-        let m_cas_hits = metrics.counter("cas_hits");
-        let m_drain_cycles = metrics.counter("drain_cycles");
-        let m_read_depth = metrics.histogram("read_queue_depth", &QUEUE_DEPTH_BOUNDS);
-        let m_write_depth = metrics.histogram("write_queue_depth", &QUEUE_DEPTH_BOUNDS);
         StackSampler {
             bw: BandwidthAccountant::new(n_banks, peak_gbps),
             lat: LatencyAccountant::new(),
             period,
             cycle_ns,
             window_start: 0,
-            accounted: 0,
             samples: Vec::new(),
-            metrics,
-            m_cas,
-            m_cas_hits,
-            m_drain_cycles,
-            m_read_depth,
-            m_write_depth,
+            window: CtrlWindowStats::empty(),
         }
     }
 
@@ -209,21 +185,16 @@ impl StackSampler {
             return;
         }
         self.bw.account(view);
+        let w = &mut self.window;
         if let Some(hit) = view.cas_hit {
-            self.metrics.inc(self.m_cas, 1);
-            if hit {
-                self.metrics.inc(self.m_cas_hits, 1);
-            }
+            w.cas += 1;
+            w.cas_hits += u64::from(hit);
         }
-        if view.drain {
-            self.metrics.inc(self.m_drain_cycles, 1);
-        }
-        self.metrics
-            .observe(self.m_read_depth, view.read_q_depth as u64);
-        self.metrics
-            .observe(self.m_write_depth, view.write_q_depth as u64);
-        self.accounted += 1;
-        if self.accounted == self.period {
+        w.drain_cycles += u64::from(view.drain);
+        w.read_queue_depth.observe(view.read_q_depth as u64);
+        w.write_queue_depth.observe(view.write_q_depth as u64);
+        w.cycles += 1;
+        if w.cycles == self.period {
             self.roll();
         }
     }
@@ -235,13 +206,14 @@ impl StackSampler {
     /// [`account_span`](Self::account_span) does with an all-idle view.
     pub fn account_idle(&mut self, mut n: u64) {
         while n > 0 {
-            let take = n.min(self.period - self.accounted);
+            let take = n.min(self.period - self.window.cycles);
             self.bw.account_idle(take);
-            self.metrics.observe_n(self.m_read_depth, 0, take);
-            self.metrics.observe_n(self.m_write_depth, 0, take);
-            self.accounted += take;
+            let w = &mut self.window;
+            w.read_queue_depth.observe_n(0, take);
+            w.write_queue_depth.observe_n(0, take);
+            w.cycles += take;
             n -= take;
-            if self.accounted == self.period {
+            if w.cycles == self.period {
                 self.roll();
             }
         }
@@ -263,18 +235,18 @@ impl StackSampler {
         }
         debug_assert!(view.cas_hit.is_none(), "CAS inside a bulk busy span");
         while n > 0 {
-            let take = n.min(self.period - self.accounted);
+            let take = n.min(self.period - self.window.cycles);
             self.bw.account_span(view, take);
+            let w = &mut self.window;
             if view.drain {
-                self.metrics.inc(self.m_drain_cycles, take);
+                w.drain_cycles += take;
             }
-            self.metrics
-                .observe_n(self.m_read_depth, view.read_q_depth as u64, take);
-            self.metrics
-                .observe_n(self.m_write_depth, view.write_q_depth as u64, take);
-            self.accounted += take;
+            w.read_queue_depth.observe_n(view.read_q_depth as u64, take);
+            w.write_queue_depth
+                .observe_n(view.write_q_depth as u64, take);
+            w.cycles += take;
             n -= take;
-            if self.accounted == self.period {
+            if w.cycles == self.period {
                 self.roll();
             }
         }
@@ -288,27 +260,16 @@ impl StackSampler {
     fn roll(&mut self) {
         let bandwidth = self.bw.take_sample();
         let latency = self.lat.take_sample(self.cycle_ns);
-        let m = self.metrics.snapshot_and_reset();
-        let ctrl = CtrlWindowStats {
-            cycles: self.accounted,
-            cas: m.counter("cas").unwrap_or(0),
-            cas_hits: m.counter("cas_hits").unwrap_or(0),
-            drain_cycles: m.counter("drain_cycles").unwrap_or(0),
-            read_queue_depth: m.histogram("read_queue_depth").expect("registered").clone(),
-            write_queue_depth: m
-                .histogram("write_queue_depth")
-                .expect("registered")
-                .clone(),
-        };
+        let ctrl = std::mem::take(&mut self.window);
+        let start_cycle = self.window_start;
+        self.window_start += ctrl.cycles;
         self.samples.push(TimeSample {
-            start_cycle: self.window_start,
-            cycles: self.accounted,
+            start_cycle,
+            cycles: ctrl.cycles,
             bandwidth,
             latency,
             ctrl,
         });
-        self.window_start += self.accounted;
-        self.accounted = 0;
     }
 
     /// Finishes the trailing partial window (if any) and returns all
@@ -321,7 +282,7 @@ impl StackSampler {
     /// Rolls the open partial window into the sample list without
     /// consuming the sampler (no-op when the window is empty).
     pub fn flush_partial(&mut self) {
-        if self.accounted > 0 {
+        if self.window.cycles > 0 {
             self.roll();
         }
     }
@@ -337,9 +298,8 @@ impl StackSampler {
             bw: self.bw.clone(),
             lat: self.lat,
             window_start: self.window_start,
-            accounted: self.accounted,
             samples: self.samples.clone(),
-            metrics: self.metrics.clone(),
+            window: self.window.clone(),
         }
     }
 
@@ -361,25 +321,22 @@ impl StackSampler {
             bw: self.bw.clone(),
             lat: self.lat,
             window_start: self.window_start,
-            accounted: self.accounted,
             base_len: base_len as u64,
             appended: self.samples[base_len..].to_vec(),
-            metrics: self.metrics.clone(),
+            window: self.window.clone(),
         }
     }
 
     /// Restores state captured by [`snapshot_state`](Self::snapshot_state).
     /// The target must have been constructed with the same parameters
-    /// (banks, peak, cycle time, period) as the snapshot source — the
-    /// metric handles are deterministic per construction, so only the
-    /// mutable state needs re-injecting.
+    /// (banks, peak, cycle time, period) as the snapshot source; only the
+    /// mutable state is re-injected.
     pub fn restore_state(&mut self, state: &SamplerState) {
         self.bw = state.bw.clone();
         self.lat = state.lat;
         self.window_start = state.window_start;
-        self.accounted = state.accounted;
         self.samples = state.samples.clone();
-        self.metrics = state.metrics.clone();
+        self.window = state.window.clone();
     }
 
     /// The sampling period in cycles.

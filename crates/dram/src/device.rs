@@ -132,18 +132,10 @@ pub struct DeviceSnapshot {
     /// Injected chaos fault, if any (the enforced timing set is derived
     /// from this on restore).
     pub fault: SeededFault,
-    /// Per-flat-bank mutation epochs.
-    pub bank_epochs: Vec<u32>,
-    /// Per-rank mutation epochs.
-    pub rank_epochs: Vec<u32>,
-    /// Bus mutation epoch.
-    pub bus_epoch: u32,
     /// Flat bank indices with a pending auto-precharge.
     pub auto_pre_pending: Vec<usize>,
     /// Dirty-bank list for the transitioning-bank sweep.
     pub transitioning: Vec<usize>,
-    /// Membership flags mirroring `transitioning`.
-    pub in_transition: Vec<bool>,
 }
 
 /// Cumulative command counts for the whole device.
@@ -177,15 +169,6 @@ pub struct DramDevice {
     /// device stays self-consistent while violating the true spec.
     enforced: TimingParams,
     fault: SeededFault,
-    /// Mutation epochs: per flat bank, bumped by any command that mutates
-    /// the bank. With the two below they feed
-    /// [`epoch_signature`](Self::epoch_signature) and are snapshot fields.
-    bank_epochs: Vec<u32>,
-    /// Per-rank epoch, bumped by ACT/CAS/REF on the rank.
-    rank_epochs: Vec<u32>,
-    /// Bumped on every bus reservation (burst retirement leaves every
-    /// timing answer as it was, so it does not bump).
-    bus_epoch: u32,
     /// Flat indices of banks with a pending auto-precharge, so `advance`
     /// visits only them instead of sweeping every bank.
     auto_pre_pending: Vec<usize>,
@@ -197,6 +180,8 @@ pub struct DramDevice {
     /// to visit. Banks are pushed on the command that starts the transition
     /// and lazily pruned once settled.
     transitioning: Vec<usize>,
+    /// Membership flags of `transitioning`, per flat bank — derived, so
+    /// not part of the snapshot.
     in_transition: Vec<bool>,
 }
 
@@ -225,9 +210,6 @@ impl DramDevice {
         Ok(DramDevice {
             enforced: config.timing,
             fault: SeededFault::None,
-            bank_epochs: vec![1; n_banks],
-            rank_epochs: vec![1; config.geometry.ranks as usize],
-            bus_epoch: 1,
             auto_pre_pending: Vec::new(),
             auto_precharged: Vec::new(),
             transitioning: Vec::new(),
@@ -247,7 +229,6 @@ impl DramDevice {
     pub fn set_memoize(&mut self, _on: bool) {}
 
     fn touch_bank(&mut self, flat: usize) {
-        self.bank_epochs[flat] = self.bank_epochs[flat].wrapping_add(1);
         if !self.in_transition[flat] {
             self.in_transition[flat] = true;
             self.transitioning.push(flat);
@@ -257,30 +238,6 @@ impl DramDevice {
     /// The device configuration.
     pub fn config(&self) -> &DeviceConfig {
         &self.config
-    }
-
-    /// Cheap fingerprint of the mutation epoch counters (FNV-1a over
-    /// every bank/rank epoch plus the bus epoch). Every timing-relevant
-    /// device mutation bumps at least one epoch, so a changed signature
-    /// proves the device moved since the last probe; checkpoint delta
-    /// capture uses it as a fast "definitely dirty" gate before the
-    /// authoritative deep comparison.
-    pub fn epoch_signature(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |v: u32| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        for &e in &self.bank_epochs {
-            eat(e);
-        }
-        for &e in &self.rank_epochs {
-            eat(e);
-        }
-        eat(self.bus_epoch);
-        h
     }
 
     /// The configured (true) timing parameter set. Reporting and audit
@@ -295,15 +252,6 @@ impl DramDevice {
     pub fn inject_fault(&mut self, fault: SeededFault) {
         self.fault = fault;
         self.enforced = fault.corrupt(self.config.timing);
-        // A new timing set moves every answer: count it as a mutation of
-        // every bank, every rank and the bus.
-        for e in &mut self.bank_epochs {
-            *e = e.wrapping_add(1);
-        }
-        for e in &mut self.rank_epochs {
-            *e = e.wrapping_add(1);
-        }
-        self.bus_epoch = self.bus_epoch.wrapping_add(1);
     }
 
     /// The currently injected fault ([`SeededFault::None`] normally).
@@ -522,7 +470,6 @@ impl DramDevice {
         self.banks[flat].issue_activate(now, row, &self.enforced);
         self.ranks[addr.rank as usize].record_activate(now, addr.bank_group);
         self.touch_bank(flat);
-        self.rank_epochs[addr.rank as usize] = self.rank_epochs[addr.rank as usize].wrapping_add(1);
         self.stats.activates += 1;
         Ok(now + self.enforced.t_rcd)
     }
@@ -589,8 +536,6 @@ impl DramDevice {
         }
         self.ranks[addr.rank as usize].record_cas(now, addr.bank_group, is_write);
         self.touch_bank(flat);
-        self.rank_epochs[addr.rank as usize] = self.rank_epochs[addr.rank as usize].wrapping_add(1);
-        self.bus_epoch = self.bus_epoch.wrapping_add(1);
         if auto_pre {
             self.auto_pre_pending.push(flat);
         }
@@ -611,7 +556,6 @@ impl DramDevice {
             self.banks[flat].force_precharged(end);
             self.touch_bank(flat);
         }
-        self.rank_epochs[rank as usize] = self.rank_epochs[rank as usize].wrapping_add(1);
         self.stats.refreshes += 1;
         Ok(end)
     }
@@ -727,12 +671,8 @@ impl DramDevice {
             bus: self.bus.clone(),
             stats: self.stats,
             fault: self.fault,
-            bank_epochs: self.bank_epochs.clone(),
-            rank_epochs: self.rank_epochs.clone(),
-            bus_epoch: self.bus_epoch,
             auto_pre_pending: self.auto_pre_pending.clone(),
             transitioning: self.transitioning.clone(),
-            in_transition: self.in_transition.clone(),
         }
     }
 
@@ -753,13 +693,13 @@ impl DramDevice {
         self.stats = snap.stats;
         self.fault = snap.fault;
         self.enforced = snap.fault.corrupt(self.config.timing);
-        self.bank_epochs = snap.bank_epochs.clone();
-        self.rank_epochs = snap.rank_epochs.clone();
-        self.bus_epoch = snap.bus_epoch;
         self.auto_pre_pending = snap.auto_pre_pending.clone();
         self.auto_precharged.clear();
         self.transitioning = snap.transitioning.clone();
-        self.in_transition = snap.in_transition.clone();
+        self.in_transition.fill(false);
+        for &flat in &self.transitioning {
+            self.in_transition[flat] = true;
+        }
     }
 }
 

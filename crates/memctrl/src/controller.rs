@@ -470,31 +470,6 @@ impl MemoryController {
 
     // ---- checkpoint/restore --------------------------------------------------------
 
-    /// Cheap fingerprint of this channel's activity since construction:
-    /// the device's busy-engine epoch signature folded with the request
-    /// counter and queue occupancies. A changed signature proves the
-    /// channel moved; an unchanged one is *not* proof of quiescence (two
-    /// probes can straddle a pop/push pair), so delta capture treats it
-    /// only as a fast "definitely dirty" gate and falls back to deep
-    /// [`CtrlSnapshot`] comparison when it matches.
-    pub fn delta_signature(&self) -> u64 {
-        let mut h = self.device.epoch_signature();
-        for v in [
-            self.next_id,
-            self.read_q.len() as u64,
-            self.write_q.len() as u64,
-            self.in_flight.len() as u64,
-            self.completions.len() as u64,
-            u64::from(self.drain_mode) | u64::from(self.refresh_draining) << 1,
-        ] {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
-    }
-
     /// Captures the full simulation state of this controller and its
     /// device. Probes and the command trace are attachments and are not
     /// captured; reattach them after [`restore_state`](Self::restore_state).

@@ -1,8 +1,8 @@
 //! Observability for the dramstack simulator.
 //!
 //! Simulation models answer *what happened*; this crate makes it cheap to
-//! see *how* it happened without perturbing the model. It provides four
-//! pieces, none of which may change simulation results:
+//! see *how* it happened without perturbing the model. None of the pieces
+//! below may change simulation results:
 //!
 //! * [`Probe`] — a hook trait the memory controller calls at every
 //!   interesting event (request lifecycle, DRAM command issue, write-drain
@@ -10,10 +10,10 @@
 //!   an inlined no-op, and the controller additionally gates per-cycle
 //!   hooks behind an `attached` flag, so an uninstrumented simulation pays
 //!   nothing.
-//! * [`MetricsRegistry`] — named counters, gauges and fixed-bucket
-//!   histograms with per-window snapshot/reset, used by the stack sampler
-//!   to attach controller health (queue depths, row-hit rate, drain
-//!   occupancy) to every through-time sample.
+//! * [`CtrlWindowStats`] — controller health over one sampling window
+//!   (CAS and row-hit counts, drain cycles, queue-depth
+//!   [`HistogramSnapshot`]s), which the stack sampler fills cycle by
+//!   cycle and attaches to every through-time sample.
 //! * [`ChromeTraceProbe`] — a recording probe that renders request
 //!   lifecycles as duration spans and DRAM commands as instant events in
 //!   the Chrome trace-event JSON format (loadable in Perfetto or
@@ -38,7 +38,6 @@
 pub mod advisor;
 pub mod chrome;
 pub mod diff;
-pub mod metrics;
 pub mod perf;
 mod probe;
 pub mod series;
@@ -47,8 +46,7 @@ pub mod window;
 pub use advisor::{Advisor, BottleneckClass, Diagnosis, WindowObservation};
 pub use chrome::{ChromeTrace, ChromeTraceHandle, ChromeTraceProbe, TraceEvent, TraceEventKind};
 pub use diff::{ComponentDelta, DeltaStack};
-pub use metrics::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use perf::{PerfReport, PhaseTimers, SimPhase};
 pub use probe::{NullProbe, Probe, TeeProbe};
 pub use series::{StackSeries, WindowMerge};
-pub use window::CtrlWindowStats;
+pub use window::{CtrlWindowStats, HistogramSnapshot};

@@ -3,10 +3,85 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::metrics::HistogramSnapshot;
-
 /// Bucket edges used for the per-window queue-depth histograms.
-pub const QUEUE_DEPTH_BOUNDS: [u64; 7] = [0, 1, 2, 4, 8, 16, 32];
+const QUEUE_DEPTH_BOUNDS: [u64; 7] = [0, 1, 2, 4, 8, 16, 32];
+
+/// A fixed-bucket histogram of `u64` observations.
+///
+/// `bounds` are inclusive upper bucket edges; one extra overflow bucket
+/// catches everything above the last bound, so `counts.len() ==
+/// bounds.len() + 1`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct HistogramSnapshot {
+    /// Inclusive upper edge of each bucket.
+    pub bounds: Vec<u64>,
+    /// Observations per bucket (last entry is the overflow bucket).
+    pub counts: Vec<u64>,
+    /// Total number of observations.
+    pub count: u64,
+    /// Sum of all observed values.
+    pub sum: u64,
+}
+
+impl HistogramSnapshot {
+    /// An empty histogram over the given bucket bounds.
+    pub fn new(bounds: &[u64]) -> Self {
+        assert!(
+            bounds.windows(2).all(|w| w[0] < w[1]),
+            "bounds must be increasing"
+        );
+        HistogramSnapshot {
+            bounds: bounds.to_vec(),
+            counts: vec![0; bounds.len() + 1],
+            count: 0,
+            sum: 0,
+        }
+    }
+
+    /// Records one observation.
+    pub fn observe(&mut self, value: u64) {
+        self.observe_n(value, 1);
+    }
+
+    /// Records `n` identical observations of `value` — exact (integer)
+    /// equivalent of calling [`observe`](Self::observe) `n` times, at O(1)
+    /// cost. Used by bulk accounting of homogeneous cycle spans.
+    pub fn observe_n(&mut self, value: u64, n: u64) {
+        let idx = self
+            .bounds
+            .iter()
+            .position(|b| value <= *b)
+            .unwrap_or(self.bounds.len());
+        self.counts[idx] += n;
+        self.count += n;
+        self.sum += value * n;
+    }
+
+    /// Mean of all observations (0 when empty).
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            return 0.0;
+        }
+        self.sum as f64 / self.count as f64
+    }
+
+    /// Adds another histogram with identical bounds into this one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bucket bounds differ.
+    pub fn merge(&mut self, other: &HistogramSnapshot) {
+        assert_eq!(
+            self.bounds, other.bounds,
+            "histogram bounds must match to merge"
+        );
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+            *a += b;
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+    }
+}
 
 /// Controller-health metrics for one sampling window, built by the stack
 /// sampler from the per-cycle [`CycleView`](dramstack_dram::CycleView)
@@ -86,6 +161,51 @@ impl Default for CtrlWindowStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn histogram_buckets_and_overflow() {
+        let mut h = HistogramSnapshot::new(&[1, 4, 16]);
+        for v in [0, 1, 2, 4, 5, 16, 17, 1000] {
+            h.observe(v);
+        }
+        assert_eq!(h.counts, vec![2, 2, 2, 2]);
+        assert_eq!(h.count, 8);
+        assert_eq!(h.sum, 1045);
+        assert!((h.mean() - 1045.0 / 8.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn observe_n_equals_repeated_observe() {
+        let mut bulk = HistogramSnapshot::new(&[1, 4, 16]);
+        let mut single = HistogramSnapshot::new(&[1, 4, 16]);
+        for (value, n) in [(0, 5), (3, 2), (17, 4), (16, 1)] {
+            bulk.observe_n(value, n);
+            for _ in 0..n {
+                single.observe(value);
+            }
+        }
+        assert_eq!(bulk, single);
+    }
+
+    #[test]
+    fn histogram_merge_adds_bucketwise() {
+        let mut a = HistogramSnapshot::new(&[2, 8]);
+        let mut b = HistogramSnapshot::new(&[2, 8]);
+        a.observe(1);
+        b.observe(1);
+        b.observe(9);
+        a.merge(&b);
+        assert_eq!(a.counts, vec![2, 0, 1]);
+        assert_eq!(a.count, 3);
+        assert_eq!(a.sum, 11);
+    }
+
+    #[test]
+    #[should_panic(expected = "bounds must match")]
+    fn histogram_merge_rejects_mismatched_bounds() {
+        let mut a = HistogramSnapshot::new(&[2, 8]);
+        a.merge(&HistogramSnapshot::new(&[2, 9]));
+    }
 
     #[test]
     fn empty_window_has_zero_rates() {

@@ -48,7 +48,14 @@ use crate::config::SystemConfig;
 /// patch ([`HistogramDelta`]) instead of re-serializing the whole
 /// histogram in every delta. Full snapshots still embed the complete
 /// histogram and remain the oracle.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 3;
+///
+/// v4: machine state only. Devices drop their mutation epochs and the
+/// `in_transition` flags (rebuilt from `transitioning` on restore), and
+/// a sampler's open window is one typed
+/// [`CtrlWindowStats`](dramstack_obs::CtrlWindowStats) instead of a
+/// registry of named metrics. Older files are refused, not converted: a
+/// checkpoint chain from an older build costs a restart.
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 4;
 
 /// Version stamp of the binary `.dsnp` *container* (magic, string table,
 /// section table — see [`crate::binary`]), independent of the embedded

@@ -82,12 +82,9 @@ struct CkptMarks {
     last_cycle: Cycle,
     /// Sequence number of the next delta (1 right after the base).
     next_seq: u64,
-    /// Per-channel controller state at the previous checkpoint, for the
-    /// authoritative changed/unchanged comparison.
+    /// Per-channel controller state at the previous checkpoint: a delta
+    /// carries a channel iff its state differs from this copy.
     ctrl_snaps: Vec<CtrlSnapshot>,
-    /// Per-channel cheap activity signatures at the previous checkpoint
-    /// (fast "definitely dirty" gate before the deep comparison).
-    ctrl_sigs: Vec<u64>,
     /// Per-channel rolled-window counts at the previous checkpoint.
     sampler_lens: Vec<usize>,
     /// Rolled CPU cycle-window count at the previous checkpoint.
@@ -764,11 +761,6 @@ impl Simulator {
             last_cycle: self.dram_cycle,
             next_seq: 1,
             ctrl_snaps: snap.controllers.clone(),
-            ctrl_sigs: self
-                .ctrls
-                .iter()
-                .map(MemoryController::delta_signature)
-                .collect(),
             sampler_lens: snap.samplers.iter().map(|s| s.samples_len()).collect(),
             cycle_samples_len: snap.cycle_samples.len(),
             histogram: snap.histogram.clone(),
@@ -779,8 +771,9 @@ impl Simulator {
     /// Captures a delta checkpoint: only the state dirtied since the
     /// previous [`snapshot_base`](Self::snapshot_base) /
     /// `snapshot_delta`. Caches contribute their dirtied sets, samplers
-    /// their newly rolled windows, and channels that provably did not
-    /// move are omitted entirely; the small members are captured whole.
+    /// their newly rolled windows, and channels whose state equals the
+    /// previous checkpoint's are omitted entirely; the small members are
+    /// captured whole.
     ///
     /// Capture mutates nothing observable — a delta-checkpointed run
     /// stays bit-identical to an uncheckpointed one. Do not interleave
@@ -800,22 +793,12 @@ impl Simulator {
         let cores = self.core_states();
         let marks = self.ckpt_marks.as_mut().expect("checked above");
         let mut controllers = Vec::with_capacity(self.ctrls.len());
-        for (ch, ctrl) in self.ctrls.iter().enumerate() {
-            let sig = ctrl.delta_signature();
-            if sig == marks.ctrl_sigs[ch] {
-                // Signature match is not proof of quiescence — confirm
-                // against the previous checkpoint's deep state.
-                let fresh = ctrl.snapshot_state();
-                if fresh == marks.ctrl_snaps[ch] {
-                    controllers.push(None);
-                    continue;
-                }
-                marks.ctrl_snaps[ch] = fresh.clone();
-                controllers.push(Some(fresh));
+        for (ctrl, prev) in self.ctrls.iter().zip(&mut marks.ctrl_snaps) {
+            let fresh = ctrl.snapshot_state();
+            if fresh == *prev {
+                controllers.push(None);
             } else {
-                let fresh = ctrl.snapshot_state();
-                marks.ctrl_sigs[ch] = sig;
-                marks.ctrl_snaps[ch] = fresh.clone();
+                *prev = fresh.clone();
                 controllers.push(Some(fresh));
             }
         }
