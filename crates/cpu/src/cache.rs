@@ -256,10 +256,11 @@ impl Deserialize for Cache {
     }
 }
 
-/// Dirty-state patch for one cache, produced by [`Cache::take_delta`]:
-/// the full contents of every set touched since the last
-/// [`take_delta`](Cache::take_delta) / [`mark_clean`](Cache::mark_clean),
-/// plus the (always-captured) clock and counters.
+/// Dirty-state patch for one cache: the full contents of every set
+/// touched since the last [`mark_clean`](Cache::mark_clean), plus the
+/// (always-captured) clock and counters. Checkpoints write it straight
+/// from the live cache through [`Cache::dirty_sets`]; this owned form is
+/// what a decoded delta holds.
 ///
 /// Serialized columnar like [`Cache`] itself — one flat way-major
 /// column per field across all patched sets, not one map per patch —
@@ -276,47 +277,101 @@ pub struct CacheDelta {
     pub sets: Vec<SetPatch>,
 }
 
+/// One patched set as the cache-delta layout reads it, borrowed from a
+/// [`SetPatch`] or from the live cache's arrays.
+#[derive(Clone, Copy)]
+struct PatchRef<'a> {
+    set: u64,
+    tags: &'a [u64],
+    lru: &'a [u64],
+    valid: u64,
+    dirty: u64,
+}
+
+/// Writes the cache-delta layout, the one body behind both
+/// [`CacheDelta`] and [`DirtySets`]: the clock, the counters, the ways
+/// per patched set (0 when no set is patched), then one column per
+/// field. `patches` is walked once per column.
+fn serialize_patches<'a>(
+    out: &mut dyn Sink,
+    clock: u64,
+    stats: &CacheStats,
+    patches: impl Iterator<Item = PatchRef<'a>> + Clone,
+) {
+    let per_set = patches.clone().next().map_or(0, |p| p.tags.len());
+    let n = patches.clone().count();
+    // One entry per patch.
+    let per_patch = |out: &mut dyn Sink, field: fn(&PatchRef<'a>) -> u64| {
+        out.seq(n);
+        for p in patches.clone() {
+            field(&p).serialize(out);
+        }
+        out.end();
+    };
+    // Way-major column of one per-way array.
+    let column = |out: &mut dyn Sink, field: fn(&PatchRef<'a>) -> &'a [u64]| {
+        out.seq(n * per_set);
+        for w in 0..per_set {
+            for p in patches.clone() {
+                debug_assert_eq!(field(&p).len(), per_set, "ragged patch in a cache delta");
+                field(&p)[w].serialize(out);
+            }
+        }
+        out.end();
+    };
+    out.map(8);
+    out.key("clock");
+    clock.serialize(out);
+    out.key("stats");
+    stats.serialize(out);
+    out.key("ways");
+    (per_set as u64).serialize(out);
+    out.key("sets");
+    per_patch(out, |p| p.set);
+    out.key("tags");
+    column(out, |p| p.tags);
+    out.key("lru");
+    column(out, |p| p.lru);
+    out.key("valid");
+    per_patch(out, |p| p.valid);
+    out.key("dirty");
+    per_patch(out, |p| p.dirty);
+    out.end();
+}
+
 impl Serialize for CacheDelta {
     fn serialize(&self, out: &mut dyn Sink) {
-        let per_set = self.sets.first().map_or(0, |p| p.tags.len());
-        let n = self.sets.len();
-        // One entry per patch.
-        let per_patch = |out: &mut dyn Sink, field: fn(&SetPatch) -> u64| {
-            out.seq(n);
-            for p in &self.sets {
-                field(p).serialize(out);
-            }
-            out.end();
-        };
-        // Way-major column of one per-way array.
-        let column = |out: &mut dyn Sink, field: fn(&SetPatch) -> &[u64]| {
-            out.seq(n * per_set);
-            for w in 0..per_set {
-                for p in &self.sets {
-                    debug_assert_eq!(field(p).len(), per_set, "ragged patch in CacheDelta");
-                    field(p)[w].serialize(out);
-                }
-            }
-            out.end();
-        };
-        out.map(8);
-        out.key("clock");
-        self.clock.serialize(out);
-        out.key("stats");
-        self.stats.serialize(out);
-        out.key("ways");
-        (per_set as u64).serialize(out);
-        out.key("sets");
-        per_patch(out, |p| p.set);
-        out.key("tags");
-        column(out, |p| &p.tags);
-        out.key("lru");
-        column(out, |p| &p.lru);
-        out.key("valid");
-        per_patch(out, |p| p.valid);
-        out.key("dirty");
-        per_patch(out, |p| p.dirty);
-        out.end();
+        let patches = self.sets.iter().map(|p| PatchRef {
+            set: p.set,
+            tags: &p.tags,
+            lru: &p.lru,
+            valid: p.valid,
+            dirty: p.dirty,
+        });
+        serialize_patches(out, self.clock, &self.stats, patches);
+    }
+}
+
+/// The sets of a live [`Cache`] touched since its last
+/// [`mark_clean`](Cache::mark_clean), serialized as the [`CacheDelta`]
+/// they amount to, straight from the cache's arrays.
+#[derive(Debug, Clone, Copy)]
+pub struct DirtySets<'a>(&'a Cache);
+
+impl Serialize for DirtySets<'_> {
+    fn serialize(&self, out: &mut dyn Sink) {
+        let c = self.0;
+        let ways = c.ways;
+        let patches = (0..c.set_gen.len())
+            .filter(|&set| c.set_gen[set] == c.gen)
+            .map(|set| PatchRef {
+                set: set as u64,
+                tags: &c.tags[set * ways..][..ways],
+                lru: &c.lru[set * ways..][..ways],
+                valid: c.valid[set],
+                dirty: c.dirty[set],
+            });
+        serialize_patches(out, c.clock, &c.stats, patches);
     }
 }
 
@@ -371,8 +426,9 @@ impl CacheDelta {
     }
 }
 
-/// Replacement contents for one cache set inside a [`CacheDelta`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Replacement contents for one cache set inside a decoded
+/// [`CacheDelta`] (it is written only as part of the delta's columns).
+#[derive(Debug, Clone, PartialEq)]
 pub struct SetPatch {
     /// Set index.
     pub set: u64,
@@ -427,37 +483,16 @@ impl Cache {
         self.set_gen[set] = self.gen;
     }
 
-    /// Marks every set clean (O(1)); the next [`take_delta`](Self::take_delta)
-    /// reports only sets mutated after this call.
+    /// Marks every set clean (O(1)); [`dirty_sets`](Self::dirty_sets)
+    /// then names only sets mutated after this call.
     pub fn mark_clean(&mut self) {
         self.gen += 1;
     }
 
-    /// Captures the contents of every set dirtied since the last
-    /// [`mark_clean`](Self::mark_clean) / `take_delta`, then marks the
-    /// cache clean.
-    pub fn take_delta(&mut self) -> CacheDelta {
-        let ways = self.ways;
-        let mut sets = Vec::new();
-        for set in 0..self.set_gen.len() {
-            if self.set_gen[set] != self.gen {
-                continue;
-            }
-            let base = set * ways;
-            sets.push(SetPatch {
-                set: set as u64,
-                tags: self.tags[base..base + ways].to_vec(),
-                lru: self.lru[base..base + ways].to_vec(),
-                valid: self.valid[set],
-                dirty: self.dirty[set],
-            });
-        }
-        self.gen += 1;
-        CacheDelta {
-            clock: self.clock,
-            stats: self.stats,
-            sets,
-        }
+    /// The sets touched since the last [`mark_clean`](Self::mark_clean),
+    /// serialized as a [`CacheDelta`] without copying them.
+    pub fn dirty_sets(&self) -> DirtySets<'_> {
+        DirtySets(self)
     }
 
     /// Applies a [`CacheDelta`] captured from an identically configured
@@ -626,6 +661,14 @@ impl Cache {
 mod tests {
     use super::*;
 
+    /// What a delta checkpoint writes of `c`, decoded; `c` is clean
+    /// afterwards, as a checkpoint leaves it.
+    fn take_delta(c: &mut Cache) -> CacheDelta {
+        let delta = CacheDelta::from_value(&c.dirty_sets().to_value()).expect("dirty sets decode");
+        c.mark_clean();
+        delta
+    }
+
     fn tiny() -> Cache {
         // 4 sets × 2 ways × 64 B = 512 B.
         Cache::new(CacheConfig {
@@ -780,8 +823,10 @@ mod tests {
         c.access(0x2C0, true); // new set
         c.access(0x200, false); // evicts in set 0
         c.lookup(0x100, true); // dirties a line in place
-        let delta = c.take_delta();
+        let written = c.dirty_sets().to_value();
+        let delta = take_delta(&mut c);
         assert!(!delta.is_empty());
+        assert_eq!(delta.to_value(), written, "owned and live patches differ");
 
         let mut replayed = base.clone();
         replayed
@@ -799,11 +844,11 @@ mod tests {
         let mut c = tiny();
         c.access(0x000, true);
         c.mark_clean();
-        assert!(c.take_delta().is_empty());
+        assert!(take_delta(&mut c).is_empty());
         // Probes and misses without allocation do not dirty sets …
         c.probe(0x000);
         c.lookup(0x500, false);
-        let d = c.take_delta();
+        let d = take_delta(&mut c);
         assert!(d.is_empty());
         // … but the clock/stats they move are still carried.
         assert_eq!(d.clock, c.clock);
@@ -814,7 +859,7 @@ mod tests {
     fn delta_rejects_foreign_geometry() {
         let mut big = Cache::new(CacheConfig::l1d());
         big.access(0x4000_0000, true);
-        let delta = big.take_delta();
+        let delta = take_delta(&mut big);
         let mut small = tiny();
         assert!(small.apply_delta(&delta).is_err());
     }
@@ -827,7 +872,7 @@ mod tests {
         b.mark_clean();
         b.mark_clean();
         assert_eq!(a, b);
-        a.take_delta();
+        take_delta(&mut a);
         assert_eq!(a, b);
     }
 }

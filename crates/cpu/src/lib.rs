@@ -34,12 +34,12 @@ mod instr;
 mod mshr;
 mod prefetch;
 
-pub use cache::{Cache, CacheConfig, CacheDelta, CacheOutcome, CacheStats, SetPatch};
+pub use cache::{Cache, CacheConfig, CacheDelta, CacheOutcome, CacheStats, DirtySets, SetPatch};
 pub use core_model::{CoreConfig, CoreModel, CoreState, StallKind};
 pub use cycle_stack::{CycleComponent, CycleStack};
 pub use hierarchy::{
-    AccessResult, Hierarchy, HierarchyConfig, HierarchyDelta, HierarchyState, HierarchyStats,
-    OutboundRead, Woken,
+    AccessResult, Hierarchy, HierarchyConfig, HierarchyDelta, HierarchyLive, HierarchyState,
+    HierarchyStats, OutboundRead, Woken,
 };
 pub use instr::{FnStream, Instr, InstrStream, VecStream};
 pub use prefetch::{PrefetchConfig, StreamPrefetcher};

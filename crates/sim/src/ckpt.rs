@@ -3,12 +3,15 @@
 //!
 //! A [`CheckpointChain`] owns the on-disk checkpoint of one job. Each
 //! [`checkpoint`](CheckpointChain::checkpoint) call does the *fast,
-//! synchronous* part on the simulation thread — capturing state and
-//! encoding it to bytes — and hands the buffer to a [`CheckpointWriter`]
-//! whose background thread does the atomic tmp+rename I/O. The channel
-//! holds one pending buffer (double buffering): the simulation encodes
-//! checkpoint N+1 while the writer flushes checkpoint N, and blocks only
-//! if the disk falls two checkpoints behind.
+//! synchronous* part on the simulation thread — encoding the live
+//! machine to bytes ([`Simulator::checkpoint_base`] and
+//! [`Simulator::checkpoint_delta`]; the caches are serialized where they
+//! sit, never copied first) — and hands the buffer to a
+//! [`CheckpointWriter`] whose background thread does the atomic
+//! tmp+rename I/O. The channel holds one pending buffer (double
+//! buffering): the simulation encodes checkpoint N+1 while the writer
+//! flushes checkpoint N, and blocks only if the disk falls two
+//! checkpoints behind. A step holds about its encoded bytes of heap.
 //!
 //! There is one on-disk format: a binary base snapshot plus numbered
 //! delta files; every [`REBASE_EVERY`] deltas the chain re-bases with a
@@ -326,7 +329,7 @@ impl CheckpointChain {
         &self.key
     }
 
-    /// Captures and queues one checkpoint of `sim`. Returns the encoded
+    /// Encodes and queues one checkpoint of `sim`. Returns the encoded
     /// blob size in bytes.
     ///
     /// The first call (and every [`REBASE_EVERY`]-th thereafter) writes a
@@ -338,15 +341,14 @@ impl CheckpointChain {
     /// Capture errors ([`SnapshotError`]) and writer-thread failures.
     pub fn checkpoint(&mut self, sim: &mut Simulator) -> Result<usize, CkptError> {
         if self.has_base && self.deltas_since_base < REBASE_EVERY {
-            let delta = sim.snapshot_delta()?;
-            let bytes = delta.to_binary();
+            let (seq, bytes) = sim.checkpoint_delta()?;
             let n = bytes.len();
             self.writer
-                .submit(delta_path(&self.dir, &self.key, delta.seq), bytes)?;
-            self.deltas_since_base = delta.seq;
+                .submit(delta_path(&self.dir, &self.key, seq), bytes)?;
+            self.deltas_since_base = seq;
             return Ok(n);
         }
-        let bytes = sim.snapshot_base()?.to_binary();
+        let bytes = sim.checkpoint_base()?;
         let n = bytes.len();
         // Stale deltas are unlinked only after the new base has atomically
         // replaced the old one; any survivor of a crash in between fails
