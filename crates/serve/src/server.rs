@@ -503,6 +503,7 @@ fn worker_loop(state: &Arc<State>) {
                     deadline,
                     telemetry: Some(tel),
                     checkpoint: ckpt.clone(),
+                    ..JobOptions::default()
                 },
             )
         });

@@ -317,6 +317,10 @@ pub struct JobOptions {
     /// If set, the run checkpoints here: periodically, and once more
     /// before a cancelled run returns.
     pub checkpoint: Option<JobCheckpoint>,
+    /// Told, before the run continues, where a resumed run picked up: the
+    /// DRAM cycle of the checkpoint it restored and the deltas replayed
+    /// on top of its base. Not called when nothing was restored.
+    pub on_resume: Option<fn(Cycle, u64)>,
 }
 
 /// Why a job did not produce a report.
@@ -381,7 +385,7 @@ impl From<CkptError> for JobError {
 /// Runs one job to completion, cancellation or deadline.
 ///
 /// With `checkpoint.resume`, starts from the latest complete checkpoint
-/// on disk. Then advances the simulator in steps that end on the next
+/// on disk, decoded once, and tells `on_resume` where. Then advances the simulator in steps that end on the next
 /// [`SLICE_CYCLES`] mark or the next multiple of `checkpoint.every`,
 /// whichever comes first; after each step it beats `pulse` (so a
 /// supervising watchdog sees liveness), checkpoints if the step
@@ -437,6 +441,9 @@ pub fn run_job(
     if let Some(c) = checkpoint.filter(|c| c.resume) {
         if let Some(loaded) = ckpt::load_latest(&c.dir, &c.key) {
             sim.restore(&loaded.snapshot).map_err(CkptError::from)?;
+            if let Some(on_resume) = opts.on_resume {
+                on_resume(loaded.snapshot.dram_cycle, loaded.deltas_applied);
+            }
         }
     }
     let every = checkpoint.map(|c| c.every).filter(|&every| every > 0);

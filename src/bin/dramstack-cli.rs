@@ -20,7 +20,6 @@ use dramstack::figures;
 use dramstack::live::{auto_mode, env_requests_live, LiveSink};
 use dramstack::memctrl::{MappingScheme, PagePolicy};
 use dramstack::serve::{ServeConfig, Server};
-use dramstack::sim::ckpt::load_latest;
 use dramstack::sim::experiments::{
     run_gap, sweep_synthetic_supervised, synthetic_grid, ExperimentScale,
 };
@@ -582,6 +581,12 @@ fn interrupt_signal() -> (&'static str, i32) {
     }
 }
 
+/// The line a resumed run prints before it continues (CI greps
+/// `resumed from cycle`).
+fn print_resumed(cycle: u64, deltas: u64) {
+    println!("resumed from cycle {cycle} ({deltas} delta(s) applied)");
+}
+
 /// Runs the synthetic workload as a job of `campaign`:
 /// periodic checkpoints into the directory, a manifest entry on
 /// completion, and (with `--resume`) skip-if-done /
@@ -597,20 +602,18 @@ fn run_synth_campaign(
             println!("resume: job {key} already complete, loaded recorded report");
             return Ok(r);
         }
-        if let Some(loaded) = load_latest(campaign.dir(), &key) {
-            println!(
-                "resumed from cycle {} ({} delta(s) applied)",
-                loaded.snapshot.dram_cycle, loaded.deltas_applied
-            );
-        }
     }
+    let opts = JobOptions {
+        on_resume: Some(print_resumed),
+        ..JobOptions::default()
+    };
     let report = campaign.run_job(
         &a.spec,
         a.ckpt.every,
         a.ckpt.resume,
         &JobPulse::default(),
         cancel,
-        JobOptions::default(),
+        opts,
     )?;
     println!(
         "recorded job {key} in {}/manifest.json ({} finished)",

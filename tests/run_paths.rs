@@ -4,13 +4,14 @@
 //! `sim::jobs::run_job` is the loop behind CLI `synth`, every `sweep` grid
 //! point and the `serve` workers. This file drives it the ways those
 //! callers do — plain, with periodic checkpoints, cancelled from another
-//! thread and resumed from its chain, and as a campaign-backed supervised
-//! sweep with a panicking and a hanging neighbour — and compares each
-//! report with the direct one.
+//! thread and resumed from its chain (saying where it resumed), and as a
+//! campaign-backed supervised sweep with a panicking and a hanging
+//! neighbour — and compares each report with the direct one.
 
 mod common;
 
 use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use dramstack::memctrl::{MappingScheme, PagePolicy};
@@ -206,6 +207,40 @@ fn a_job_cancelled_from_another_thread_resumes_from_its_chain_identically() {
             assert_eq!(resumed.strip_perf(), direct, "{key}: resume diverged");
         }
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every `(cycle, deltas)` a run told its `on_resume` about.
+static RESUMED: Mutex<Vec<(u64, u64)>> = Mutex::new(Vec::new());
+
+fn record_resume(cycle: u64, deltas: u64) {
+    RESUMED.lock().expect("not poisoned").push((cycle, deltas));
+}
+
+/// A resumed run says where it picked up — from the chain it decodes
+/// once to restore — and a run with nothing to restore says nothing.
+#[test]
+fn a_resumed_job_reports_the_checkpoint_it_restored() {
+    let dir = scratch_dir("run-paths-on-resume");
+    let (spec, direct) = specs().remove(0);
+    let with_hook = |key: &str| JobOptions {
+        on_resume: Some(record_resume),
+        ..checkpointed(&dir, key, 12_000, true)
+    };
+    // 40 µs is 48 000 cycles: a base at 12 000 and deltas at 24 000,
+    // 36 000 and 48 000.
+    let mut first_part = spec.clone();
+    first_part.us = 40.0;
+    run(
+        &first_part,
+        &JobCancel::new(),
+        checkpointed(&dir, "k", 12_000, false),
+    )
+    .unwrap();
+    let resumed = run(&spec, &JobCancel::new(), with_hook("k")).unwrap();
+    assert_eq!(resumed.strip_perf(), direct, "resume diverged");
+    run(&spec, &JobCancel::new(), with_hook("no-chain")).unwrap();
+    assert_eq!(*RESUMED.lock().expect("not poisoned"), [(48_000, 3)]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
