@@ -29,7 +29,7 @@ const BUCKETS: usize = 64;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LatencyHistogram {
-    counts: Vec<u64>,
+    counts: [u64; BUCKETS],
     total: u64,
     min: Cycle,
     max: Cycle,
@@ -40,7 +40,7 @@ impl LatencyHistogram {
     /// An empty histogram.
     pub fn new() -> Self {
         LatencyHistogram {
-            counts: vec![0; BUCKETS],
+            counts: [0; BUCKETS],
             total: 0,
             min: Cycle::MAX,
             max: 0,
@@ -151,109 +151,6 @@ impl LatencyHistogram {
             .map(|(i, c)| (Self::bucket_floor(i), *c))
             .collect()
     }
-
-    /// Captures the growth since `prev` as a sparse per-bucket patch.
-    ///
-    /// The histogram is append-only (counts only grow), so the patch is
-    /// the per-bucket count increase plus the absolute scalar tails
-    /// (total/min/max/sum). `prev` must be an earlier state of this same
-    /// histogram; a bucket that somehow shrank saturates to zero growth
-    /// and the scalar fields still describe `self` exactly.
-    pub fn delta_since(&self, prev: &LatencyHistogram) -> HistogramDelta {
-        let mut bucket_indices = Vec::new();
-        let mut bucket_added = Vec::new();
-        for (i, (&now, &before)) in self.counts.iter().zip(&prev.counts).enumerate() {
-            let grew = now.saturating_sub(before);
-            if grew > 0 {
-                bucket_indices.push(i as u32);
-                bucket_added.push(grew);
-            }
-        }
-        HistogramDelta {
-            bucket_indices,
-            bucket_added,
-            total: self.total,
-            min: self.min,
-            max: self.max,
-            sum: self.sum,
-        }
-    }
-
-    /// Replays a patch captured by [`delta_since`](Self::delta_since),
-    /// advancing this histogram from the patch's base state to the state
-    /// it was captured at.
-    ///
-    /// # Errors
-    ///
-    /// Rejects structurally broken patches (index out of range, ragged
-    /// index/count columns) and patches that do not fit this base (the
-    /// replayed bucket counts must sum to the patch's `total`) — applying
-    /// a delta against the wrong base surfaces as a typed error, never as
-    /// a silently wrong distribution.
-    pub fn apply_delta(&mut self, delta: &HistogramDelta) -> Result<(), String> {
-        if delta.bucket_indices.len() != delta.bucket_added.len() {
-            return Err(format!(
-                "histogram delta is ragged: {} indices vs {} counts",
-                delta.bucket_indices.len(),
-                delta.bucket_added.len()
-            ));
-        }
-        if let Some(&bad) = delta
-            .bucket_indices
-            .iter()
-            .find(|&&i| i as usize >= BUCKETS)
-        {
-            return Err(format!(
-                "histogram delta bucket index {bad} out of range (histogram has {BUCKETS} buckets)"
-            ));
-        }
-        let replayed: u64 =
-            self.counts.iter().sum::<u64>() + delta.bucket_added.iter().sum::<u64>();
-        if replayed != delta.total {
-            return Err(format!(
-                "histogram delta does not fit this base: replayed counts sum to {replayed}, \
-                 delta expects total {}",
-                delta.total
-            ));
-        }
-        for (&i, &add) in delta.bucket_indices.iter().zip(&delta.bucket_added) {
-            self.counts[i as usize] += add;
-        }
-        self.total = delta.total;
-        self.min = delta.min;
-        self.max = delta.max;
-        self.sum = delta.sum;
-        Ok(())
-    }
-}
-
-/// A sparse patch between two states of one [`LatencyHistogram`]:
-/// per-bucket count growth in two index-aligned columns plus the absolute
-/// scalar tails. Long runs checkpoint this instead of re-serializing all
-/// 64 buckets in every delta; an empty patch (quiet checkpoint window)
-/// serializes to almost nothing.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HistogramDelta {
-    /// Buckets that grew since the base (ascending indices).
-    pub bucket_indices: Vec<u32>,
-    /// Count growth per entry of `bucket_indices`.
-    pub bucket_added: Vec<u64>,
-    /// Absolute read count after replay.
-    pub total: u64,
-    /// Absolute minimum latency after replay (raw field: `Cycle::MAX`
-    /// while the histogram is empty).
-    pub min: Cycle,
-    /// Absolute maximum latency after replay.
-    pub max: Cycle,
-    /// Absolute latency sum after replay.
-    pub sum: u128,
-}
-
-impl HistogramDelta {
-    /// Number of buckets the patch touches.
-    pub fn touched(&self) -> usize {
-        self.bucket_indices.len()
-    }
 }
 
 impl Default for LatencyHistogram {
@@ -290,86 +187,6 @@ mod tests {
         let p50 = h.percentile(50.0);
         assert!((40..=60).contains(&p50), "p50 {p50}");
         assert_eq!(h.percentile(100.0), 400);
-    }
-
-    #[test]
-    fn delta_roundtrip_matches_direct_state() {
-        let mut base = LatencyHistogram::new();
-        for v in [40u64, 50, 60] {
-            base.add(v);
-        }
-        let mut grown = base.clone();
-        for v in [45u64, 900, 40, 1_000_000] {
-            grown.add(v);
-        }
-        let delta = grown.delta_since(&base);
-        // Sparse: only the buckets that grew are listed.
-        assert!(delta.touched() < 64);
-        assert!(delta.touched() >= 2);
-        let mut replayed = base.clone();
-        replayed.apply_delta(&delta).unwrap();
-        assert_eq!(replayed, grown);
-        assert_eq!(replayed.percentile(100.0), grown.percentile(100.0));
-    }
-
-    #[test]
-    fn quiet_window_delta_is_empty() {
-        let mut h = LatencyHistogram::new();
-        h.add(100);
-        let delta = h.delta_since(&h.clone());
-        assert_eq!(delta.touched(), 0);
-        let mut replayed = h.clone();
-        replayed.apply_delta(&delta).unwrap();
-        assert_eq!(replayed, h);
-    }
-
-    #[test]
-    fn delta_from_empty_base_rebuilds_everything() {
-        let empty = LatencyHistogram::new();
-        let mut grown = LatencyHistogram::new();
-        for v in [17u64, 33, 1000, 50_000] {
-            grown.add(v);
-        }
-        let delta = grown.delta_since(&empty);
-        let mut replayed = LatencyHistogram::new();
-        replayed.apply_delta(&delta).unwrap();
-        assert_eq!(replayed, grown);
-        assert_eq!(replayed.min(), 17);
-        assert_eq!(replayed.max(), 50_000);
-    }
-
-    #[test]
-    fn delta_against_wrong_base_is_rejected() {
-        let mut a = LatencyHistogram::new();
-        a.add(100);
-        let mut b = a.clone();
-        b.add(200);
-        let delta = b.delta_since(&a);
-        // Replaying onto a base with extra reads breaks the total check.
-        let mut wrong = a.clone();
-        wrong.add(999);
-        let err = wrong.apply_delta(&delta).unwrap_err();
-        assert!(err.contains("does not fit"), "{err}");
-    }
-
-    #[test]
-    fn corrupt_deltas_are_typed_errors() {
-        let mut h = LatencyHistogram::new();
-        h.add(100);
-        let mut ragged = h.delta_since(&LatencyHistogram::new());
-        ragged.bucket_added.push(1);
-        assert!(h
-            .clone()
-            .apply_delta(&ragged)
-            .unwrap_err()
-            .contains("ragged"));
-        let mut oob = h.delta_since(&LatencyHistogram::new());
-        oob.bucket_indices[0] = 64;
-        assert!(h
-            .clone()
-            .apply_delta(&oob)
-            .unwrap_err()
-            .contains("out of range"));
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod through_time;
 pub use bandwidth::{BandwidthAccountant, FirstCauseAccountant};
 pub use components::{BwComponent, LatComponent};
 pub use extrapolate::{extrapolate_stack, predict_bandwidth_naive, predict_bandwidth_stack};
-pub use histogram::{HistogramDelta, LatencyHistogram};
+pub use histogram::LatencyHistogram;
 pub use latency::{LatencyAccountant, LatencyStack};
 pub use stack::BandwidthStack;
 pub use through_time::{SamplerDelta, SamplerState, StackSampler, TimeSample};

@@ -49,4 +49,4 @@ pub use diff::{ComponentDelta, DeltaStack};
 pub use perf::{PerfReport, PhaseTimers, SimPhase};
 pub use probe::{NullProbe, Probe, TeeProbe};
 pub use series::{StackSeries, WindowMerge};
-pub use window::{CtrlWindowStats, HistogramSnapshot};
+pub use window::{CtrlWindowStats, HistogramSnapshot, QUEUE_DEPTH_BOUNDS};

@@ -33,7 +33,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize, Sink};
 
 use dramstack_audit::AuditState;
-use dramstack_core::{HistogramDelta, LatencyHistogram, SamplerDelta, SamplerState};
+use dramstack_core::{LatencyHistogram, SamplerDelta, SamplerState};
 use dramstack_cpu::{CoreState, CycleStack, HierarchyDelta, HierarchyState};
 use dramstack_dram::Cycle;
 use dramstack_memctrl::CtrlSnapshot;
@@ -51,9 +51,9 @@ use crate::config::SystemConfig;
 /// bitset words) instead of one map per way.
 ///
 /// v3: delta checkpoints carry a sparse per-bucket latency-histogram
-/// patch ([`HistogramDelta`]) instead of re-serializing the whole
-/// histogram in every delta. Full snapshots still embed the complete
-/// histogram and remain the oracle.
+/// patch instead of re-serializing the whole histogram in every delta.
+/// Full snapshots still embed the complete histogram and remain the
+/// oracle.
 ///
 /// v4: machine state only. Devices drop their mutation epochs and the
 /// `in_transition` flags (rebuilt from `transitioning` on restore), and
@@ -61,7 +61,15 @@ use crate::config::SystemConfig;
 /// [`CtrlWindowStats`](dramstack_obs::CtrlWindowStats) instead of a
 /// registry of named metrics. Older files are refused, not converted: a
 /// checkpoint chain from an older build costs a restart.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 4;
+///
+/// v5: a delta is the base layout cut only where the machine grows, in
+/// dirty cache sets and appended window series. It carries every
+/// channel's controller and the whole latency histogram (the v3 patch
+/// encoded larger than the histogram, and channels were left out only
+/// on a near-idle machine checkpointed every fraction of a microsecond),
+/// and a queue-depth histogram no longer writes its constant bucket
+/// edges ([`QUEUE_DEPTH_BOUNDS`](dramstack_obs::QUEUE_DEPTH_BOUNDS)).
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 5;
 
 /// Version stamp of the binary `.dsnp` *container* (magic, string table,
 /// section table — see [`crate::binary`]), independent of the embedded
@@ -247,11 +255,6 @@ impl Snapshot {
         self.hierarchy
             .apply_delta(&delta.hierarchy)
             .map_err(corrupt)?;
-        for (slot, d) in self.controllers.iter_mut().zip(&delta.controllers) {
-            if let Some(c) = d {
-                *slot = c.clone();
-            }
-        }
         for (s, d) in self.samplers.iter_mut().zip(&delta.samplers) {
             s.apply_delta(d).map_err(corrupt)?;
         }
@@ -261,23 +264,21 @@ impl Snapshot {
         self.next_cycle_sample = delta.next_cycle_sample;
         self.cores = delta.cores.clone();
         self.streams = delta.streams.clone();
+        self.controllers = delta.controllers.clone();
         self.audits = delta.audits.clone();
         self.cycle_total = delta.cycle_total;
-        self.histogram
-            .apply_delta(&delta.histogram)
-            .map_err(corrupt)?;
+        self.histogram = delta.histogram.clone();
         Ok(())
     }
 }
 
-/// A periodic checkpoint serialized as a *delta*: only the state dirtied
-/// since the previous checkpoint in the chain. The big members — cache
-/// ways, sampler series, quiescent channels — shrink to their dirty
-/// subset; the small ones (cores, streams, audits, totals) are captured
-/// whole, which keeps delta capture simple while still cutting the blob
-/// by orders of magnitude on typical workloads. The chain writes deltas
-/// straight from the live simulator; this owned form is what decoding
-/// one gives.
+/// A periodic checkpoint serialized as a *delta*: the base layout cut
+/// where the machine grows. The cache hierarchy shrinks to the sets
+/// dirtied since the previous checkpoint in the chain, and the sampler
+/// and CPU cycle-window series to the windows rolled since; every other
+/// member (cores, streams, controllers, audits, totals, the latency
+/// histogram) is captured whole. The chain writes deltas straight from
+/// the live simulator; this owned form is what decoding one gives.
 ///
 /// Deltas form a chain: a full base snapshot, then deltas with ascending
 /// `seq`, each stamped with the `base_cycle` it applies on top of.
@@ -301,9 +302,8 @@ pub struct SnapshotDelta {
     pub streams: Vec<Vec<u64>>,
     /// Cache-hierarchy patch: dirtied sets only.
     pub hierarchy: HierarchyDelta,
-    /// Per-channel controller state; `None` where the channel provably
-    /// did not move since the previous checkpoint.
-    pub controllers: Vec<Option<CtrlSnapshot>>,
+    /// Per-channel controller + device state.
+    pub controllers: Vec<CtrlSnapshot>,
     /// Per-channel sampler patches: open window + appended windows only.
     pub samplers: Vec<SamplerDelta>,
     /// Per-channel shadow-auditor bookkeeping (`None` where unarmed).
@@ -314,9 +314,8 @@ pub struct SnapshotDelta {
     pub cycle_samples_appended: Vec<CycleStack>,
     /// Running CPU cycle-stack total.
     pub cycle_total: CycleStack,
-    /// Sparse read-latency-histogram patch: only the buckets that grew
-    /// since the previous checkpoint (see [`HistogramDelta`]).
-    pub histogram: HistogramDelta,
+    /// DRAM read-latency histogram.
+    pub histogram: LatencyHistogram,
 }
 
 /// The one serialized layout of a [`SnapshotDelta`], borrowed from an
@@ -331,19 +330,17 @@ pub(crate) struct DeltaView<'a> {
     pub(crate) cores: &'a [CoreState],
     pub(crate) streams: &'a [Vec<u64>],
     pub(crate) hierarchy: &'a dyn Serialize,
-    pub(crate) controllers: &'a [Option<&'a CtrlSnapshot>],
+    pub(crate) controllers: &'a [CtrlSnapshot],
     pub(crate) samplers: &'a [SamplerDelta],
     pub(crate) audits: &'a [Option<AuditState>],
     pub(crate) cycle_samples_base_len: u64,
     pub(crate) cycle_samples_appended: &'a [CycleStack],
     pub(crate) cycle_total: CycleStack,
-    pub(crate) histogram: &'a HistogramDelta,
+    pub(crate) histogram: &'a LatencyHistogram,
 }
 
 impl Serialize for SnapshotDelta {
     fn serialize(&self, out: &mut dyn Sink) {
-        let controllers: Vec<Option<&CtrlSnapshot>> =
-            self.controllers.iter().map(Option::as_ref).collect();
         DeltaView {
             version: self.version,
             seq: self.seq,
@@ -353,7 +350,7 @@ impl Serialize for SnapshotDelta {
             cores: &self.cores,
             streams: &self.streams,
             hierarchy: &self.hierarchy,
-            controllers: &controllers,
+            controllers: &self.controllers,
             samplers: &self.samplers,
             audits: &self.audits,
             cycle_samples_base_len: self.cycle_samples_base_len,
