@@ -172,7 +172,7 @@ impl StackSampler {
             cycle_ns,
             window_start: 0,
             samples: Vec::new(),
-            window: CtrlWindowStats::empty(),
+            window: CtrlWindowStats::default(),
         }
     }
 

@@ -88,7 +88,7 @@ fn a_snapshot_holds_settled_counters_in_the_pinned_bytes() {
     // Attribution by running totals must serialise to the same bytes at
     // a tick with reads mid-wait: PREs and ACTs already caused, their
     // banks mid-transition, nonzero queue and preact counters.
-    const PINNED: &str = include_str!("data/ctrl_snapshot_cycle_64.json");
+    const PINNED: &str = include_str!("data/controller_image_cycle_64.json");
     const AT: u64 = 64;
     let cfg: CtrlConfig = config(SchedulerPolicy::FrFcfs, PagePolicy::Open, false);
     // Conflicts on bank 0 and bank 1, hits behind them, a lone bank 2.
