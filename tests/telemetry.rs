@@ -10,6 +10,7 @@ use std::sync::{Arc, Mutex};
 use dramstack::live::{LiveMode, LiveSink};
 use dramstack::obs::BottleneckClass;
 use dramstack::sim::{diff_reports, SimReport, Simulator, SystemConfig, Telemetry};
+use dramstack::stacks::{BwComponent, LatComponent};
 use dramstack::workloads::SyntheticPattern;
 
 /// A writer appending into a shared buffer the test reads back.
@@ -98,6 +99,40 @@ fn prometheus_snapshot_is_well_formed_after_a_run() {
     for line in snap.lines().filter(|l| !l.starts_with('#')) {
         let value = line.rsplit(' ').next().unwrap();
         assert!(value.parse::<f64>().is_ok(), "bad exposition line: {line}");
+    }
+
+    // A run of more than 256 windows: the exposition's whole-run values
+    // are the report's stacks, which fold the same windows in order.
+    let mut cfg = SystemConfig::paper_default(1);
+    cfg.sample_period = 1_200;
+    let mut sim = Simulator::with_synthetic(cfg, SyntheticPattern::sequential(0.0));
+    sim.attach_telemetry(Telemetry::default());
+    let r = sim.run_for_us(300.0);
+    assert_eq!(r.samples.len(), 300);
+    let snap = sim.telemetry().unwrap().prometheus_snapshot();
+    let (bw, lat) = (&r.bandwidth_stack, &r.latency_stack);
+    let mut want = vec![format!("dramstack_windows_total {}", r.samples.len())];
+    for c in BwComponent::ALL {
+        want.push(format!(
+            "dramstack_bw_share{{component=\"{}\"}} {:.6}",
+            c.label(),
+            bw.fraction(c)
+        ));
+    }
+    want.push(format!("dramstack_achieved_gbps {:.6}", bw.achieved_gbps()));
+    for c in LatComponent::ALL {
+        want.push(format!(
+            "dramstack_lat_ns{{component=\"{}\"}} {:.6}",
+            c.label(),
+            lat.ns(c)
+        ));
+    }
+    want.push(format!("dramstack_reads_total {}", lat.reads));
+    for line in want {
+        assert!(
+            snap.lines().any(|l| l == line),
+            "missing `{line}` in:\n{snap}"
+        );
     }
 }
 
