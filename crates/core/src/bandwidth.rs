@@ -120,16 +120,6 @@ impl BandwidthAccountant {
         }
     }
 
-    /// Accounts `span` fully idle cycles — bit-identical to
-    /// `account_span(&CycleView::idle(n_banks), span)` but without
-    /// touching (or needing) a view at all. This is the branch-free fast
-    /// path for skipped spans whose frozen view is all idle.
-    #[inline]
-    pub fn account_idle(&mut self, span: u64) {
-        self.total_cycles += span;
-        self.idle += span;
-    }
-
     /// Produces the finished stack (post-processing step: bank-cycle
     /// counters divided by the bank count).
     pub fn stack(&self) -> BandwidthStack {
@@ -387,16 +377,6 @@ mod tests {
             first.account(v);
         }
         assert_eq!(split.stack(), first.stack());
-    }
-
-    #[test]
-    fn account_idle_equals_idle_view_span() {
-        let mut a1 = acc();
-        let mut a2 = acc();
-        a1.account_span(&CycleView::idle(16), 1234);
-        a2.account_idle(1234);
-        assert_eq!(a1, a2);
-        assert_eq!(a1.stack(), a2.stack());
     }
 
     #[test]

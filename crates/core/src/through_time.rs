@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 
 use dramstack_dram::{Cycle, CycleView};
 use dramstack_memctrl::LatencyBreakdown;
-use dramstack_obs::{CtrlWindowStats, WindowMerge, WindowObservation};
+use dramstack_obs::{CtrlWindowStats, WindowObservation};
 
 use crate::bandwidth::BandwidthAccountant;
 use crate::components::{BwComponent, LatComponent};
@@ -66,14 +66,13 @@ impl TimeSample {
             reads: lat.reads,
         }
     }
-}
 
-/// Folding adjacent windows for the telemetry ring: cycle counts add,
-/// bandwidth weights add, latency averages merge read-weighted and
-/// controller health merges — the same arithmetic as whole-run
-/// aggregation, so a downsampled series conserves every quantity.
-impl WindowMerge for TimeSample {
-    fn merge_window(&mut self, next: &Self) {
+    /// Folds `next`, the window that follows this one, into it: cycle
+    /// counts add, bandwidth weights add, latency averages merge
+    /// read-weighted and controller health merges. This is the arithmetic
+    /// of [`aggregate_bandwidth`] and [`aggregate_latency`], so folding a
+    /// series window by window gives the whole-run stacks.
+    pub fn merge(&mut self, next: &TimeSample) {
         self.cycles += next.cycles;
         self.bandwidth.merge(&next.bandwidth);
         self.latency.merge(&next.latency);
@@ -176,47 +175,16 @@ impl StackSampler {
         }
     }
 
-    /// Accounts one cycle and rolls the window when the period elapses.
+    /// Accounts one cycle and rolls the window when the period elapses:
+    /// the CAS counts, then [`account_span`](Self::account_span) for one
+    /// cycle.
     pub fn account(&mut self, view: &CycleView) {
-        if view.is_all_idle() {
-            // An all-idle cycle touches two accountant counters and the
-            // zero bucket of both depth histograms; skip classification.
-            self.account_idle(1);
-            return;
-        }
-        self.bw.account(view);
-        let w = &mut self.window;
         if let Some(hit) = view.cas_hit {
+            let w = &mut self.window;
             w.cas += 1;
             w.cas_hits += u64::from(hit);
         }
-        w.drain_cycles += u64::from(view.drain);
-        w.read_queue_depth.observe(view.read_q_depth as u64);
-        w.write_queue_depth.observe(view.write_q_depth as u64);
-        w.cycles += 1;
-        if w.cycles == self.period {
-            self.roll();
-        }
-    }
-
-    /// Accounts `n` fully idle cycles in bulk — bit-identical to calling
-    /// [`account`](Self::account) `n` times with [`CycleView::idle`],
-    /// including any window rolls inside the span, but at O(windows)
-    /// instead of O(cycles) cost. This is what
-    /// [`account_span`](Self::account_span) does with an all-idle view.
-    pub fn account_idle(&mut self, mut n: u64) {
-        while n > 0 {
-            let take = n.min(self.period - self.window.cycles);
-            self.bw.account_idle(take);
-            let w = &mut self.window;
-            w.read_queue_depth.observe_n(0, take);
-            w.write_queue_depth.observe_n(0, take);
-            w.cycles += take;
-            n -= take;
-            if w.cycles == self.period {
-                self.roll();
-            }
-        }
+        self.account_span(view, 1);
     }
 
     /// Accounts `n` identical cycles of `view` in bulk — bit-identical to
@@ -226,14 +194,15 @@ impl StackSampler {
     /// backlog, tRFC shadow, write drain, or nothing queued at all) has a
     /// constant view, so its whole stretch classifies in O(windows).
     ///
-    /// The span must not contain CAS issues (`view.cas_hit` is `None`); a
-    /// CAS would end the stall that made the span skippable.
+    /// A span of more than one cycle must not contain CAS issues
+    /// (`view.cas_hit` is `None`); a CAS would end the stall that made the
+    /// span skippable. The CAS of a single cycle is counted by
+    /// [`account`](Self::account).
     pub fn account_span(&mut self, view: &CycleView, mut n: u64) {
-        if view.is_all_idle() {
-            self.account_idle(n);
-            return;
-        }
-        debug_assert!(view.cas_hit.is_none(), "CAS inside a bulk busy span");
+        debug_assert!(
+            n <= 1 || view.cas_hit.is_none(),
+            "CAS inside a bulk busy span"
+        );
         while n > 0 {
             let take = n.min(self.period - self.window.cycles);
             self.bw.account_span(view, take);
@@ -640,7 +609,7 @@ mod tests {
             bulk.account(&busy);
             single.account(&busy);
         }
-        bulk.account_idle(263);
+        bulk.account_span(&idle, 263);
         for _ in 0..263 {
             single.account(&idle);
         }
@@ -671,7 +640,7 @@ mod tests {
         for _ in 0..263 {
             single.account(&busy);
         }
-        // An all-idle span delegates to the idle path.
+        // An all-idle span.
         bulk.account_span(&CycleView::idle(16), 41);
         for _ in 0..41 {
             single.account(&CycleView::idle(16));

@@ -183,21 +183,6 @@ impl CycleView {
     pub fn any_bank_active(&self) -> bool {
         self.banks.iter().any(|b| !matches!(b, BankActivity::Idle))
     }
-
-    /// Whether every field holds its [`CycleView::idle`] value — the
-    /// fast-path test that lets accounting treat the cycle as pure idle
-    /// without running the full classification.
-    pub fn is_all_idle(&self) -> bool {
-        self.bus.is_none()
-            && !self.refreshing
-            && !self.has_pending
-            && !self.drain
-            && self.cas_hit.is_none()
-            && self.read_q_depth == 0
-            && self.write_q_depth == 0
-            && self.rank_block == BlockReason::None
-            && !self.any_bank_active()
-    }
 }
 
 #[cfg(test)]

@@ -21,8 +21,6 @@
 //! * [`PhaseTimers`] / [`PerfReport`] — wall-clock self-profiling of the
 //!   simulator's drive loop: where host time goes, and how many simulated
 //!   cycles per second the run achieved.
-//! * [`StackSeries`] — a bounded-memory streaming through-time series
-//!   with pairwise downsampling, the backbone of live telemetry.
 //! * [`Advisor`] — the paper's stack-reading diagnosis logic as code:
 //!   rule-based bottleneck classification over window shares with
 //!   hysteresis, emitting typed [`Diagnosis`] records.
@@ -40,7 +38,6 @@ pub mod chrome;
 pub mod diff;
 pub mod perf;
 mod probe;
-pub mod series;
 pub mod window;
 
 pub use advisor::{Advisor, BottleneckClass, Diagnosis, WindowObservation};
@@ -48,5 +45,4 @@ pub use chrome::{ChromeTrace, ChromeTraceHandle, ChromeTraceProbe, TraceEvent, T
 pub use diff::{ComponentDelta, DeltaStack};
 pub use perf::{PerfReport, PhaseTimers, SimPhase};
 pub use probe::{NullProbe, Probe, TeeProbe};
-pub use series::{StackSeries, WindowMerge};
 pub use window::{CtrlWindowStats, HistogramSnapshot, QUEUE_DEPTH_BOUNDS};

@@ -6,8 +6,8 @@
 //! receives every completed sample window as it rolls (including windows
 //! rolled inside a skipped span). It
 //!
-//! * retains a bounded-memory [`StackSeries`] of [`TimeSample`]s (pairwise
-//!   downsampling keeps arbitrarily long runs in 256 buckets),
+//! * folds every window into one running [`TimeSample`], the whole-run
+//!   total, in O(1) memory however long the run,
 //! * runs a live [`Advisor`] so the current bottleneck class is known
 //!   while the simulation runs,
 //! * streams one JSON-lines record per window to an optional writer,
@@ -25,11 +25,7 @@ use std::io::Write;
 use serde::{Serialize, Sink};
 
 use dramstack_core::{BwComponent, LatComponent, TimeSample};
-use dramstack_obs::{Advisor, BottleneckClass, StackSeries, WindowObservation};
-
-/// Ring capacity of the retained window series; the ring downsamples
-/// pairwise when full.
-const SERIES_CAPACITY: usize = 256;
+use dramstack_obs::{Advisor, BottleneckClass, WindowObservation};
 
 /// The argument of [`Telemetry::new`]. Telemetry has no settings; kept
 /// only for the benchmark's callers, and goes when they do.
@@ -60,7 +56,8 @@ pub trait TelemetrySink: Send {
 
 /// The streaming telemetry state attached to a [`Simulator`](crate::Simulator).
 pub struct Telemetry {
-    series: StackSeries<TimeSample>,
+    /// Every published window folded into one, in publication order.
+    total: Option<TimeSample>,
     advisor: Advisor,
     windows: u64,
     last: Option<WindowObservation>,
@@ -73,7 +70,6 @@ impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Telemetry")
             .field("windows", &self.windows)
-            .field("series_len", &self.series.len())
             .field("jsonl", &self.jsonl.is_some())
             .field("prom", &self.prom.is_some())
             .field("sinks", &self.sinks.len())
@@ -85,7 +81,7 @@ impl Default for Telemetry {
     /// Telemetry with no writers and no sinks.
     fn default() -> Self {
         Telemetry {
-            series: StackSeries::new(SERIES_CAPACITY),
+            total: None,
             advisor: Advisor::default(),
             windows: 0,
             last: None,
@@ -124,11 +120,6 @@ impl Telemetry {
         self.sinks.push(sink);
     }
 
-    /// The retained (possibly downsampled) window series.
-    pub fn series(&self) -> &StackSeries<TimeSample> {
-        &self.series
-    }
-
     /// Windows published so far.
     pub fn windows(&self) -> u64 {
         self.windows
@@ -150,7 +141,10 @@ impl Telemetry {
         for sink in &mut self.sinks {
             sink.window(index, sample, &obs, current);
         }
-        self.series.push(sample.clone());
+        match &mut self.total {
+            Some(t) => t.merge(sample),
+            None => self.total = Some(sample.clone()),
+        }
         self.last = Some(obs);
     }
 
@@ -163,27 +157,14 @@ impl Telemetry {
     }
 
     /// Renders the Prometheus-style text exposition of the current state:
-    /// aggregate stack shares over the retained series, last-window
+    /// aggregate stack shares over every published window, last-window
     /// gauges, and run counters.
     pub fn prometheus_snapshot(&self) -> String {
         let mut out = String::new();
         out.push_str("# HELP dramstack_windows_total Sample windows published\n");
         out.push_str("# TYPE dramstack_windows_total counter\n");
         out.push_str(&format!("dramstack_windows_total {}\n", self.windows));
-
-        // Aggregate over everything retained (buckets plus the pending
-        // partial bucket) — downsampling conserves all of these.
-        let mut agg: Option<TimeSample> = None;
-        for s in self.series.buckets().iter().chain(self.series.pending()) {
-            match &mut agg {
-                Some(a) => {
-                    use dramstack_obs::WindowMerge;
-                    a.merge_window(s);
-                }
-                None => agg = Some(s.clone()),
-            }
-        }
-        if let Some(a) = agg {
+        if let Some(a) = &self.total {
             out.push_str("# HELP dramstack_bw_share Aggregate bandwidth-stack share of peak\n");
             out.push_str("# TYPE dramstack_bw_share gauge\n");
             for c in BwComponent::ALL {
@@ -408,21 +389,19 @@ mod tests {
     }
 
     #[test]
-    fn series_is_bounded_and_conserves_cycles() {
+    fn running_total_conserves_cycles() {
         let mut t = Telemetry::default();
         for i in 0..1000 {
             t.publish(&sample(i * 100));
         }
-        assert!(t.series().len() <= SERIES_CAPACITY);
-        assert_eq!(t.series().total_pushed(), 1000);
-        let cycles: u64 = t
-            .series()
-            .buckets()
-            .iter()
-            .chain(t.series().pending())
-            .map(|s| s.cycles)
-            .sum();
-        assert_eq!(cycles, 1000 * 100);
+        assert_eq!(t.windows(), 1000);
+        let total = t.total.as_ref().expect("windows were published");
+        assert_eq!(total.start_cycle, 0);
+        assert_eq!(total.cycles, 1000 * 100);
+        assert_eq!(total.bandwidth.total_cycles, 1000 * 100);
+        assert_eq!(total.ctrl.cycles, 1000 * 100);
+        assert_eq!(total.ctrl.read_queue_depth.count, 1000 * 100);
+        assert!((total.bandwidth.fraction(BwComponent::Read) - 1.0).abs() < 1e-12);
     }
 
     #[test]
