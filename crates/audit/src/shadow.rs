@@ -209,8 +209,8 @@ struct Breach {
 ///
 /// Feed it every issued command via [`observe`](Self::observe); read the
 /// findings with [`violations`](Self::violations). It can be used
-/// standalone or wrapped in the probe adapters from
-/// [`probe`](crate::probe).
+/// standalone or wrapped in an [`AuditProbe`](crate::AuditProbe), which
+/// [`audit_channel`](crate::audit_channel) builds.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProtocolAuditor {
     t: ShadowTiming,

@@ -17,8 +17,8 @@
 //! the boundary between `constraints`/`bank-idle` and `idle` is inferred.
 //!
 //! Latency stacks cannot be reconstructed from command traces (they need
-//! per-request arrival times); use the online [`LatencyAccountant`]
-//! (crate::LatencyAccountant) for those.
+//! per-request arrival times); use the online
+//! [`LatencyAccountant`](crate::LatencyAccountant) for those.
 
 use std::error::Error;
 use std::fmt;
@@ -250,7 +250,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_trace_is_all_idle_plus_nothing() {
+    fn empty_trace_is_idle_throughout() {
         let stack = stack_from_trace(&[], cfg(), 1000).unwrap();
         assert!((stack.fraction(BwComponent::Idle) - 1.0).abs() < 1e-12);
     }

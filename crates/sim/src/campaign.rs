@@ -1,5 +1,5 @@
 //! Resumable experiment campaigns: a config-hash-keyed completion
-//! manifest around [`run_job`](crate::jobs::run_job).
+//! manifest around [`run_job`].
 //!
 //! A [`Campaign`] wraps a checkpoint directory. Each job (one simulator
 //! configuration + label) is identified by [`job_key`] — an FNV-1a hash

@@ -250,7 +250,7 @@ fn expect_count(key: &str, v: &Value) -> Result<usize, String> {
 }
 
 /// A clone-able cooperative cancellation token. Cancelling is sticky and
-/// idempotent; [`run_job`] polls it every [`SLICE_CYCLES`] cycles.
+/// idempotent; [`run_job`] polls it every `SLICE_CYCLES` (24 000) cycles.
 #[derive(Debug, Clone, Default)]
 pub struct JobCancel {
     flag: Arc<AtomicBool>,
@@ -386,7 +386,7 @@ impl From<CkptError> for JobError {
 ///
 /// With `checkpoint.resume`, starts from the latest complete checkpoint
 /// on disk, decoded once, and tells `on_resume` where. Then advances the simulator in steps that end on the next
-/// [`SLICE_CYCLES`] mark or the next multiple of `checkpoint.every`,
+/// `SLICE_CYCLES` (24 000) mark or the next multiple of `checkpoint.every`,
 /// whichever comes first; after each step it beats `pulse` (so a
 /// supervising watchdog sees liveness), checkpoints if the step
 /// ended on an `every` boundary, polls `cancel` — a cancelled run
