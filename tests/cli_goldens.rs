@@ -12,7 +12,9 @@
 //!
 //! An output change that is intended is regenerated with
 //! `DRAMSTACK_REGEN_GOLDEN=1 cargo test --test cli_goldens`, and every
-//! moved golden gets a line in CHANGES.md saying why it moved.
+//! moved golden gets a line in CHANGES.md saying why it moved. A report
+//! golden whose compared content did not move is left as it is, so the
+//! older-format reports kept as inputs survive a regeneration.
 
 mod common;
 
@@ -52,6 +54,15 @@ const ROWS: &[(&str, &[&str])] = &[
         &[
             "synth --cores 2 --us 20 --checkpoint-dir $DIR/ckpt --checkpoint-every 6000",
             "synth --cores 2 --us 20 --checkpoint-dir $DIR/ckpt --checkpoint-every 6000 --resume",
+        ],
+    ),
+    (
+        "synth_checkpoint_outputs",
+        &[
+            "synth --cores 2 --us 20 --checkpoint-dir $DIR/ckpt --checkpoint-every 6000 \
+           --telemetry $DIR/run.jsonl --prom $DIR/run.prom --report $DIR/report.json",
+            "synth --cores 2 --us 20 --checkpoint-dir $DIR/ckpt --checkpoint-every 6000 --resume \
+           --telemetry $DIR/resume.jsonl --prom $DIR/resume.prom --report $DIR/resume.json",
         ],
     ),
     ("sweep", &["sweep --cores 1,2 --us 10"]),
@@ -183,13 +194,23 @@ fn every_cli_row_matches_its_golden() {
             .filter(|p| !p.to_string_lossy().ends_with(INPUT_SUFFIX))
             .collect();
         if regen {
-            let _ = std::fs::remove_dir_all(&golden);
             std::fs::create_dir_all(&golden).expect("create golden directory");
+            for rel in files_under(&golden) {
+                if rel != Path::new("stdout") && !written.contains(&rel) {
+                    std::fs::remove_file(golden.join(rel)).expect("remove stale golden");
+                }
+            }
             std::fs::write(golden.join("stdout"), &transcript).expect("write golden");
             for rel in &written {
-                let to = golden.join(rel);
+                let (from, to) = (dir.join(rel), golden.join(rel));
+                // A report golden is rewritten only when what is compared
+                // moved: the `diff` row's goldens are older-format reports
+                // kept as compatibility inputs.
+                if is_report(rel) && to.exists() && comparable(&from) == comparable(&to) {
+                    continue;
+                }
                 std::fs::create_dir_all(to.parent().expect("has parent")).expect("mkdir");
-                std::fs::copy(dir.join(rel), &to).expect("copy golden");
+                std::fs::copy(&from, &to).expect("copy golden");
             }
             eprintln!("regenerated {}", golden.display());
             let _ = std::fs::remove_dir_all(&dir);
