@@ -590,11 +590,13 @@ fn print_resumed(cycle: u64, deltas: u64) {
 /// Runs the synthetic workload as a job of `campaign`:
 /// periodic checkpoints into the directory, a manifest entry on
 /// completion, and (with `--resume`) skip-if-done /
-/// continue-if-interrupted semantics.
+/// continue-if-interrupted semantics. A resumed run streams `telemetry`
+/// only the windows it simulates after the restore point.
 fn run_synth_campaign(
     a: &SynthArgs,
     campaign: &Campaign,
     cancel: &JobCancel,
+    telemetry: Option<Telemetry>,
 ) -> Result<SimReport, JobError> {
     let (key, _) = a.spec.identity().map_err(JobError::Spec)?;
     if a.ckpt.resume {
@@ -604,6 +606,7 @@ fn run_synth_campaign(
         }
     }
     let opts = JobOptions {
+        telemetry,
         on_resume: Some(print_resumed),
         ..JobOptions::default()
     };
@@ -627,15 +630,9 @@ fn run_synth_cmd(a: &SynthArgs) -> Result<(), String> {
     let telemetry = synth_telemetry(a)?;
     let cancel = JobCancel::on_interrupt();
     let result = match &a.ckpt.dir {
-        Some(_) if telemetry.is_some() || a.report_out.is_some() => {
-            return Err(
-                "--checkpoint-dir cannot be combined with --live/--telemetry/--prom/--report"
-                    .into(),
-            );
-        }
         Some(dir) => {
             let campaign = Campaign::open(dir).map_err(|e| e.to_string())?;
-            run_synth_campaign(a, &campaign, &cancel)
+            run_synth_campaign(a, &campaign, &cancel, telemetry)
         }
         None => {
             let opts = JobOptions {

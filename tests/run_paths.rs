@@ -4,14 +4,15 @@
 //! `sim::jobs::run_job` is the loop behind CLI `synth`, every `sweep` grid
 //! point and the `serve` workers. This file drives it the ways those
 //! callers do — plain, with periodic checkpoints, cancelled from another
-//! thread and resumed from its chain (saying where it resumed), and as a
+//! thread and resumed from its chain (saying where it resumed), as an
+//! interrupted and resumed campaign job with telemetry attached, and as a
 //! campaign-backed supervised sweep with a panicking and a hanging
 //! neighbour — and compares each report with the direct one.
 
 mod common;
 
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use dramstack::memctrl::{MappingScheme, PagePolicy};
@@ -377,5 +378,71 @@ fn an_interrupted_sweep_records_nothing_done_and_keeps_the_deeper_chain() {
         let point = point.as_ref().expect("resumed point finished");
         assert_eq!(&point.report.strip_perf(), direct);
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A sink that records the first cycle of every window it is handed.
+struct WindowStarts(Arc<Mutex<Vec<u64>>>);
+
+impl TelemetrySink for WindowStarts {
+    fn window(
+        &mut self,
+        _index: u64,
+        sample: &TimeSample,
+        _obs: &WindowObservation,
+        _current: Option<BottleneckClass>,
+    ) {
+        self.0
+            .lock()
+            .expect("not poisoned")
+            .push(sample.start_cycle);
+    }
+}
+
+/// Telemetry rides a checkpointed campaign job, as CLI `synth
+/// --checkpoint-dir` with `--telemetry`/`--prom` runs it: the interrupted
+/// run streams the windows before its checkpoint, the resumed one only
+/// those after its restore point, and the resumed report is the whole
+/// run's.
+#[test]
+fn telemetry_streams_each_window_once_across_an_interrupted_campaign_job() {
+    let dir = scratch_dir("run-paths-telemetry");
+    let campaign = Campaign::open(&dir).unwrap();
+    let (spec, direct) = specs().remove(0);
+    let starts = Arc::new(Mutex::new(Vec::new()));
+    let telemetry = || {
+        let mut t = Telemetry::default();
+        t.add_sink(Box::new(WindowStarts(Arc::clone(&starts))));
+        Some(t)
+    };
+    let opts = || JobOptions {
+        telemetry: telemetry(),
+        ..JobOptions::default()
+    };
+    let pulse = JobPulse::default();
+    let cancelled = JobCancel::new();
+    cancelled.cancel(); // seen at the first slice mark, cycle 24 000
+    let err = campaign
+        .run_job(&spec, 0, false, &pulse, &cancelled, opts())
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            JobError::Cancelled {
+                cycle: 24_000,
+                checkpointed: true
+            }
+        ),
+        "{err}"
+    );
+    assert_eq!(*starts.lock().unwrap(), [0, 12_000]);
+
+    let resumed = campaign
+        .run_job(&spec, 0, true, &pulse, &JobCancel::new(), opts())
+        .unwrap();
+    assert_eq!(resumed.strip_perf(), direct, "resume diverged");
+    let all: Vec<u64> = direct.samples.iter().map(|s| s.start_cycle).collect();
+    assert_eq!(*starts.lock().unwrap(), all, "every window exactly once");
+    assert_eq!(campaign.jobs_done(), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
